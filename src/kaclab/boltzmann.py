@@ -66,28 +66,29 @@ class MomentSeries:
 
 
 @lru_cache(maxsize=None)
-def _mixing_weights(order: int) -> np.ndarray:
+def _rhs_tables(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixing weights w[n,k] = C(n,k) A(k, n-k), the index table n-k, and the
+    thermostat rows w[n,k] g_{n-k}; zero (index 0) above the diagonal."""
     w = np.zeros((order + 1, order + 1))
     for n in range(order + 1):
         for k in range(n + 1):
             w[n, k] = math.comb(n, k) * angular_moment(k, n - k)
-    return w
+    idx = np.arange(order + 1)
+    rev = np.maximum(idx[:, None] - idx[None, :], 0)
+    g = np.array([gaussian_moment(k, 1.0 / beta) for k in range(order + 1)])
+    wg = w * g[rev]
+    for table in (w, rev, wg):
+        table.flags.writeable = False
+    return w, rev, wg
 
 
 def moment_rhs(m: np.ndarray, params: Params) -> np.ndarray:
     """Time derivative of the moment vector; lower-triangular in the order."""
     m = np.asarray(m, dtype=float)
-    order = m.size - 1
-    w = _mixing_weights(order)
-    g = np.array([gaussian_moment(k, 1.0 / params.beta) for k in range(order + 1)])
-    out = np.zeros_like(m)
-    for n in range(order + 1):
-        wk = w[n, : n + 1]
-        mk = m[: n + 1]
-        coll = float(wk @ (mk * m[n::-1])) - m[n]
-        ther = float(wk @ (mk * g[n::-1])) - m[n]
-        out[n] = 2.0 * params.lam * coll + params.mu * ther
-    return out
+    w, rev, wg = _rhs_tables(m.size - 1, params.beta)
+    coll = (w * m[rev]) @ m - m
+    ther = wg @ m - m
+    return 2.0 * params.lam * coll + params.mu * ther
 
 
 def linearized_eigenvalue(n: int, params: Params) -> float:
@@ -99,7 +100,10 @@ def linearized_eigenvalue(n: int, params: Params) -> float:
 
 
 def _hankel_min_eig(m: np.ndarray) -> float:
-    half = m.size // 2
+    """Smallest eigenvalue of the diagonally scaled Hankel moment matrix built
+    from m_0..m_{2 half}, half = order // 2 (the top moment of an odd order
+    does not enter)."""
+    half = (m.size - 1) // 2
     h = np.empty((half + 1, half + 1))
     for i in range(half + 1):
         h[i] = m[i : i + half + 1]

@@ -4,9 +4,12 @@ Functions of one velocity are represented on a uniform grid (half width 8, in
 units of the equilibrium standard deviation, 2048 nodes by default) and
 integrated with the trapezoid rule; the angle average uses a 256-point
 periodic rule (spectrally exact for trigonometric polynomials) and the
-Gaussian partner integral a 32-node Gauss-Hermite rule.  Ratio-type functions
-G = f/g live against the standard Gaussian weight g; physical velocities are
-rescaled by sqrt(beta) before estimation.
+Gaussian partner integral a 32-node Gauss-Hermite rule.  Because the
+Gauss-Hermite nodes are symmetric, the periodic rule folds onto the quarter
+period [0, pi/2]: the thermostat operator evaluates 65 angles instead of 256
+and needs a grid symmetric about 0 (every `uniform_nodes` grid is).
+Ratio-type functions G = f/g live against the standard Gaussian weight g;
+physical velocities are rescaled by sqrt(beta) before estimation.
 
 Off-grid evaluation (the quadratures reach past the grid edge) extrapolates
 log G by the one-sided parabola through the three edge nodes, which is exact
@@ -196,29 +199,33 @@ def ou_apply(G: DensityGrid, s: float, n_gauss: int = GAUSS_NODES) -> DensityGri
 def t_apply(G: DensityGrid, n_theta: int = THETA_NODES,
             n_gauss: int = GAUSS_NODES) -> DensityGrid:
     """Thermostat averaging operator: Gaussian partner plus uniform rotation
-    angle.  Output is even in v; odd input is annihilated."""
-    x, w = _gauss_nodes(n_gauss)
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    acc = np.zeros_like(G.nodes)
-    for th in theta:
-        pts = math.cos(th) * G.nodes[:, None] + math.sin(th) * x[None, :]
-        acc += evaluate(G, pts) @ w
-    return DensityGrid(nodes=G.nodes, values=acc / n_theta)
+    angle.  Output is exactly even in v; odd input is annihilated.
 
+    The n_theta-point periodic angle rule is folded onto the quarter period.
+    With A_k(v) = sum_j w_j G(cos(theta_k) v + sin(theta_k) x_j), the symmetric
+    Gauss-Hermite nodes make the angles theta + pi, pi - theta and 2 pi - theta
+    contribute A_k(+-v), so
 
-def quarter_average_apply(G: DensityGrid, n_theta: int = 64,
-                          n_gauss: int = GAUSS_NODES) -> DensityGrid:
-    """Same operator with the angle averaged over a quarter period only;
-    agrees with t_apply on even functions."""
-    t_gl, w_gl = np.polynomial.legendre.leggauss(n_theta)
-    theta = 0.25 * math.pi * (t_gl + 1.0)
-    w_theta = w_gl / 2.0  # normalized average over [0, pi/2]
+        T[G](v) = (1/n_theta) sum_{k=0}^{n_theta/4} c_k [A_k(v) + A_k(-v)]
+
+    with c_k = 1 at both ends of the quarter period and 2 inside.  A_k(-v) is
+    A_k reversed, so the grid must be symmetric about 0 and n_theta a multiple
+    of 4.
+    """
+    if n_theta <= 0 or n_theta % 4:
+        raise ValueError(f"n_theta must be a positive multiple of 4, got {n_theta}")
+    nodes = G.nodes
+    if np.max(np.abs(nodes + nodes[::-1])) > 1e-9 * G.spacing:
+        raise ValueError("grid must be symmetric about 0")
     x, w = _gauss_nodes(n_gauss)
-    acc = np.zeros_like(G.nodes)
-    for th, wt in zip(theta, w_theta):
-        pts = math.cos(th) * G.nodes[:, None] + math.sin(th) * x[None, :]
-        acc += wt * (evaluate(G, pts) @ w)
-    return DensityGrid(nodes=G.nodes, values=acc)
+    quarter = n_theta // 4
+    acc = np.zeros_like(nodes)
+    for k in range(quarter + 1):
+        th = 2.0 * math.pi * k / n_theta
+        pts = math.cos(th) * nodes[:, None] + math.sin(th) * x[None, :]
+        c = 1.0 if k in (0, quarter) else 2.0
+        acc += c * (evaluate(G, pts) @ w)
+    return DensityGrid(nodes=nodes, values=(acc + acc[::-1]) / n_theta)
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import Params, gaussian_moment
+from kaclab import boltzmann
+from kaclab.core import Params, angular_moment, gaussian_moment
 from kaclab.boltzmann import (
     IntegrationError,
     MomentVector,
@@ -17,6 +18,20 @@ from kaclab.boltzmann import (
 
 def make_moments(variance, mean=0.0, order=8):
     return MomentVector(m=np.array([gaussian_moment(k, variance, mean) for k in range(order + 1)]))
+
+
+def moment_rhs_by_rows(m, params):
+    # oracle: the triangular convolution one row at a time
+    order = m.size - 1
+    g = np.array([gaussian_moment(k, 1.0 / params.beta) for k in range(order + 1)])
+    out = np.zeros_like(m)
+    for n in range(order + 1):
+        wk = np.array([math.comb(n, k) * angular_moment(k, n - k) for k in range(n + 1)])
+        mk = m[: n + 1]
+        coll = float(wk @ (mk * m[n::-1])) - m[n]
+        ther = float(wk @ (mk * g[n::-1])) - m[n]
+        out[n] = 2.0 * params.lam * coll + params.mu * ther
+    return out
 
 
 class TestMomentRhs:
@@ -56,6 +71,15 @@ class TestMomentRhs:
         bumped = base.copy()
         bumped[n] += 0.1
         assert np.array_equal(moment_rhs(base, p)[:n], moment_rhs(bumped, p)[:n])
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    def test_matches_row_oracle(self, beta):
+        p = Params(n_particles=10, lam=0.7, mu=1.3, beta=beta)
+        for order in range(1, 13):
+            m = make_moments(1.7, mean=0.4, order=order).m
+            want = moment_rhs_by_rows(m, p)
+            got = moment_rhs(m, p)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
 
 
 class TestLinearizedSpectrum:
@@ -129,6 +153,39 @@ class TestIntegration:
         bad = np.array([1.0, 0.0, 0.1, 0.0, 10.0, 0.0, 1.0, 0.0, 0.5])
         with pytest.raises(IntegrationError):
             integrate_moments(MomentVector(m=bad), p, horizon=0.0, sample_times=[0.0])
+
+    def test_criterion_06_rhs_evaluation_count(self, monkeypatch):
+        calls = []
+        rhs = boltzmann.moment_rhs
+
+        def counted(m, params):
+            calls.append(None)
+            return rhs(m, params)
+
+        monkeypatch.setattr(boltzmann, "moment_rhs", counted)
+        p = Params(n_particles=10, lam=0.7, mu=1.3)
+        m0 = make_moments(2.0, mean=0.4)
+        ts = np.linspace(0.0, 10.0 / p.mu, 41)
+        integrate_moments(m0, p, horizon=ts[-1], sample_times=ts)
+        assert len(calls) == 21720
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_odd_order(self, order):
+        # the top moment of an odd order stays out of the positivity check
+        p = Params(n_particles=10, lam=0.9, mu=1.1, beta=1.0)
+        m0 = make_moments(2.0, mean=0.4, order=order)
+        ts = np.linspace(0.0, 4.0, 9)
+        series = integrate_moments(m0, p, horizon=4.0, sample_times=ts)
+        assert series.values.shape == (9, order + 1)
+        m1_exact = m0.m[1] * np.exp(-(2 * p.lam + p.mu) * ts)
+        assert np.max(np.abs(series.component(1) - m1_exact)) < 1e-8
+
+    def test_hankel_matrix_of_even_order_unchanged(self):
+        m = make_moments(1.5, mean=0.2).m
+        h = np.array([m[i : i + 5] for i in range(5)])
+        d = np.sqrt(np.diag(h))
+        want = float(np.linalg.eigvalsh(h / d[:, None] / d[None, :])[0])
+        assert boltzmann._hankel_min_eig(m) == want
 
     def test_moment_vector_validation(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,15 @@ class TestVerbs:
         want = 1.0 + np.exp(-t / 2)
         assert np.max(np.abs(m2 - want)) < 1e-7
 
+    def test_boltzmann_odd_order(self, tmp_path):
+        out = tmp_path / "b7.csv"
+        rc = main(["boltzmann", "--lambda", "1", "--mu", "1", "--t0", "2", "--kmax", "7",
+                   "--horizon", "2", "--samples", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, header, rows = read_csv(str(out))
+        assert header == ["time"] + [f"m{q}" for q in range(1, 8)]
+        assert len(rows) == 5
+
     def test_entropy_verb(self, tmp_path):
         out = tmp_path / "e.csv"
         rc = main(["entropy", "--n", "20", "--mu", "1", "--lambda", "1",

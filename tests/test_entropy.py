@@ -6,6 +6,7 @@ from numpy.polynomial import hermite_e
 
 from kaclab.core import Params, hermite_eigenvalue_s
 from kaclab.entropy import (
+    GAUSS_NODES,
     DensityGrid,
     EntropyCheckError,
     EstimatorError,
@@ -16,7 +17,6 @@ from kaclab.entropy import (
     gauss_inner,
     gauss_weighted_entropy,
     ou_apply,
-    quarter_average_apply,
     relative_entropy_grid,
     relative_entropy_samples,
     semigroup_defect,
@@ -42,6 +42,32 @@ def ratio_of_gaussian(variance, mean=0.0):
         return f / standard_gaussian(v)
 
     return DensityGrid.from_function(fn)
+
+
+def _gauss_hermite(n=GAUSS_NODES):
+    x, w = hermite_e.hermegauss(n)
+    return x, w / math.sqrt(2.0 * math.pi)
+
+
+def full_period_t_apply(G, n_theta=256):
+    # oracle: the periodic angle rule over the whole period, one angle at a time
+    x, w = _gauss_hermite()
+    acc = np.zeros_like(G.nodes)
+    for th in 2.0 * math.pi * np.arange(n_theta) / n_theta:
+        pts = math.cos(th) * G.nodes[:, None] + math.sin(th) * x[None, :]
+        acc += evaluate(G, pts) @ w
+    return DensityGrid(nodes=G.nodes, values=acc / n_theta)
+
+
+def quarter_average_gauss_legendre(G, n_theta=64):
+    # independent oracle for even G: Gauss-Legendre average over [0, pi/2]
+    t_gl, w_gl = np.polynomial.legendre.leggauss(n_theta)
+    x, w = _gauss_hermite()
+    acc = np.zeros_like(G.nodes)
+    for th, wt in zip(0.25 * math.pi * (t_gl + 1.0), w_gl / 2.0):
+        pts = math.cos(th) * G.nodes[:, None] + math.sin(th) * x[None, :]
+        acc += wt * (evaluate(G, pts) @ w)
+    return DensityGrid(nodes=G.nodes, values=acc)
 
 
 class TestEvaluate:
@@ -200,9 +226,34 @@ class TestThermostatOperator:
     def test_quarter_average_matches_on_even(self):
         for g in (hermite_grid(4), ratio_of_gaussian(2.0)):
             a = t_apply(g)
-            b = quarter_average_apply(g)
+            b = quarter_average_gauss_legendre(g)
             diff = DensityGrid(a.nodes, a.values - b.values)
             assert math.sqrt(max(gauss_inner(diff, diff), 0.0)) < 1e-8
+
+    @pytest.mark.parametrize("fn", [
+        lambda v: np.exp(-0.25 * v**2) * (1.0 + 0.3 * v**2),      # even
+        lambda v: v,                                              # Hermite 1
+        lambda v: v**3 - 3.0 * v,                                 # Hermite 3
+        lambda v: 0.7 * np.exp(-((v - 1.1) ** 2)) + 0.3 * np.exp(-2.0 * (v + 0.4) ** 2),
+    ], ids=["even", "hermite1", "hermite3", "mixture"])
+    def test_fold_matches_full_period(self, fn):
+        g = DensityGrid.from_function(fn, n=512)
+        got = t_apply(g)
+        want = full_period_t_apply(g)
+        scale = max(1.0, float(np.max(np.abs(want.values))))
+        assert np.max(np.abs(got.values - want.values)) / scale <= 1e-12
+        assert np.array_equal(got.values, got.values[::-1])
+
+    def test_rejects_asymmetric_grid(self):
+        nodes = DensityGrid.uniform_nodes(512)
+        shifted = nodes + 0.5 * (nodes[1] - nodes[0])
+        with pytest.raises(ValueError, match="symmetric"):
+            t_apply(DensityGrid(shifted, np.ones_like(shifted)))
+
+    def test_rejects_angle_count_not_multiple_of_four(self):
+        g = DensityGrid.from_function(np.ones_like, n=512)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            t_apply(g, n_theta=254)
 
 
 class TestThermostatEntropyInequality:
