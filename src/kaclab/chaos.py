@@ -23,7 +23,7 @@ from numpy.polynomial import hermite_e
 
 from .core import Params, gaussian_moment
 from .boltzmann import MomentVector, integrate_moments
-from .simulator import ProductGaussian, run
+from .simulator import ProductGaussian, cell_counts, run
 
 GRID_BINS_1D = 256
 GRID_BINS_2D = 64
@@ -33,8 +33,9 @@ GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
 @dataclass(frozen=True, eq=False)
 class MarginalSet:
     """Histogram estimate of the k-particle marginal pooled over particles,
-    pairs and replicas.  Cell 0 and cell -1 on each axis hold the mass beyond
-    the binning range."""
+    pairs and replicas.  Cells are half-open, [e_b, e_(b+1)); cell 0 and cell
+    -1 on each axis hold the mass below edges[0] and at or above edges[-1]
+    (`simulator.cell_counts`)."""
 
     k: int
     masses: np.ndarray          # (bins+2,) for k=1, (bins+2, bins+2) for k=2
@@ -48,10 +49,19 @@ class MarginalSet:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def _cell_index(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # 0 = underflow, 1..bins = interior, bins+1 = overflow
-    idx = np.searchsorted(edges, u, side="right")
-    return idx.astype(np.int64)
+def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One- and two-particle cell masses from (M, cells) per-replica cell
+    counts, replica r entering with weight weights[r].  The ordered distinct
+    pairs of one replica fill c c^T less its diagonal c; every sum is of
+    integers, so the masses do not depend on the summation order."""
+    n = int(counts[0].sum())
+    c = counts.astype(float)
+    cw = c * weights[:, None]
+    singles = cw.sum(axis=0)
+    pair = cw.T @ c
+    pair[np.diag_indices(c.shape[1])] -= singles
+    total = weights.sum()
+    return singles / (total * n), pair / (total * n * (n - 1))
 
 
 def extract_marginals(
@@ -82,19 +92,11 @@ def extract_marginals(
 
     scale = 1.0 / math.sqrt(beta)
     edges = np.linspace(-half_width * scale, half_width * scale, bins + 1)
-    idx = _cell_index(v, edges)  # (M, N) cell labels in 0..bins+1
-    cells = bins + 2
+    counts = cell_counts(v, edges)
     if k == 1:
-        masses = np.bincount(idx.ravel(), minlength=cells).astype(float)
-        masses /= m * n
+        masses = counts.sum(axis=0) / (m * n)
     else:
-        counts = np.zeros((m, cells), dtype=np.int64)
-        rows = np.repeat(np.arange(m), n)
-        np.add.at(counts, (rows, idx.ravel()), 1)
-        c = counts.astype(float)
-        pair = c.T @ c
-        pair[np.diag_indices(cells)] -= counts.sum(axis=0)
-        masses = pair / (m * n * (n - 1))
+        masses = _weighted_masses(counts, np.ones(m))[1]
     return MarginalSet(
         k=k, masses=masses, edges=edges, n_particles=n, n_replicas=m, time=time
     )
@@ -193,35 +195,18 @@ def chaos_ladder(
             initial=uniform,
             snapshot_times=[t],
         )
-        snap = series.snapshots[t]
         scale = 1.0 / math.sqrt(params.beta)
         edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
-        idx = _cell_index(snap, edges)
-        cells = bins + 2
-        counts = np.zeros((n_replicas, cells), dtype=np.int64)
-        rows = np.repeat(np.arange(n_replicas), n)
-        np.add.at(counts, (rows, idx.ravel()), 1)
-        c = counts.astype(float)
-
-        def masses_for(weights):
-            cw = c * weights[:, None]
-            m1 = cw.sum(axis=0) / (weights.sum() * n)
-            pair = cw.T @ c
-            pair[np.diag_indices(cells)] -= (counts * weights[:, None]).sum(axis=0)
-            m2 = pair / (weights.sum() * n * (n - 1))
-            return m1, m2
-
-        m1, m2 = masses_for(np.ones(n_replicas))
-        metric = _metric_from_masses(m1, m2, edges, edges)
-        rng = np.random.default_rng(seed + 0xC0FFEE)
-        boots = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
-            w = rng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas)).astype(float)
-            boots[b] = _metric_from_masses(*masses_for(w), edges, edges)
+        counts = cell_counts(series.snapshots[t], edges)
+        metric = _metric_from_masses(*_weighted_masses(counts, np.ones(n_replicas)), edges, edges)
+        weights = np.random.default_rng(seed + 0xC0FFEE).multinomial(
+            n_replicas, np.full(n_replicas, 1.0 / n_replicas), size=n_bootstrap)
+        boots = [_metric_from_masses(*_weighted_masses(counts, w.astype(float)), edges, edges)
+                 for w in weights]
         out.append(
             ChaosLadderPoint(
                 n_particles=n, time=t, metric=metric,
-                stderr=float(boots.std(ddof=1)) if n_bootstrap > 1 else float("nan"),
+                stderr=float(np.std(boots, ddof=1)) if n_bootstrap > 1 else float("nan"),
                 seed=seed,
             )
         )

@@ -102,18 +102,14 @@ _SCHEMAS: dict[str, dict] = {
 
 _FLAG_ALIASES = {"lambda": "lam"}
 
+# options the library rejects with a ValueError unless positive
+_POSITIVE = {"replicas", "samples", "horizon", "time"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     verb: str
     options: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RunConfig)
-            and self.verb == other.verb
-            and self.options == other.options
-        )
 
     def as_lines(self) -> list[str]:
         lines = [f"verb = {self.verb}"]
@@ -125,12 +121,20 @@ class RunConfig:
         return lines
 
     def params(self) -> Params:
-        return Params(
-            n_particles=self.options.get("n") or 1,
-            lam=self.options["lam"],
-            mu=self.options["mu"],
-            beta=self.options["beta"],
-        )
+        o = self.options
+        n = o.get("n")
+        try:
+            params = Params(n_particles=1 if n is None else n, lam=o["lam"], mu=o["mu"],
+                            beta=o["beta"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        _require(n is None or n >= 2 or params.lam == 0.0, "pair collisions need n >= 2")
+        return params
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
 
 
 def _flag_to_key(flag: str) -> str:
@@ -223,6 +227,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         if key not in schema:
             raise UsageError(f"unknown key '{key}' for verb '{verb}'")
         options[key] = _convert(key, raw, schema[key][0])
+        _require(key not in _POSITIVE or options[key] > 0, f"'{key}' must be positive, got {raw!r}")
     for key, (_, default, required) in schema.items():
         if key not in options:
             if required:
@@ -304,6 +309,7 @@ def _run_simulate(config: RunConfig) -> None:
 
 def _run_spectrum(config: RunConfig) -> None:
     params = config.params()
+    _require(params.n_particles >= 2, "spectrum needs n >= 2")
     rows = []
     gap1 = first_gap(params)
     rows.append((params.n_particles, params.lam, params.mu, "first", gap1.value))
@@ -364,6 +370,7 @@ def _run_chaos(config: RunConfig) -> None:
         ladder = tuple(int(x) for x in o["n_ladder"].split(","))
     except ValueError:
         raise UsageError(f"malformed value for 'n_ladder': {o['n_ladder']!r}")
+    _require(min(ladder) >= 2, "every size in n_ladder must be >= 2")
     points = chaos_ladder(
         params,
         n_values=ladder,

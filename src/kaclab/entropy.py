@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .core import Params
-from .simulator import InitialCondition, initial_relative_entropy, run
+from .simulator import InitialCondition, cell_counts, initial_relative_entropy, run
 
 GRID_POINTS = 2048
 GRID_HALF_WIDTH = 8.0
@@ -290,13 +290,6 @@ def _gaussian_cell_masses(edges: np.ndarray) -> np.ndarray:
     return np.concatenate([[cdf[0]], inner, [1.0 - cdf[-1]]])
 
 
-def _cell_counts(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    inner, _ = np.histogram(u, bins=edges)
-    under = int(np.count_nonzero(u < edges[0]))
-    over = int(np.count_nonzero(u >= edges[-1]))
-    return np.concatenate([[under], inner, [over]]).astype(np.int64)
-
-
 def _plugin_kl(p: np.ndarray, q: np.ndarray, n: int) -> float:
     occ = p > 0
     value = float(np.sum(p[occ] * np.log(p[occ] / np.maximum(q[occ], _LOG_FLOOR))))
@@ -313,7 +306,8 @@ def relative_entropy_samples(
 ) -> EntropyEstimate:
     """Histogram plug-in estimate (bias corrected) of the relative entropy of
     the sample law against the Gaussian with variance 1/beta, with a
-    multinomial-bootstrap error bar."""
+    multinomial-bootstrap error bar.  Cells are half-open; a sample on the
+    top edge counts as overflow (`simulator.cell_counts`)."""
     u = np.asarray(samples, dtype=float).ravel() * math.sqrt(beta)
     n = u.size
     if n < 1000:
@@ -321,18 +315,15 @@ def relative_entropy_samples(
     if float(u.std()) == 0.0:
         raise EstimatorError("degenerate sample (all values equal)")
     edges = np.linspace(-half_width, half_width, bins + 1)
-    counts = _cell_counts(u, edges)
+    counts = cell_counts(u, edges)
     q = _gaussian_cell_masses(edges)
     p = counts / n
     value = _plugin_kl(p, q, n)
-    rng = np.random.default_rng(seed)
-    boots = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        pb = rng.multinomial(n, p) / n
-        boots[b] = _plugin_kl(pb, q, n)
+    draws = np.random.default_rng(seed).multinomial(n, p, size=n_bootstrap) / n
+    boots = [_plugin_kl(pb, q, n) for pb in draws]
     return EntropyEstimate(
         value=value,
-        stderr=float(boots.std(ddof=1)),
+        stderr=float(np.std(boots, ddof=1)),
         n_samples=n,
         n_occupied=int(np.count_nonzero(counts)),
     )
@@ -421,22 +412,18 @@ def _pooled_estimate_with_cluster_bootstrap(
     snapshot: np.ndarray, beta: float, bins: int, n_bootstrap: int,
     rng: np.random.Generator
 ) -> tuple[float, float]:
+    # every resample is a weighted sum of per-replica cell counts; the sums are
+    # integers below 2**53, so one matmul gives each resample exactly
     m, n = snapshot.shape
     edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, bins + 1)
     q = _gaussian_cell_masses(edges)
-    u = snapshot * math.sqrt(beta)
-    counts = np.empty((m, bins + 2), dtype=np.int64)
-    for r in range(m):
-        counts[r] = _cell_counts(u[r], edges)
-    total = counts.sum(axis=0)
+    counts = cell_counts(snapshot * math.sqrt(beta), edges)
     n_tot = m * n
-    value = _plugin_kl(total / n_tot, q, n_tot)
-    boots = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        weights = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
-        pb = (weights @ counts) / n_tot
-        boots[b] = _plugin_kl(pb, q, n_tot)
-    return value, float(boots.std(ddof=1))
+    value = _plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
+    weights = rng.multinomial(m, np.full(m, 1.0 / m), size=n_bootstrap)
+    resampled = (weights.astype(float) @ counts.astype(float)) / n_tot
+    boots = [_plugin_kl(pb, q, n_tot) for pb in resampled]
+    return value, float(np.std(boots, ddof=1))
 
 
 def entropy_decay_experiment(
@@ -456,7 +443,8 @@ def entropy_decay_experiment(
     entropy (superadditivity plus convexity over the particle average), so the
     bound curve dominates it up to estimator noise.  Error bars come from a
     bootstrap over replicas, which respects the within-replica correlation
-    that collisions introduce.
+    that collisions introduce; cells are half-open, the top edge counting as
+    overflow (`simulator.cell_counts`).
     """
     s0 = initial_relative_entropy(initial, params)
     if sample_times is None:

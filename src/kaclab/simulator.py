@@ -245,6 +245,39 @@ class Ensemble:
 # ---------------------------------------------------------------------------
 # observables
 
+def cell_counts(values, edges) -> np.ndarray:
+    """Counts per cell along the last axis of `values`, for uniform `edges`.
+
+    Cells are half-open: cell 0 is v < edges[0], cell b is edges[b-1] <= v <
+    edges[b], cell bins+1 the rest (the top edge, +inf, NaN); the cell of every
+    value is np.searchsorted(edges, v, side="right"), found by grid arithmetic
+    corrected by one step against the edges themselves."""
+    v = np.asarray(values, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    bins = edges.size - 1
+    width = np.diff(edges)
+    if bins < 1 or not np.all(width > 0) or np.ptp(width) > 1e-9 * width.mean():
+        raise ValueError("edges must be increasing and uniformly spaced")
+    cells = bins + 2
+    x = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
+    bounds = np.concatenate([[-np.inf], edges, [np.nan]])  # cell c is [bounds[c], bounds[c+1])
+    step = max(1, 65536 // max(1, x.shape[1]))  # rows per block; keeps temporaries in cache
+    counts = np.empty((x.shape[0], cells), dtype=np.int64)
+    for r in range(0, x.shape[0], step):
+        xb = x[r : r + step]
+        with np.errstate(over="ignore"):
+            t = (xb - edges[0]) * (bins / (edges[-1] - edges[0]))
+        np.floor(t, out=t)
+        np.maximum(np.fmin(t, bins, out=t), -1.0, out=t)  # NaN goes to the overflow
+        idx = t.astype(np.intp) + 1
+        idx -= xb < bounds.take(idx)
+        idx += xb >= bounds.take(idx + 1)
+        idx += np.arange(0, len(xb) * cells, cells)[:, None]
+        counts[r : r + step] = np.bincount(idx.ravel(), minlength=len(xb) * cells).reshape(
+            -1, cells)
+    return counts.reshape(v.shape[:-1] + (cells,))
+
+
 @dataclass
 class ObservableSeries:
     """Ensemble observables on a sampling grid."""
@@ -266,14 +299,6 @@ class ObservableSeries:
     @property
     def temperature(self) -> np.ndarray:
         return 2.0 * self.kinetic_energy / self.params.n_particles
-
-    def excess_kurtosis(self) -> np.ndarray:
-        """Pooled-marginal kurtosis diagnostic along the run (no claims attached)."""
-        m1, m2, m4 = self.moments[:, 0], self.moments[:, 1], self.moments[:, 3]
-        m3 = self.moments[:, 2]
-        var = m2 - m1**2
-        mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
-        return mu4 / var**2 - 3.0
 
 
 def run(
@@ -309,14 +334,11 @@ def run(
     ke_err = np.empty(t_count)
     mom = np.empty((t_count, N_MOMENTS))
     mom_err = np.empty((t_count, N_MOMENTS))
-    hist = np.empty((t_count, histogram_bins))
-    under = np.empty(t_count)
-    over = np.empty(t_count)
+    masses = np.empty((t_count, histogram_bins + 2))
     snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}
     m = n_replicas
-    n = params.n_particles
     for t in stops:
         ens.advance_to(float(t))
         if float(t) in snap_set:
@@ -335,12 +357,7 @@ def run(
             mom_err[k, q] = rep_mean.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
             if q < N_MOMENTS - 1:
                 pw = pw * v
-        flat = v.ravel()
-        counts, _ = np.histogram(flat, bins=edges)
-        total = flat.size
-        hist[k] = counts / total
-        under[k] = np.count_nonzero(flat < edges[0]) / total
-        over[k] = np.count_nonzero(flat >= edges[-1]) / total
+        masses[k] = cell_counts(v, edges).sum(axis=0) / v.size
 
     return ObservableSeries(
         params=params,
@@ -351,9 +368,9 @@ def run(
         kinetic_energy_stderr=ke_err,
         moments=mom,
         moment_stderr=mom_err,
-        histogram=hist,
-        histogram_underflow=under,
-        histogram_overflow=over,
+        histogram=masses[:, 1:-1],
+        histogram_underflow=masses[:, 0],
+        histogram_overflow=masses[:, -1],
         histogram_edges=edges,
         snapshots=snaps,
     )

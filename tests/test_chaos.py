@@ -7,6 +7,7 @@ from kaclab.core import Params
 from kaclab.chaos import (
     _DICTIONARY_DEGREES,
     _PHI,
+    _metric_from_masses,
     BoltzmannComparison,
     chaos_ladder,
     chaos_metric,
@@ -14,9 +15,49 @@ from kaclab.chaos import (
     extract_marginals,
     mckean_series_radius,
 )
-from kaclab.simulator import ProductGaussian
+from kaclab.simulator import ProductGaussian, run
 
 SEED = 20260808
+
+
+def add_at_pair_counts(snapshot, edges):
+    # reference per-replica counting: searchsorted cell labels scattered with
+    # np.add.at
+    m, n = snapshot.shape
+    idx = np.searchsorted(edges, snapshot, side="right").astype(np.int64)
+    counts = np.zeros((m, edges.size + 1), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(m), n), idx.ravel()), 1)
+    return counts
+
+
+def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
+    # reference chaos_ladder rung: its own pair counts and one multinomial draw
+    # per bootstrap resample
+    series = run(params, n_replicas=n_replicas, horizon=t, sample_times=[0.0, t], seed=seed,
+                 initial=lambda rng, n: rng.uniform(-half, half, n), snapshot_times=[t])
+    n = params.n_particles
+    scale = 1.0 / math.sqrt(params.beta)
+    edges = np.linspace(-10.0 * scale, 10.0 * scale, bins + 1)
+    counts = add_at_pair_counts(series.snapshots[t], edges)
+    c = counts.astype(float)
+    cells = bins + 2
+
+    def masses_for(weights):
+        cw = c * weights[:, None]
+        m1 = cw.sum(axis=0) / (weights.sum() * n)
+        pair = cw.T @ c
+        pair[np.diag_indices(cells)] -= (counts * weights[:, None]).sum(axis=0)
+        return m1, pair / (weights.sum() * n * (n - 1))
+
+    metric = _metric_from_masses(*masses_for(np.ones(n_replicas)), edges, edges)
+    rng = np.random.default_rng(seed + 0xC0FFEE)
+    boots = [
+        _metric_from_masses(
+            *masses_for(rng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
+                        .astype(float)), edges, edges)
+        for _ in range(n_bootstrap)
+    ]
+    return metric, float(np.std(boots, ddof=1))
 
 
 def forced_pair_collision(rng, n_samples):
@@ -84,6 +125,21 @@ class TestExtractMarginals:
         noise = 4.0 * np.sqrt(np.maximum(want, 1e-12) / snap.size)  # ~4 sigma per cell
         assert np.all(np.abs(m.masses[1:-1] - want) < noise + 1e-4)
 
+    def test_pair_masses_match_add_at_counts_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        beta = 1.7
+        snap = rng.standard_normal((120, 7)) * 1.4 / math.sqrt(beta)
+        got = extract_marginals(snap, 2, beta=beta)
+        counts = add_at_pair_counts(snap, got.edges)
+        c = counts.astype(float)
+        pair = c.T @ c
+        pair[np.diag_indices(c.shape[1])] -= counts.sum(axis=0)
+        assert np.array_equal(got.masses, pair / (120 * 7 * 6))
+        one = extract_marginals(snap, 1, beta=beta)
+        want = np.bincount(np.searchsorted(one.edges, snap.ravel(), side="right"),
+                           minlength=one.edges.size + 1) / snap.size
+        assert np.array_equal(one.masses, want)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             extract_marginals(np.zeros((3, 3)), 3)
@@ -120,6 +176,17 @@ class TestLadder:
         metrics = [p.metric for p in pts]
         assert metrics[0] > metrics[-1]
         assert all(p.stderr >= 0 or math.isnan(p.stderr) for p in pts)
+
+    def test_matches_per_draw_ladder_bit_for_bit(self):
+        base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
+        pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED,
+                           initial_temperature=2.0, n_bootstrap=5)
+        half = math.sqrt(3.0 * 2.0 / base.beta)
+        for p in pts:
+            params = Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8)
+            metric, stderr = per_draw_ladder_point(params, 200, 0.4, SEED, half, 5)
+            assert p.metric == metric
+            assert p.stderr == stderr
 
 
 class TestBoltzmannComparison:

@@ -180,6 +180,33 @@ class TestExitCodes:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "0"],
+        ["simulate", "--n", "1", "--lambda", "1"],
+        ["simulate", "--n", "10", "--replicas", "0"],
+        ["simulate", "--n", "10", "--mu", "-1"],
+        ["simulate", "--n", "10", "--samples", "0"],
+        ["simulate", "--n", "10", "--horizon", "0"],
+        ["spectrum", "--n", "1"],
+        ["spectrum", "--n", "0"],
+        ["entropy", "--n", "0", "--mu", "1"],
+        ["chaos", "--n-ladder", "1,10", "--replicas", "10"],
+        ["chaos", "--time", "0", "--replicas", "10"],
+        ["boltzmann", "--beta", "0"],
+    ])
+    def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_params_rejects_n_zero(self):
+        with pytest.raises(UsageError):
+            RunConfig("simulate", {"n": 0, "lam": 1.0, "mu": 1.0, "beta": 1.0}).params()
+        no_n = RunConfig("boltzmann", {"n": None, "lam": 1.0, "mu": 1.0, "beta": 1.0})
+        assert no_n.params().n_particles == 1
+
     def test_help_is_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "verbs" in capsys.readouterr().out

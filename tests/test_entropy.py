@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
+import kaclab.entropy as entropy_module
 from kaclab.core import Params, hermite_eigenvalue_s
 from kaclab.entropy import (
     GAUSS_NODES,
@@ -26,6 +27,34 @@ from kaclab.entropy import (
 from kaclab.simulator import ProductGaussian, TwoTemperature
 
 SEED = 20260808
+
+
+def per_row_cell_counts(u, edges):
+    # reference per-row counting with np.histogram; it counts a sample on
+    # edges[-1] twice, so it is an oracle only for data that avoids that edge
+    inner, _ = np.histogram(u, bins=edges)
+    under = int(np.count_nonzero(u < edges[0]))
+    over = int(np.count_nonzero(u >= edges[-1]))
+    return np.concatenate([[under], inner, [over]]).astype(np.int64)
+
+
+def per_draw_pooled_estimate(snapshot, beta, bins, n_bootstrap, rng):
+    # reference replica bootstrap: per-row counts, one multinomial draw and one
+    # mat-vec per resample
+    m, n = snapshot.shape
+    edges = np.linspace(-8.0, 8.0, bins + 1)
+    q = entropy_module._gaussian_cell_masses(edges)
+    u = snapshot * math.sqrt(beta)
+    counts = np.empty((m, bins + 2), dtype=np.int64)
+    for r in range(m):
+        counts[r] = per_row_cell_counts(u[r], edges)
+    n_tot = m * n
+    value = entropy_module._plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
+    boots = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        weights = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
+        boots[b] = entropy_module._plugin_kl((weights @ counts) / n_tot, q, n_tot)
+    return value, float(boots.std(ddof=1))
 
 
 def hermite_grid(k, half_width=8.0, n=2048):
@@ -345,6 +374,21 @@ class TestSampleEstimator:
         want = 0.5 * (2.0 - 1.0 - math.log(2.0))
         assert abs(est.value - want) < 3 * est.stderr + 2e-3
 
+    def test_matches_per_draw_bootstrap_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        samples = 1.2 * rng.standard_normal(20_000)
+        beta, n_boot = 1.5, 40
+        est = relative_entropy_samples(samples, beta=beta, n_bootstrap=n_boot, seed=SEED)
+        u = samples * math.sqrt(beta)
+        edges = np.linspace(-8.0, 8.0, 257)
+        q = entropy_module._gaussian_cell_masses(edges)
+        p = per_row_cell_counts(u, edges) / u.size
+        draws = np.random.default_rng(SEED)
+        boots = [entropy_module._plugin_kl(draws.multinomial(u.size, p) / u.size, q, u.size)
+                 for _ in range(n_boot)]
+        assert est.value == entropy_module._plugin_kl(p, q, u.size)
+        assert est.stderr == float(np.std(boots, ddof=1))
+
     def test_errors(self):
         with pytest.raises(EstimatorError):
             relative_entropy_samples(np.ones(500), beta=1.0)
@@ -374,3 +418,15 @@ class TestDecayExperiment:
         shifts = np.diff(series.estimate)
         noise = 3 * (series.stderr[1:] + series.stderr[:-1])
         assert np.all(shifts <= noise)
+
+    def test_matches_per_row_estimator_bit_for_bit(self, monkeypatch):
+        p = Params(n_particles=12, lam=1.0, mu=1.0, beta=1.3)
+        kwargs = dict(initial=TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=3), horizon=2.0,
+                      n_replicas=300, sample_times=np.linspace(0, 2, 5), seed=SEED,
+                      n_bootstrap=30)
+        got = entropy_decay_experiment(p, **kwargs)
+        monkeypatch.setattr(entropy_module, "_pooled_estimate_with_cluster_bootstrap",
+                            per_draw_pooled_estimate)
+        want = entropy_decay_experiment(p, **kwargs)
+        assert np.array_equal(got.estimate, want.estimate)
+        assert np.array_equal(got.stderr, want.stderr)

@@ -12,6 +12,7 @@ from kaclab.simulator import (
     NoEventError,
     ProductGaussian,
     TwoTemperature,
+    cell_counts,
     equilibrium_start,
     fit_cooling_rate,
     initial_relative_entropy,
@@ -21,6 +22,14 @@ from kaclab.simulator import (
 )
 
 SEED = 20260808
+
+
+def searchsorted_counts(values, edges):
+    # oracle: per-row cell counts from searchsorted(..., "right"); cell 0 is the
+    # underflow and cell bins+1 the overflow
+    x = np.atleast_2d(np.asarray(values, dtype=float))
+    idx = np.searchsorted(edges, x, side="right")
+    return np.stack([np.bincount(row, minlength=edges.size + 1) for row in idx])
 
 
 class ScriptedRng:
@@ -212,6 +221,22 @@ class TestRunObservables:
         total = series.histogram.sum(axis=1) + series.histogram_underflow + series.histogram_overflow
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
+    def test_top_edge_sample_counted_once(self):
+        p = Params(n_particles=5, lam=1.0, mu=1.0)
+
+        def one_at_top_edge(rng, n):
+            v = rng.standard_normal(n)
+            v[0] = 8.0  # HISTOGRAM_HALF_WIDTH standard deviations at beta = 1
+            return v
+
+        series = run(p, n_replicas=4, horizon=0.1, sample_times=[0.0], seed=SEED,
+                     initial=one_at_top_edge)
+        assert series.histogram_edges[-1] == 8.0
+        total = series.histogram[0].sum() + series.histogram_underflow[0] \
+            + series.histogram_overflow[0]
+        assert math.isclose(total, 1.0, abs_tol=1e-12)
+        assert series.histogram_overflow[0] == 4 / 20
+
     def test_snapshots_recorded(self):
         p = Params(n_particles=6, lam=1.0, mu=1.0)
         series = run(p, n_replicas=10, horizon=1.0, sample_times=[0.0, 1.0],
@@ -236,3 +261,59 @@ class TestRunObservables:
                      initial=ProductGaussian(3.0))
         with pytest.raises(IllConditionedFitError):
             fit_cooling_rate(series, p)
+
+
+EDGE_SETS = [
+    np.linspace(-8.0, 8.0, 257),
+    np.linspace(-10.0, 10.0, 65),
+    np.linspace(-10.0, 10.0, 257) / math.sqrt(2.7),
+    np.linspace(-3.0, 3.0, 8),
+]
+
+
+class TestCellCounts:
+    @pytest.mark.parametrize("edges", EDGE_SETS)
+    @pytest.mark.parametrize("shape", [(40, 300), (700, 250)])  # one block; three blocks
+    def test_matches_searchsorted_on_random_points(self, edges, shape):
+        rng = np.random.default_rng(SEED)
+        values = rng.uniform(1.3 * edges[0], 1.3 * edges[-1], shape)
+        assert np.array_equal(cell_counts(values, edges), searchsorted_counts(values, edges))
+
+    @pytest.mark.parametrize("edges", EDGE_SETS)
+    def test_matches_searchsorted_on_every_edge(self, edges):
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0],
+        ])
+        # one row per value, so each row holds that value's cell alone
+        assert np.array_equal(cell_counts(values[:, None], edges),
+                              searchsorted_counts(values[:, None], edges))
+
+    def test_top_edge_goes_to_overflow(self):
+        edges = np.linspace(-8.0, 8.0, 257)
+        counts = cell_counts(np.array([8.0, 0.1, 0.2]), edges)
+        assert counts.shape == (258,)
+        assert counts.sum() == 3
+        assert counts[-1] == 1
+        assert counts[0] == 0
+
+    def test_shape_follows_leading_axes(self):
+        rng = np.random.default_rng(SEED)
+        values = rng.standard_normal((3, 4, 50))
+        edges = np.linspace(-2.0, 2.0, 9)
+        counts = cell_counts(values, edges)
+        assert counts.shape == (3, 4, 10)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts.reshape(12, 10),
+                              searchsorted_counts(values.reshape(12, 50), edges))
+        assert np.array_equal(cell_counts(values[0, 0], edges), counts[0, 0])
+
+    def test_rejects_bad_edges(self):
+        with pytest.raises(ValueError):
+            cell_counts(np.zeros(4), np.array([0.0, 1.0, 3.0]))
+        with pytest.raises(ValueError):
+            cell_counts(np.zeros(4), np.array([1.0, 0.5, 0.0]))
+        with pytest.raises(ValueError):
+            cell_counts(np.zeros(4), np.array([1.0]))
