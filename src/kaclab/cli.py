@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical-assertion failure,
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -135,6 +136,15 @@ class RunConfig:
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise UsageError(message)
+
+
+def _require_temperature(key: str, value: float, positive: bool = False) -> None:
+    ok = math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
+    _require(ok, f"'{key}' must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def _require_n_hot(n_hot: int, n: int) -> None:
+    _require(0 <= n_hot <= n, f"'n_hot' must lie in [0, {n}], got {n_hot}")
 
 
 def _flag_to_key(flag: str) -> str:
@@ -269,12 +279,17 @@ def _initial_from_options(config: RunConfig, params: Params):
         n_hot = o.get("n_hot")
         if n_hot is None:
             n_hot = max(1, params.n_particles // 10)
-        return TwoTemperature(
+        initial = TwoTemperature(
             t_hot=o.get("t_hot") if o.get("t_hot") is not None else 4.0 / params.beta,
             t_cold=o.get("t_cold") if o.get("t_cold") is not None else 1.0 / params.beta,
             n_hot=n_hot,
         )
+        _require_temperature("t_hot", initial.t_hot)
+        _require_temperature("t_cold", initial.t_cold)
+        _require_n_hot(n_hot, params.n_particles)
+        return initial
     if o.get("k0") is not None:
+        _require_temperature("k0", o["k0"])
         return ProductGaussian(temperature=2.0 * o["k0"] / params.n_particles)
     return ProductGaussian(temperature=1.0 / params.beta)
 
@@ -346,6 +361,10 @@ def _run_entropy(config: RunConfig) -> None:
     params = config.params()
     o = config.options
     n_hot = o["n_hot"] if o["n_hot"] is not None else max(1, params.n_particles // 10)
+    # the initial relative entropy takes log(beta * T): both temperatures must be > 0
+    _require_temperature("t_hot", o["t_hot"], positive=True)
+    _require_temperature("t_cold", o["t_cold"], positive=True)
+    _require_n_hot(n_hot, params.n_particles)
     initial = TwoTemperature(t_hot=o["t_hot"], t_cold=o["t_cold"], n_hot=n_hot)
     series = entropy_decay_experiment(
         params,
@@ -371,6 +390,7 @@ def _run_chaos(config: RunConfig) -> None:
     except ValueError:
         raise UsageError(f"malformed value for 'n_ladder': {o['n_ladder']!r}")
     _require(min(ladder) >= 2, "every size in n_ladder must be >= 2")
+    _require_temperature("t0", o["t0"])
     points = chaos_ladder(
         params,
         n_values=ladder,

@@ -29,6 +29,9 @@ class Params:
     def __post_init__(self):
         if int(self.n_particles) != self.n_particles or self.n_particles < 1:
             raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles}")
+        for name in ("lam", "mu", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.mu < 0.0:
@@ -121,15 +124,20 @@ def kac_gap_Lambda_exact(n_particles: int) -> Fraction:
     return Fraction(n_particles + 2, 2 * (n_particles - 1))
 
 
-def sphere_moment_Gamma_exact(alpha) -> Fraction:
+def sphere_moment_Gamma_exact(alpha, n_particles: int | None = None) -> Fraction:
     """Moment of v_1^(2a_1)...v_N^(2a_N) over the unit sphere with normalized
-    surface measure: prod (2a_i - 1)!! / [N (N+2) ... (N + 2|a| - 2)]."""
+    surface measure: prod (2a_i - 1)!! / [N (N+2) ... (N + 2|a| - 2)].
+
+    N is len(alpha), or `n_particles` with alpha zero-padded to that length;
+    zero entries contribute (-1)!! = 1, so they need not be listed."""
     entries = tuple(int(x) for x in alpha)
-    if not entries:
+    n = len(entries) if n_particles is None else n_particles
+    if n < 1:
         raise ValueError("multi-index must have at least one entry")
+    if len(entries) > n:
+        raise ValueError("index longer than particle count")
     if any(x < 0 for x in entries):
         raise ValueError(f"entries must be nonnegative, got {entries}")
-    n = len(entries)
     weight = sum(entries)
     num = 1
     for a in entries:
@@ -191,15 +199,18 @@ def partitions(total: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def orbit_size(index, n_particles: int) -> int:
-    """Number of distinct permutations of `index` zero-padded to length n_particles."""
+    """Number of distinct permutations of `index` zero-padded to length n_particles.
+
+    N!/(m_0! prod_v m_v!) with m_0 = N - k zeros and k nonzero entries equals the
+    falling factorial N!/(N-k)! over prod_v m_v!, the product over nonzero values."""
     entries = tuple(int(x) for x in index)
     if len(entries) > n_particles:
         raise ValueError("index longer than particle count")
-    entries = entries + (0,) * (n_particles - len(entries))
     counts: dict[int, int] = {}
     for v in entries:
-        counts[v] = counts.get(v, 0) + 1
-    out = math.factorial(n_particles)
+        if v:
+            counts[v] = counts.get(v, 0) + 1
+    out = math.perm(n_particles, sum(counts.values()))
     for c in counts.values():
         out //= math.factorial(c)
     return out

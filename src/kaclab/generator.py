@@ -16,6 +16,16 @@ identity of coefficients for any operator preserving homogeneous even degree).
 Matrices are expressed in the orthonormalized basis, optionally reduced to the
 permutation-symmetric subspace, and stay symmetric to ~1e-15.
 
+On the full basis, Q is expanded over all N(N-1)/2 pairs (`apply_Q_monomial`)
+and B over all compositions; this is the oracle.  The symmetric sectors are
+assembled from the nonzero parts p of each partition (k <= l of them), with
+pairs counted by type: the at most 6 pairs among the nonzero slots, N - k
+pairs of each nonzero slot with a zero one, and C(N - k, 2) zero-zero pairs
+that leave p unchanged.  B's column on partition q is Gamma(p) times
+multinomial(l, q) times the exact orbit count of q.  Every coefficient is the
+same exact rational either way, so the float matrices are identical, and the
+symmetric cost does not depend on N.
+
 The first spectral gap is mu/2 with eigenfunction sum_i (v_i^2 - 1/beta); the
 second gap is the lower root of an explicit quadratic.  Both are recomputed
 here by independent routes and cross-checked.
@@ -175,27 +185,61 @@ def _b_columns(alpha: tuple[int, ...], level: int) -> dict[tuple[int, ...], Frac
     }
 
 
+def _q_columns_symmetric(p: tuple[int, ...], n: int) -> dict[tuple[int, ...], Fraction]:
+    """Q on the representative monomial with nonzero half-exponents p, its
+    coefficients summed over each orbit of results and keyed by partition
+    (nonzero parts): each pair type once, weighted by its number of pairs."""
+    k = len(p)
+    pairs = [(p[i], p[j], p[:i] + p[i + 1:j] + p[j + 1:], 1)
+             for i in range(k - 1) for j in range(i + 1, k)]
+    pairs += [(p[i], 0, p[:i] + p[i + 1:], n - k) for i in range(k)]
+    pairs.append((0, 0, p, math.comb(n - k, 2)))
+    weight = Fraction(1, math.comb(n, 2))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for ai, aj, rest, count in pairs:
+        if not count:
+            continue
+        for (bi, bj), c in _pair_rotation_avg(ai, aj):
+            q = tuple(sorted((x for x in rest + (bi, bj) if x), reverse=True))
+            acc[q] = acc.get(q, Fraction(0)) + weight * count * c
+    return acc
+
+
+def _b_columns_symmetric(p: tuple[int, ...], parts, level: int,
+                         n: int) -> dict[tuple[int, ...], Fraction]:
+    # B on the representative monomial, summed over each orbit of compositions:
+    # orbit(q) equal terms
+    gamma = sphere_moment_Gamma_exact(p, n)
+    return {q: gamma * multinomial(level, q) * orbit_size(q, n) for q in parts}
+
+
+def _nonzero_parts(basis: SectorBasis) -> list[tuple[int, ...]]:
+    # symmetric indices are descending partitions of the level: the nonzero
+    # entries lead, and there are at most `level` of them
+    cut = basis.level if basis.symmetric else None
+    return [tuple(a for a in mi.entries[:cut] if a) for mi in basis.indices]
+
+
 def _assemble(basis: SectorBasis, columns, scale: float, subtract_from_identity: bool,
               tag: str) -> SectorMatrix:
     """Matrix of scale*(I - A) (or scale*A) in the orthonormalized Hermite basis,
-    `columns` giving the exact monomial expansion of A per basis representative."""
-    idx = [tuple(mi.entries) for mi in basis.indices]
-    dim = len(idx)
+    `columns` giving the exact monomial expansion of A per basis representative:
+    on the full basis, composition -> {composition: coefficient}; on a symmetric
+    one, nonzero parts -> {nonzero parts: coefficient summed over that orbit}."""
+    dim = basis.dim
     n = basis.n_particles
     mat = np.zeros((dim, dim))
     if basis.symmetric:
+        idx = _nonzero_parts(basis)
         pos = {p: k for k, p in enumerate(idx)}
         orb = {p: orbit_size(p, n) for p in idx}
         n2 = {p: _norm2(p) for p in idx}
         for col, p in enumerate(idx):
-            grouped: dict[tuple[int, ...], Fraction] = {}
-            for beta, c in columns(p).items():
-                q = tuple(sorted(beta, reverse=True))
-                grouped[q] = grouped.get(q, Fraction(0)) + c
-            for q, s in grouped.items():
+            for q, s in columns(p).items():
                 ratio = Fraction(orb[p] * n2[q], orb[q] * n2[p])
                 mat[pos[q], col] = float(s) * math.sqrt(float(ratio))
     else:
+        idx = [tuple(mi.entries) for mi in basis.indices]
         pos = {a: k for k, a in enumerate(idx)}
         n2 = {a: _norm2(a) for a in idx}
         for col, a in enumerate(idx):
@@ -214,9 +258,10 @@ def _assemble(basis: SectorBasis, columns, scale: float, subtract_from_identity:
 
 def build_LT(basis: SectorBasis) -> SectorMatrix:
     """Thermostat sum: diagonal with sigma_{2 alpha} = sum_i (1 - s_{2 alpha_i})."""
+    # a zero entry adds 1 - s_0 = 0 exactly
     diag = [
-        float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in mi.entries))
-        for mi in basis.indices
+        float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in parts))
+        for parts in _nonzero_parts(basis)
     ]
     return SectorMatrix(basis=basis, entries=np.diag(diag), operator_tag="L_T")
 
@@ -225,25 +270,33 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
     """Pair-collision operator N(I - Q) on the sector."""
     if basis.n_particles < 2:
         raise ValueError("pair collisions need N >= 2")
-    level = basis.level
-    l_max = max(DEFAULT_L_MAX, level)
+    n = basis.n_particles
+    l_max = max(DEFAULT_L_MAX, basis.level)
     return _assemble(
         basis,
-        lambda a: _q_columns(a, l_max),
-        scale=float(basis.n_particles),
+        (lambda p: _q_columns_symmetric(p, n)) if basis.symmetric
+        else (lambda a: _q_columns(a, l_max)),
+        scale=float(n),
         subtract_from_identity=True,
         tag="L_K",
     )
+
+
+def _radial_columns(basis: SectorBasis):
+    level, n = basis.level, basis.n_particles
+    if basis.symmetric:
+        parts = _nonzero_parts(basis)
+        return lambda p: _b_columns_symmetric(p, parts, level, n)
+    return lambda a: _b_columns(a, level)
 
 
 def build_LR(basis: SectorBasis) -> SectorMatrix:
     """Comparison operator Lambda_N (I - B), B the radial rank-one projection."""
     if basis.n_particles < 2:
         raise ValueError("pair collisions need N >= 2")
-    level = basis.level
     return _assemble(
         basis,
-        lambda a: _b_columns(a, level),
+        _radial_columns(basis),
         scale=kac_gap_Lambda(basis.n_particles),
         subtract_from_identity=True,
         tag="L_R",
@@ -252,10 +305,9 @@ def build_LR(basis: SectorBasis) -> SectorMatrix:
 
 def build_B(basis: SectorBasis) -> SectorMatrix:
     """The radial projection B itself (for rank / idempotency checks)."""
-    level = basis.level
     return _assemble(
         basis,
-        lambda a: _b_columns(a, level),
+        _radial_columns(basis),
         scale=1.0,
         subtract_from_identity=False,
         tag="B",
@@ -314,10 +366,17 @@ class FirstGap:
     eigenvalues_checked: np.ndarray
 
 
+def _check_tol(tol: float, *sectors: SectorMatrix) -> float:
+    # eigenvalues carry roundoff relative to the entries: scale the absolute
+    # tolerance by the largest entry once that exceeds 1
+    return tol * max([1.0] + [float(np.max(np.abs(m.entries))) for m in sectors])
+
+
 def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
-    assembled operator on the symmetric degree-2 and degree-4 sectors."""
+    assembled operator on the symmetric degree-2 and degree-4 sectors, to
+    `tol` times max(1, largest |entry| of those sectors)."""
     n = params.n_particles
     if n < 2:
         raise ValueError("gap computation needs N >= 2")
@@ -327,6 +386,7 @@ def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
     ev2 = g2.eigenvalues()
     ev4 = g4.eigenvalues()
     allev = np.sort(np.concatenate([ev2, ev4]))
+    tol = _check_tol(tol, g2, g4)
     if params.mu > 0:
         if abs(allev[0] - closed) > tol:
             raise AssemblyError(
@@ -398,7 +458,7 @@ def second_gap_pair(params: Params) -> tuple[float, float]:
 def second_gap(params: Params, tol: float = AGREEMENT_TOL) -> float:
     """Second spectral gap by three independent routes (quadratic formula,
     closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector),
-    required to agree to `tol`."""
+    required to agree to `tol` times max(1, largest |entry| of the sector)."""
     if params.n_particles < 2:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
@@ -408,7 +468,7 @@ def second_gap(params: Params, tol: float = AGREEMENT_TOL) -> float:
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
     values = (r_quad, r_mat, r_sector)
-    if max(values) - min(values) > tol:
+    if max(values) - min(values) > _check_tol(tol, sect):
         raise AssemblyError(
             "second-gap routes disagree: "
             f"quadratic={r_quad!r} matrix={r_mat!r} sector={r_sector!r}"
@@ -425,7 +485,7 @@ def sector_gap_bound(level: int, params: Params) -> float:
     lam_L = params.lam * kac_gap_Lambda(n)
     mu = params.mu
     s = float(hermite_eigenvalue_s_exact(2 * level))
-    n_gamma = n * float(sphere_moment_Gamma_exact((level,) + (0,) * (n - 1)))
+    n_gamma = n * float(sphere_moment_Gamma_exact((level,), n))
     b = lam_L + (2.0 - s) * mu
     c = (1.0 - s) * mu * mu + lam_L * mu - lam_L * mu * s * n_gamma
     return _lower_root(b, c)[0]

@@ -193,6 +193,19 @@ class TestExitCodes:
         ["chaos", "--n-ladder", "1,10", "--replicas", "10"],
         ["chaos", "--time", "0", "--replicas", "10"],
         ["boltzmann", "--beta", "0"],
+        ["spectrum", "--n", "4", "--lambda", "nan"],
+        ["spectrum", "--n", "4", "--mu", "inf"],
+        ["spectrum", "--n", "4", "--beta", "-inf"],
+        ["simulate", "--n", "4", "--lambda", "nan"],
+        ["entropy", "--n", "5", "--mu", "1", "--n-hot", "9"],
+        ["entropy", "--n", "5", "--mu", "1", "--n-hot", "-1"],
+        ["entropy", "--n", "5", "--mu", "1", "--t-hot", "-1"],
+        ["entropy", "--n", "5", "--mu", "1", "--t-cold", "0"],
+        ["simulate", "--n", "4", "--k0", "-5"],
+        ["simulate", "--n", "4", "--t-hot", "-1", "--t-cold", "1", "--n-hot", "1"],
+        ["simulate", "--n", "4", "--n-hot", "5"],
+        ["chaos", "--t0", "-1", "--n-ladder", "4,8", "--replicas", "10"],
+        ["boltzmann", "--lambda", "1", "--mu", "nan", "--horizon", "1"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -200,6 +213,24 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "1"],
+        ["spectrum", "--n", "200", "--lambda", "1e6", "--mu", "1"],
+        ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "0"],
+    ])
+    def test_spectrum_at_large_rates(self, argv, tmp_path, capsys):
+        # the gap routes differ by roundoff on entries of size lambda; the
+        # runtime checks must not read that as a disagreement
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK, capsys.readouterr().err
+        _, _, rows = read_csv(str(out))
+        values = {r[3]: float(r[4]) for r in rows}
+        lam = float(argv[4])
+        assert values["first"] == float(argv[6]) / 2.0
+        routes = [v for k, v in values.items() if k in ("second_quadratic", "second_matrix",
+                                                           "second_sector")]
+        assert max(routes, default=0.0) - min(routes, default=0.0) <= 1e-10 * lam
 
     def test_params_rejects_n_zero(self):
         with pytest.raises(UsageError):

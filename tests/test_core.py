@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,16 @@ class TestSphereMoment:
     def test_permutation_invariant(self):
         assert sphere_moment_Gamma_exact((2, 1, 0)) == sphere_moment_Gamma_exact((0, 1, 2))
 
+    def test_padding_by_particle_count(self):
+        for n in (3, 4, 9):
+            for alpha in [(1,), (2, 1), (1, 1, 1), ()]:
+                padded = tuple(alpha) + (0,) * (n - len(alpha))
+                assert sphere_moment_Gamma_exact(alpha, n) == sphere_moment_Gamma_exact(padded)
+        with pytest.raises(ValueError):
+            sphere_moment_Gamma_exact((1, 1, 1), 2)
+        with pytest.raises(ValueError):
+            sphere_moment_Gamma_exact(())
+
 
 class TestCombinatorics:
     def test_compositions_order_and_count(self):
@@ -157,6 +168,18 @@ class TestCombinatorics:
             total = sum(orbit_size(p, n) for p in partitions(l, n))
             assert total == len(compositions(l, n))
 
+    def test_orbit_size_against_factorial_count(self):
+        for n in range(1, 21):
+            for total in range(0, 9):
+                for p in partitions(total, n):
+                    want = math.factorial(n)
+                    for c in Counter(p).values():
+                        want //= math.factorial(c)
+                    assert orbit_size(p, n) == want
+                    assert orbit_size(tuple(x for x in p if x), n) == want
+        with pytest.raises(ValueError):
+            orbit_size((1, 1, 1), 2)
+
     def test_multi_index(self):
         m = MultiIndex((2, 0, 1))
         assert m.weight == 3
@@ -177,6 +200,12 @@ class TestParams:
             dict(n_particles=2, lam=-1.0),
             dict(n_particles=2, mu=-0.1),
             dict(n_particles=2, beta=0.0),
+            dict(n_particles=2, lam=math.nan),
+            dict(n_particles=2, lam=math.inf),
+            dict(n_particles=2, mu=math.nan),
+            dict(n_particles=2, mu=math.inf),
+            dict(n_particles=2, beta=math.nan),
+            dict(n_particles=2, beta=math.inf),
         ],
     )
     def test_invalid(self, kw):

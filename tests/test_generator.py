@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import Params, compositions, kac_gap_Lambda, partitions
+from kaclab.core import (
+    Params,
+    compositions,
+    hermite_eigenvalue_s_exact,
+    kac_gap_Lambda,
+    multinomial,
+    partitions,
+    sphere_moment_Gamma_exact,
+)
 from kaclab.generator import (
+    AGREEMENT_TOL,
     AssemblyError,
     apply_Q_monomial,
     build_B,
@@ -39,6 +49,49 @@ def apply_collision_polynomial(poly: dict, n: int) -> dict:
         for beta, c in apply_Q_monomial(expo).items():
             out[beta] = out.get(beta, Fraction(0)) - Fraction(n) * coef * c
     return {k: v for k, v in out.items() if v}
+
+
+def factorial_orbit_size(index, n: int) -> int:
+    """Oracle: N! over the factorial of every value's multiplicity, zeros included."""
+    out = math.factorial(n)
+    for c in Counter(tuple(index) + (0,) * (n - len(index))).values():
+        out //= math.factorial(c)
+    return out
+
+
+def symmetric_sector_oracle(basis, tag: str) -> np.ndarray:
+    """Oracle: a symmetric sector assembled on zero-padded representatives, Q by
+    visiting every pair (`apply_Q_monomial`), B by listing every composition,
+    each result grouped by sorting its exponent tuple."""
+    n, level = basis.n_particles, basis.level
+    idx = [tuple(mi.entries) for mi in basis.indices]
+    if tag == "L_T":
+        return np.diag([float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in p))
+                        for p in idx])
+
+    def columns(p):
+        if tag == "L_K":
+            raw = apply_Q_monomial(tuple(2 * x for x in p), l_max=max(4, level))
+            return {tuple(x // 2 for x in k): v for k, v in raw.items()}
+        gamma = sphere_moment_Gamma_exact(p)
+        return {beta: gamma * multinomial(level, beta) for beta in compositions(level, n)}
+
+    pos = {p: k for k, p in enumerate(idx)}
+    orb = {p: factorial_orbit_size(p, n) for p in idx}
+    norm2 = {p: math.prod(math.factorial(2 * a) for a in p) for p in idx}
+    mat = np.zeros((len(idx), len(idx)))
+    for col, p in enumerate(idx):
+        grouped = {}
+        for beta, c in columns(p).items():
+            q = tuple(sorted(beta, reverse=True))
+            grouped[q] = grouped.get(q, Fraction(0)) + c
+        for q, total in grouped.items():
+            ratio = Fraction(orb[p] * norm2[q], orb[q] * norm2[p])
+            mat[pos[q], col] = float(total) * math.sqrt(float(ratio))
+    if tag == "B":
+        return mat
+    scale = float(n) if tag == "L_K" else kac_gap_Lambda(n)
+    return scale * (np.eye(len(idx)) - mat)
 
 
 class TestBasis:
@@ -212,6 +265,30 @@ class TestAssembledMatrices:
         full = build_generator(basis, params).entries
         comp = build_generator(basis, params, comparison=True).entries
         assert np.linalg.eigvalsh(comp)[0] <= np.linalg.eigvalsh(full)[0] + 1e-10
+
+
+class TestSymmetricAssembly:
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_bit_identical_to_pair_and_composition_walk(self, n, level):
+        basis = sector_basis(n, level, symmetric=True)
+        for build in (build_LT, build_LK, build_LR, build_B):
+            got = build(basis)
+            assert np.array_equal(got.entries, symmetric_sector_oracle(basis, got.operator_tag))
+
+    def test_assembled_second_gap_approaches_limit(self):
+        # criterion 03's O(1/N) check, on the assembled degree-4 sector
+        for lam in (0.2, 1.0, 5.0):
+            for mu in (0.5, 1.0, 2.0):
+                errs = []
+                for n in (10**3, 10**4, 10**5):
+                    p = Params(n_particles=n, lam=lam, mu=mu)
+                    sect = build_generator(sector_basis(n, 2, symmetric=True), p)
+                    value = float(sect.eigenvalues()[0])
+                    assert abs(value - second_gap_quadratic(p)) <= AGREEMENT_TOL
+                    errs.append(abs(value - second_gap_limit(p)))
+                assert errs[0] > errs[1] > errs[2] > 0
+                assert max(n * e for n, e in zip((10**3, 10**4, 10**5), errs)) < 100.0
 
 
 class TestFirstGap:
