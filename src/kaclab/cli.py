@@ -346,6 +346,8 @@ def _run_spectrum(config: RunConfig) -> None:
 def _run_boltzmann(config: RunConfig) -> None:
     params = config.params()
     o = config.options
+    _require_temperature("t0", o["t0"])
+    _require(math.isfinite(o["mean"]), f"'mean' must be finite, got {o['mean']!r}")
     order = o["kmax"]
     m0 = MomentVector(
         m=np.array([gaussian_moment(q, o["t0"], o["mean"]) for q in range(order + 1)])

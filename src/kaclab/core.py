@@ -12,6 +12,7 @@ the equilibrium variance is 1/beta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +28,11 @@ class Params:
     beta: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_particles) != self.n_particles or self.n_particles < 1:
-            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles}")
+        n = self.n_particles
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real) or not math.isfinite(n)
+                or int(n) != n or n < 1):
+            raise ValueError(f"n_particles must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n_particles", int(n))
         for name in ("lam", "mu", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -9,10 +9,26 @@ against a fresh Gaussian partner that is never seen again).
 ensemble of independent replicas to a sampling grid: for each replica and grid
 interval it draws the Poisson event count and then the event sequence, which
 is the same process read at the grid times (the embedded chain is independent
-of the jump epochs), and applies the events of all replicas in lock-step so
-the inner loop stays vectorized.  Every replica owns a counter-based Philox
-stream keyed by (master seed, replica index); results are bit-reproducible
-for a given seed and configuration.
+of the jump epochs).  Every replica owns a counter-based Philox stream keyed
+by (master seed, replica index); results are bit-reproducible for a given
+seed and configuration.
+
+`Ensemble.advance_to` applies one interval with one rotation kernel for both
+event types:
+
+- Draws, in two passes: first every replica's Poisson count c, then each
+  replica's 4c uniforms (rows type, site, pair, angle) and c normals, written
+  straight into one buffer.  Each stream sees poisson -> uniforms -> normals.
+- Bath slots: the workspace is the M*N state followed by one slot per event
+  holding its normal over sqrt(beta).  An event rotates site I against J,
+  a' = a cos + b sin, b' = -a sin + b cos, where J is the pair partner of a
+  Kac event and the event's own bath slot for a thermostat event, so a
+  thermostat collision is a Kac rotation against a fresh bath particle.
+- Prefix lock-step: replicas are sorted by descending count, so the replicas
+  that still have an event at step k form a prefix.  For each block of
+  BLOCK_STEPS steps I, J, cos and sin are gathered once; each step then
+  applies one slice of them to all active replicas at once (two gathers, two
+  scatters), with no branch on the event type.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from .core import Params
 HISTOGRAM_BINS = 256
 HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
 N_MOMENTS = 6
+BLOCK_STEPS = 64  # lock-step iterations whose events are gathered at once
 
 
 class SimulationError(RuntimeError):
@@ -182,7 +199,8 @@ class Ensemble:
         return self.velocities.copy()
 
     def advance_to(self, t: float) -> None:
-        """Apply all events up to time t, replica by replica in lock-step."""
+        """Apply all events up to time t with the rotation kernel described in
+        the module docstring."""
         dt = t - self.time
         if dt < -1e-12:
             raise ValueError("cannot advance backwards")
@@ -192,53 +210,60 @@ class Ensemble:
         n = p.n_particles
         rate = (p.lam + p.mu) * n
         m = self.n_replicas
-        counts = np.empty(m, dtype=np.int64)
-        u_parts = []
-        w_parts = []
-        for r, rng in enumerate(self.rngs):
-            c = int(rng.poisson(rate * dt))
-            counts[r] = c
-            u_parts.append(rng.random((4, c)))
-            w_parts.append(rng.standard_normal(c))
-        u_type = np.concatenate([a[0] for a in u_parts])
-        u_site = np.concatenate([a[1] for a in u_parts])
-        u_pair = np.concatenate([a[2] for a in u_parts])
-        u_angle = np.concatenate([a[3] for a in u_parts])
-        w_all = np.concatenate(w_parts) / math.sqrt(p.beta)
-
+        size = m * n
+        counts = np.array([rng.poisson(rate * dt) for rng in self.rngs], dtype=np.int64)
         offsets = np.zeros(m, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
+        n_events = int(counts.sum())
+        # workspace: [state (M*N) | bath slot of every event (E) | uniforms (4E)]
+        ws = np.empty(size + 5 * n_events)
+        ws[:size] = self.velocities.reshape(-1)
+        bath = ws[size : size + n_events]
+        uniforms = ws[size + n_events :]
+        for rng, off, c in zip(self.rngs, offsets.tolist(), counts.tolist()):
+            rng.random(out=uniforms[4 * off : 4 * (off + c)])
+            rng.standard_normal(out=bath[off : off + c])
+        bath /= math.sqrt(p.beta)
+
         p_kac = p.lam / (p.lam + p.mu)
-        v = self.velocities
-        rows_all = np.arange(m)
-        kmax = int(counts.max()) if m else 0
-        for k in range(kmax):
-            act = rows_all[counts > k]
-            if act.size == 0:
-                break
-            e = offsets[act] + k
-            theta = 2.0 * math.pi * u_angle[e]
+        order = np.argsort(-counts, kind="stable")
+        s_counts = counts[order]
+        s_type = 4 * offsets[order]  # type uniform of each replica's event 0
+        s_bath = size + offsets[order]  # bath slot of each replica's event 0
+        s_base = order * n  # each replica's row in the workspace
+        kmax = int(s_counts[0])
+        # replicas active at step k, and where each step starts in step-major order
+        widths = np.searchsorted(-s_counts, -np.arange(kmax), side="left")
+        starts = np.zeros(kmax + 1, dtype=np.int64)
+        np.cumsum(widths, out=starts[1:])
+        for k0 in range(0, kmax, BLOCK_STEPS):
+            k1 = min(k0 + BLOCK_STEPS, kmax)
+            sizes = widths[k0:k1]
+            first = starts[k0:k1] - starts[k0]
+            # the block's events in step-major order: sorted position pos, step k
+            pos = np.arange(starts[k1] - starts[k0]) - np.repeat(first, sizes)
+            k = np.repeat(np.arange(k0, k1), sizes)
+            c = s_counts[pos]
+            u = s_type[pos] + k  # the event's type uniform; site, pair, angle follow c apart
+            theta = 2.0 * math.pi * uniforms[u + 3 * c]
             cos_t = np.cos(theta)
             sin_t = np.sin(theta)
-            kac = u_type[e] < p_kac
-
-            rk = act[kac]
-            if rk.size:
-                ek = e[kac]
-                i = (u_site[ek] * n).astype(np.int64)
-                j = (u_pair[ek] * (n - 1)).astype(np.int64)
-                j += j >= i
-                a = v[rk, i]
-                b = v[rk, j]
-                ck, sk = cos_t[kac], sin_t[kac]
-                v[rk, i] = a * ck + b * sk
-                v[rk, j] = -a * sk + b * ck
-
-            rt = act[~kac]
-            if rt.size:
-                et = e[~kac]
-                j = (u_site[et] * n).astype(np.int64)
-                v[rt, j] = v[rt, j] * cos_t[~kac] + w_all[et] * sin_t[~kac]
+            site = (uniforms[u + c] * n).astype(np.int64)
+            partner = (uniforms[u + 2 * c] * (n - 1)).astype(np.int64)
+            partner += partner >= site
+            base = s_base[pos]
+            ii = base + site
+            jj = np.where(uniforms[u] < p_kac, base + partner, s_bath[pos] + k)
+            for lo, hi in zip(first.tolist(), (first + sizes).tolist()):
+                i = ii[lo:hi]
+                j = jj[lo:hi]
+                ck = cos_t[lo:hi]
+                sk = sin_t[lo:hi]
+                a = ws.take(i)
+                b = ws.take(j)
+                ws[i] = a * ck + b * sk
+                ws[j] = -a * sk + b * ck
+        self.velocities[...] = ws[:size].reshape(m, n)
         self.time = t
 
 

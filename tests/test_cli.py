@@ -207,6 +207,10 @@ class TestExitCodes:
         ["simulate", "--n", "4", "--n-hot", "5"],
         ["chaos", "--t0", "-1", "--n-ladder", "4,8", "--replicas", "10"],
         ["boltzmann", "--lambda", "1", "--mu", "nan", "--horizon", "1"],
+        ["boltzmann", "--t0", "nan", "--horizon", "1"],
+        ["boltzmann", "--t0", "-1", "--horizon", "1"],
+        ["boltzmann", "--mean", "inf", "--horizon", "1"],
+        ["boltzmann", "--mean", "nan", "--horizon", "1"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE

@@ -24,6 +24,7 @@ from kaclab.core import (
     sphere_moment_Gamma,
     sphere_moment_Gamma_exact,
 )
+from kaclab.generator import build_generator, sector_basis
 
 
 def angular_quadrature(p, q, n=1 << 15):
@@ -193,10 +194,23 @@ class TestParams:
         p = Params(n_particles=3, lam=1.0, mu=0.5, beta=2.0)
         assert p.n_particles == 3
 
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_n_stored_as_int(self, n):
+        p = Params(n_particles=n)
+        assert p.n_particles == 3 and type(p.n_particles) is int
+        want = build_generator(sector_basis(3, 2, symmetric=True), Params(n_particles=3))
+        got = build_generator(sector_basis(p.n_particles, 2, symmetric=True), p)
+        assert np.array_equal(got.entries, want.entries)
+
     @pytest.mark.parametrize(
         "kw",
         [
             dict(n_particles=0),
+            dict(n_particles=2.5),
+            dict(n_particles=True),
+            dict(n_particles=math.nan),
+            dict(n_particles=math.inf),
+            dict(n_particles="3"),
             dict(n_particles=2, lam=-1.0),
             dict(n_particles=2, mu=-0.1),
             dict(n_particles=2, beta=0.0),

@@ -32,6 +32,68 @@ def searchsorted_counts(values, edges):
     return np.stack([np.bincount(row, minlength=edges.size + 1) for row in idx])
 
 
+def lockstep_advance_to(ens, t):
+    """The seed's two-branch lock-step `Ensemble.advance_to`, kept as the
+    oracle: per-replica draws concatenated, masks rebuilt at every step."""
+    dt = t - ens.time
+    if dt < -1e-12:
+        raise ValueError("cannot advance backwards")
+    if dt <= 0.0:
+        return
+    p = ens.params
+    n = p.n_particles
+    rate = (p.lam + p.mu) * n
+    m = ens.n_replicas
+    counts = np.empty(m, dtype=np.int64)
+    u_parts = []
+    w_parts = []
+    for r, rng in enumerate(ens.rngs):
+        c = int(rng.poisson(rate * dt))
+        counts[r] = c
+        u_parts.append(rng.random((4, c)))
+        w_parts.append(rng.standard_normal(c))
+    u_type = np.concatenate([a[0] for a in u_parts])
+    u_site = np.concatenate([a[1] for a in u_parts])
+    u_pair = np.concatenate([a[2] for a in u_parts])
+    u_angle = np.concatenate([a[3] for a in u_parts])
+    w_all = np.concatenate(w_parts) / math.sqrt(p.beta)
+
+    offsets = np.zeros(m, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    p_kac = p.lam / (p.lam + p.mu)
+    v = ens.velocities
+    rows_all = np.arange(m)
+    kmax = int(counts.max()) if m else 0
+    for k in range(kmax):
+        act = rows_all[counts > k]
+        if act.size == 0:
+            break
+        e = offsets[act] + k
+        theta = 2.0 * math.pi * u_angle[e]
+        cos_t = np.cos(theta)
+        sin_t = np.sin(theta)
+        kac = u_type[e] < p_kac
+
+        rk = act[kac]
+        if rk.size:
+            ek = e[kac]
+            i = (u_site[ek] * n).astype(np.int64)
+            j = (u_pair[ek] * (n - 1)).astype(np.int64)
+            j += j >= i
+            a = v[rk, i]
+            b = v[rk, j]
+            ck, sk = cos_t[kac], sin_t[kac]
+            v[rk, i] = a * ck + b * sk
+            v[rk, j] = -a * sk + b * ck
+
+        rt = act[~kac]
+        if rt.size:
+            et = e[~kac]
+            j = (u_site[et] * n).astype(np.int64)
+            v[rt, j] = v[rt, j] * cos_t[~kac] + w_all[et] * sin_t[~kac]
+    ens.time = t
+
+
 class ScriptedRng:
     """Deterministic stand-in for a Generator: pops scripted draws in call order."""
 
@@ -191,6 +253,65 @@ class TestEnsemble:
             Ensemble.create(Params(n_particles=2, lam=0.0, mu=0.0), 4, 0)
         with pytest.raises(ValueError):
             Ensemble.create(Params(n_particles=1, lam=1.0, mu=1.0), 4, 0)
+
+
+# (N, lam, mu, beta, replicas, stops): all bath, all Kac, N = 1, N = 2, M = 1,
+# intervals short enough that some replicas draw no event, and several long
+# intervals whose counts run over many blocks of steps
+KERNEL_CASES = [
+    (5, 0.0, 1.0, 1.0, 40, (0.7, 1.5)),
+    (6, 1.0, 0.0, 1.0, 40, (0.4, 1.0, 2.5)),
+    (1, 0.0, 2.0, 0.5, 30, (0.3, 1.0)),
+    (2, 1.0, 1.0, 2.0, 50, (0.05, 0.1, 0.8)),
+    (7, 1.0, 1.0, 1.0, 1, (0.5, 3.0)),
+    (3, 0.5, 0.5, 1.0, 64, (0.01, 0.02, 0.03, 0.2)),
+    (40, 10.0, 1.0, 1.0, 25, (0.3, 1.0, 1.1, 2.0)),
+    (1250, 1.0, 1.0, 1.0, 6, (0.1, 0.25)),
+]
+
+
+class TestRotationKernel:
+    """The kernel against the seed's lock-step loop: bit-identical states."""
+
+    @pytest.mark.parametrize("n, lam, mu, beta, m, stops", KERNEL_CASES)
+    def test_states_match_lockstep(self, n, lam, mu, beta, m, stops):
+        p = Params(n_particles=n, lam=lam, mu=mu, beta=beta)
+        init = TwoTemperature(t_hot=3.0, t_cold=0.5, n_hot=max(1, n // 3))
+        new = Ensemble.create(p, n_replicas=m, seed=SEED, initial=init)
+        ref = Ensemble.create(p, n_replicas=m, seed=SEED, initial=init)
+        for t in stops:
+            new.advance_to(t)
+            lockstep_advance_to(ref, t)
+            assert np.array_equal(new.velocities, ref.velocities)
+            assert new.time == ref.time
+        # the streams stay in step too
+        assert all(a.random() == b.random() for a, b in zip(new.rngs, ref.rngs))
+
+    def test_some_replicas_draw_no_event(self):
+        p = Params(n_particles=2, lam=1.0, mu=1.0)
+        probe = Ensemble.create(p, n_replicas=64, seed=SEED)
+        counts = [rng.poisson(4 * 0.3) for rng in probe.rngs]  # rate (lam + mu) N = 4
+        assert 0 in counts and max(counts) > 1
+        ens = Ensemble.create(p, n_replicas=64, seed=SEED)
+        ref = Ensemble.create(p, n_replicas=64, seed=SEED)
+        ens.advance_to(0.3)
+        lockstep_advance_to(ref, 0.3)
+        assert np.array_equal(ens.velocities, ref.velocities)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.0)])
+    def test_run_series_and_snapshots_match_lockstep(self, lam, mu, monkeypatch):
+        p = Params(n_particles=9, lam=lam, mu=mu)
+        kwargs = dict(n_replicas=48, horizon=2.0, sample_times=np.linspace(0, 2, 6),
+                      seed=SEED, initial=ProductGaussian(2.5), snapshot_times=(0.3, 1.2))
+        new = run(p, **kwargs)
+        monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
+        ref = run(p, **kwargs)
+        for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr",
+                     "histogram", "histogram_underflow", "histogram_overflow"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+        assert new.snapshots.keys() == ref.snapshots.keys() == {0.3, 1.2}
+        for t in ref.snapshots:
+            assert np.array_equal(new.snapshots[t], ref.snapshots[t])
 
 
 class TestRunObservables:
