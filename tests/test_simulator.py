@@ -256,15 +256,15 @@ class TestEnsemble:
 
 
 # (N, lam, mu, beta, replicas, stops): all bath, all Kac, N = 1, N = 2, M = 1,
-# intervals short enough that some replicas draw no event, and several long
-# intervals whose counts run over many blocks of steps
+# intervals short enough that some (or, first, all) replicas draw no event, and
+# several long intervals whose counts run over many blocks of steps
 KERNEL_CASES = [
     (5, 0.0, 1.0, 1.0, 40, (0.7, 1.5)),
     (6, 1.0, 0.0, 1.0, 40, (0.4, 1.0, 2.5)),
     (1, 0.0, 2.0, 0.5, 30, (0.3, 1.0)),
     (2, 1.0, 1.0, 2.0, 50, (0.05, 0.1, 0.8)),
     (7, 1.0, 1.0, 1.0, 1, (0.5, 3.0)),
-    (3, 0.5, 0.5, 1.0, 64, (0.01, 0.02, 0.03, 0.2)),
+    (3, 0.5, 0.5, 1.0, 64, (1e-9, 0.01, 0.02, 0.03, 0.2)),
     (40, 10.0, 1.0, 1.0, 25, (0.3, 1.0, 1.1, 2.0)),
     (1250, 1.0, 1.0, 1.0, 6, (0.1, 0.25)),
 ]
