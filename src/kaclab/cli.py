@@ -238,6 +238,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"unknown key '{key}' for verb '{verb}'")
         options[key] = _convert(key, raw, schema[key][0])
         _require(key not in _POSITIVE or options[key] > 0, f"'{key}' must be positive, got {raw!r}")
+        _require(key != "seed" or 0 <= options[key] < 2**64,
+                 f"'seed' must lie in [0, 2**64), got {raw!r}")
     for key, (_, default, required) in schema.items():
         if key not in options:
             if required:
@@ -349,6 +351,7 @@ def _run_boltzmann(config: RunConfig) -> None:
     _require_temperature("t0", o["t0"])
     _require(math.isfinite(o["mean"]), f"'mean' must be finite, got {o['mean']!r}")
     order = o["kmax"]
+    _require(order >= 0, f"'kmax' must be >= 0, got {order}")
     m0 = MomentVector(
         m=np.array([gaussian_moment(q, o["t0"], o["mean"]) for q in range(order + 1)])
     )

@@ -184,14 +184,14 @@ def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def partitions(total: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of `total` into at most `max_parts` parts, zero-padded to
-    length max_parts, descending entries, descending lexicographic order."""
+    """Partitions of `total` into at most `max_parts` parts, nonzero parts only
+    (no padding), descending entries, descending lexicographic order."""
     if max_parts < 1:
         raise ValueError("need at least one slot")
 
     def rec(remaining, cap, slots):
         if remaining == 0:
-            yield (0,) * slots
+            yield ()
             return
         if slots == 0:
             return

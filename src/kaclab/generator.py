@@ -16,15 +16,18 @@ identity of coefficients for any operator preserving homogeneous even degree).
 Matrices are expressed in the orthonormalized basis, optionally reduced to the
 permutation-symmetric subspace, and stay symmetric to ~1e-15.
 
-On the full basis, Q is expanded over all N(N-1)/2 pairs (`apply_Q_monomial`)
-and B over all compositions; this is the oracle.  The symmetric sectors are
-assembled from the nonzero parts p of each partition (k <= l of them), with
-pairs counted by type: the at most 6 pairs among the nonzero slots, N - k
-pairs of each nonzero slot with a zero one, and C(N - k, 2) zero-zero pairs
-that leave p unchanged.  B's column on partition q is Gamma(p) times
-multinomial(l, q) times the exact orbit count of q.  Every coefficient is the
-same exact rational either way, so the float matrices are identical, and the
-symmetric cost does not depend on N.
+On the full basis, indexed by compositions of l into N slots, Q is expanded
+over all N(N-1)/2 pairs (`apply_Q_monomial`) and B over all compositions; this
+is the oracle.  A symmetric sector is indexed by partitions of l, each given by
+its nonzero parts p (k <= l of them; the N - k zeros are implied).  Its pairs
+are counted by type: the at most 6 pairs among the nonzero slots, N - k pairs
+of each nonzero slot with a zero one, and C(N - k, 2) zero-zero pairs that
+leave p unchanged.  B's column on partition q is Gamma(p) times
+multinomial(l, q) times the exact orbit count of q.  Both bases share one
+assembly loop, the full basis with orbit size 1.  It forms each entry's
+rational part scale*(delta - coefficient) exactly (scale N for L_K, the exact
+Lambda_N for L_R) and rounds it to float once, so the diagonal is correctly
+rounded from exact at any N, and the symmetric cost does not depend on N.
 
 The first spectral gap is mu/2 with eigenfunction sum_i (v_i^2 - 1/beta); the
 second gap is the lower root of an explicit quadratic.  Both are recomputed
@@ -47,6 +50,7 @@ from .core import (
     compositions,
     hermite_eigenvalue_s_exact,
     kac_gap_Lambda,
+    kac_gap_Lambda_exact,
     multinomial,
     orbit_size,
     partitions,
@@ -66,8 +70,10 @@ class SectorBasis:
     """Ordered basis of the even sector of degree 2l.
 
     `indices` lists the half-exponents alpha (|alpha| = l): all weak
-    compositions for the full sector, or partition representatives when
-    restricted to permutation-symmetric combinations.
+    compositions of length N for the full sector; for the permutation-symmetric
+    one, the partitions of l into at most N parts, each as its nonzero parts
+    only.  Either way a sector matrix entry is scale*(delta - coefficient),
+    formed exactly and rounded to float once, times its float normalization.
     """
 
     n_particles: int
@@ -213,43 +219,28 @@ def _b_columns_symmetric(p: tuple[int, ...], parts, level: int,
     return {q: gamma * multinomial(level, q) * orbit_size(q, n) for q in parts}
 
 
-def _nonzero_parts(basis: SectorBasis) -> list[tuple[int, ...]]:
-    # symmetric indices are descending partitions of the level: the nonzero
-    # entries lead, and there are at most `level` of them
-    cut = basis.level if basis.symmetric else None
-    return [tuple(a for a in mi.entries[:cut] if a) for mi in basis.indices]
-
-
-def _assemble(basis: SectorBasis, columns, scale: float, subtract_from_identity: bool,
+def _assemble(basis: SectorBasis, columns, scale: int | Fraction, subtract_from_identity: bool,
               tag: str) -> SectorMatrix:
     """Matrix of scale*(I - A) (or scale*A) in the orthonormalized Hermite basis,
-    `columns` giving the exact monomial expansion of A per basis representative:
-    on the full basis, composition -> {composition: coefficient}; on a symmetric
-    one, nonzero parts -> {nonzero parts: coefficient summed over that orbit}."""
+    `columns` giving the exact monomial expansion of A per basis index
+    (index -> {index: coefficient}, summed over each orbit on a symmetric
+    basis) and `scale` an exact rational.  Each entry's rational part is
+    formed exactly and rounded once."""
     dim = basis.dim
     n = basis.n_particles
+    idx = [mi.entries for mi in basis.indices]
+    pos = {a: k for k, a in enumerate(idx)}
+    orb = {a: orbit_size(a, n) if basis.symmetric else 1 for a in idx}
+    n2 = {a: _norm2(a) for a in idx}
     mat = np.zeros((dim, dim))
-    if basis.symmetric:
-        idx = _nonzero_parts(basis)
-        pos = {p: k for k, p in enumerate(idx)}
-        orb = {p: orbit_size(p, n) for p in idx}
-        n2 = {p: _norm2(p) for p in idx}
-        for col, p in enumerate(idx):
-            for q, s in columns(p).items():
-                ratio = Fraction(orb[p] * n2[q], orb[q] * n2[p])
-                mat[pos[q], col] = float(s) * math.sqrt(float(ratio))
-    else:
-        idx = [tuple(mi.entries) for mi in basis.indices]
-        pos = {a: k for k, a in enumerate(idx)}
-        n2 = {a: _norm2(a) for a in idx}
-        for col, a in enumerate(idx):
-            for beta, c in columns(a).items():
-                ratio = Fraction(n2[beta], n2[a])
-                mat[pos[beta], col] = float(c) * math.sqrt(float(ratio))
-    if subtract_from_identity:
-        mat = scale * (np.eye(dim) - mat)
-    else:
-        mat = scale * mat
+    for col, a in enumerate(idx):
+        exact = columns(a)
+        if subtract_from_identity:
+            exact = {b: -c for b, c in exact.items()}
+            exact[a] = 1 + exact.get(a, 0)
+        for b, c in exact.items():
+            ratio = Fraction(orb[a] * n2[b], orb[b] * n2[a])
+            mat[pos[b], col] = float(scale * c) * math.sqrt(float(ratio))
     asym = float(np.max(np.abs(mat - mat.T))) if dim else 0.0
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat))) if dim else 1.0):
         raise AssemblyError(f"{tag} sector matrix asymmetric by {asym:.3e}")
@@ -260,8 +251,8 @@ def build_LT(basis: SectorBasis) -> SectorMatrix:
     """Thermostat sum: diagonal with sigma_{2 alpha} = sum_i (1 - s_{2 alpha_i})."""
     # a zero entry adds 1 - s_0 = 0 exactly
     diag = [
-        float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in parts))
-        for parts in _nonzero_parts(basis)
+        float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in mi.entries))
+        for mi in basis.indices
     ]
     return SectorMatrix(basis=basis, entries=np.diag(diag), operator_tag="L_T")
 
@@ -276,7 +267,7 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
         basis,
         (lambda p: _q_columns_symmetric(p, n)) if basis.symmetric
         else (lambda a: _q_columns(a, l_max)),
-        scale=float(n),
+        scale=n,
         subtract_from_identity=True,
         tag="L_K",
     )
@@ -285,7 +276,7 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
 def _radial_columns(basis: SectorBasis):
     level, n = basis.level, basis.n_particles
     if basis.symmetric:
-        parts = _nonzero_parts(basis)
+        parts = [mi.entries for mi in basis.indices]
         return lambda p: _b_columns_symmetric(p, parts, level, n)
     return lambda a: _b_columns(a, level)
 
@@ -297,7 +288,7 @@ def build_LR(basis: SectorBasis) -> SectorMatrix:
     return _assemble(
         basis,
         _radial_columns(basis),
-        scale=kac_gap_Lambda(basis.n_particles),
+        scale=kac_gap_Lambda_exact(basis.n_particles),
         subtract_from_identity=True,
         tag="L_R",
     )
@@ -308,7 +299,7 @@ def build_B(basis: SectorBasis) -> SectorMatrix:
     return _assemble(
         basis,
         _radial_columns(basis),
-        scale=1.0,
+        scale=1,
         subtract_from_identity=False,
         tag="B",
     )
@@ -328,7 +319,7 @@ def radial_direction(basis: SectorBasis) -> np.ndarray:
     level = basis.level
     vec = np.zeros(basis.dim)
     for k, mi in enumerate(basis.indices):
-        a = tuple(mi.entries)
+        a = mi.entries
         coef = float(multinomial(level, a)) * math.sqrt(float(_norm2(a)))
         if basis.symmetric:
             coef *= math.sqrt(orbit_size(a, basis.n_particles))
@@ -342,14 +333,11 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
     if basis.level != 2:
         raise ValueError("defined on the degree-4 sector only")
     n = basis.n_particles
-    mono = {
-        (2,) + (0,) * (n - 1): 1.0 - 3.0 / (n + 2),
-        (1, 1) + (0,) * (n - 2): -6.0 / (n + 2),
-    }
+    mono = {(2,): 1.0 - 3.0 / (n + 2), (1, 1): -6.0 / (n + 2)}
     vec = np.zeros(basis.dim)
     for k, mi in enumerate(basis.indices):
-        a = tuple(mi.entries)
-        key = tuple(sorted(a, reverse=True))
+        a = mi.entries
+        key = tuple(sorted((x for x in a if x), reverse=True))
         if key not in mono:
             continue
         coef = mono[key] * math.sqrt(float(_norm2(a)))
@@ -361,8 +349,7 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FirstGap:
-    value: float
-    eigenvector: np.ndarray  # coefficients of H_2(v_i) per particle: the function sum_i (v_i^2 - 1/beta)
+    value: float  # eigenfunction sum_i (v_i^2 - 1/beta)
     eigenvalues_checked: np.ndarray
 
 
@@ -398,7 +385,7 @@ def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
         # thermostat off: the radial kernel is degenerate across sectors
         if abs(allev[0]) > tol or abs(allev[1]) > tol:
             raise AssemblyError("expected a degenerate kernel at mu = 0")
-    return FirstGap(value=closed, eigenvector=np.ones(n), eigenvalues_checked=allev)
+    return FirstGap(value=closed, eigenvalues_checked=allev)
 
 
 def _second_gap_quadratic_coeffs(params: Params) -> tuple[float, float]:

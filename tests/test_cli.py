@@ -211,6 +211,13 @@ class TestExitCodes:
         ["boltzmann", "--t0", "-1", "--horizon", "1"],
         ["boltzmann", "--mean", "inf", "--horizon", "1"],
         ["boltzmann", "--mean", "nan", "--horizon", "1"],
+        ["boltzmann", "--kmax", "-1", "--horizon", "1"],
+        ["simulate", "--n", "4", "--seed", "-1"],
+        ["simulate", "--n", "4", "--seed", "18446744073709551616"],
+        ["entropy", "--n", "5", "--mu", "1", "--seed", "-1"],
+        ["entropy", "--n", "5", "--mu", "1", "--seed", "18446744073709551616"],
+        ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "-1"],
+        ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "18446744073709551616"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -223,6 +230,7 @@ class TestExitCodes:
         ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "1"],
         ["spectrum", "--n", "200", "--lambda", "1e6", "--mu", "1"],
         ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "0"],
+        ["spectrum", "--n", "10000000", "--lambda", "5", "--mu", "1"],
     ])
     def test_spectrum_at_large_rates(self, argv, tmp_path, capsys):
         # the gap routes differ by roundoff on entries of size lambda; the

@@ -160,9 +160,11 @@ class TestCombinatorics:
             assert all(sum(c) == l for c in cs)
 
     def test_partitions_order_and_padding(self):
-        assert partitions(2, 3) == ((2, 0, 0), (1, 1, 0))
-        assert partitions(4, 3) == ((4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1))
-        assert all(len(p) == 5 for p in partitions(3, 5))
+        assert partitions(2, 3) == ((2,), (1, 1))
+        assert partitions(4, 3) == ((4,), (3, 1), (2, 2), (2, 1, 1))
+        assert partitions(4, 2) == ((4,), (3, 1), (2, 2))
+        assert partitions(0, 5) == ((),)
+        assert all(0 not in p and len(p) <= 3 for p in partitions(7, 3))
 
     def test_orbit_sizes_cover_compositions(self):
         for l, n in [(2, 3), (3, 4), (4, 5)]:
@@ -173,11 +175,12 @@ class TestCombinatorics:
         for n in range(1, 21):
             for total in range(0, 9):
                 for p in partitions(total, n):
+                    padded = p + (0,) * (n - len(p))
                     want = math.factorial(n)
-                    for c in Counter(p).values():
+                    for c in Counter(padded).values():
                         want //= math.factorial(c)
+                    assert orbit_size(padded, n) == want
                     assert orbit_size(p, n) == want
-                    assert orbit_size(tuple(x for x in p if x), n) == want
         with pytest.raises(ValueError):
             orbit_size((1, 1, 1), 2)
 

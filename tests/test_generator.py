@@ -62,9 +62,11 @@ def factorial_orbit_size(index, n: int) -> int:
 def symmetric_sector_oracle(basis, tag: str) -> np.ndarray:
     """Oracle: a symmetric sector assembled on zero-padded representatives, Q by
     visiting every pair (`apply_Q_monomial`), B by listing every composition,
-    each result grouped by sorting its exponent tuple."""
+    each result grouped by sorting its exponent tuple, and each entry's
+    rational part scale*(delta - total) formed exactly before one float
+    conversion."""
     n, level = basis.n_particles, basis.level
-    idx = [tuple(mi.entries) for mi in basis.indices]
+    idx = [mi.entries + (0,) * (n - len(mi.entries)) for mi in basis.indices]
     if tag == "L_T":
         return np.diag([float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in p))
                         for p in idx])
@@ -76,22 +78,21 @@ def symmetric_sector_oracle(basis, tag: str) -> np.ndarray:
         gamma = sphere_moment_Gamma_exact(p)
         return {beta: gamma * multinomial(level, beta) for beta in compositions(level, n)}
 
+    scale = Fraction(n) if tag == "L_K" else Fraction(n + 2, 2 * (n - 1))
     pos = {p: k for k, p in enumerate(idx)}
     orb = {p: factorial_orbit_size(p, n) for p in idx}
     norm2 = {p: math.prod(math.factorial(2 * a) for a in p) for p in idx}
     mat = np.zeros((len(idx), len(idx)))
     for col, p in enumerate(idx):
-        grouped = {}
+        grouped = {p: Fraction(0)}
         for beta, c in columns(p).items():
             q = tuple(sorted(beta, reverse=True))
             grouped[q] = grouped.get(q, Fraction(0)) + c
         for q, total in grouped.items():
+            exact = total if tag == "B" else scale * (int(q == p) - total)
             ratio = Fraction(orb[p] * norm2[q], orb[q] * norm2[p])
-            mat[pos[q], col] = float(total) * math.sqrt(float(ratio))
-    if tag == "B":
-        return mat
-    scale = float(n) if tag == "L_K" else kac_gap_Lambda(n)
-    return scale * (np.eye(len(idx)) - mat)
+            mat[pos[q], col] = float(exact) * math.sqrt(float(ratio))
+    return mat
 
 
 class TestBasis:
@@ -216,8 +217,8 @@ class TestAssembledMatrices:
         basis = sector_basis(3, 2, symmetric=True)
         lk = build_LK(basis)
         order = [tuple(m) for m in basis.indices]
-        i11 = order.index((1, 1, 0))
-        i2 = order.index((2, 0, 0))
+        i11 = order.index((1, 1))
+        i2 = order.index((2,))
         want = np.zeros((2, 2))
         want[0, 0] = 0.75
         want[0, 1] = want[1, 0] = -math.sqrt(3.0) / (2.0 * math.sqrt(2.0))
@@ -278,24 +279,24 @@ class TestSymmetricAssembly:
 
     def test_assembled_second_gap_approaches_limit(self):
         # criterion 03's O(1/N) check, on the assembled degree-4 sector
+        ladder = (10**3, 10**4, 10**5, 10**7, 10**9)
         for lam in (0.2, 1.0, 5.0):
             for mu in (0.5, 1.0, 2.0):
                 errs = []
-                for n in (10**3, 10**4, 10**5):
+                for n in ladder:
                     p = Params(n_particles=n, lam=lam, mu=mu)
                     sect = build_generator(sector_basis(n, 2, symmetric=True), p)
                     value = float(sect.eigenvalues()[0])
                     assert abs(value - second_gap_quadratic(p)) <= AGREEMENT_TOL
                     errs.append(abs(value - second_gap_limit(p)))
-                assert errs[0] > errs[1] > errs[2] > 0
-                assert max(n * e for n, e in zip((10**3, 10**4, 10**5), errs)) < 100.0
+                assert all(a > b > 0 for a, b in zip(errs, errs[1:]))
+                assert max(n * e for n, e in zip(ladder, errs)) < 100.0
 
 
 class TestFirstGap:
     def test_pinned(self):
         res = first_gap(Params(n_particles=5, lam=1.0, mu=1.0))
         assert res.value == 0.5
-        assert np.array_equal(res.eigenvector, np.ones(5))
 
     def test_thermostat_off_degenerate(self):
         res = first_gap(Params(n_particles=4, lam=1.0, mu=0.0))
