@@ -7,22 +7,29 @@ periodic rule (spectrally exact for trigonometric polynomials) and the
 Gaussian partner integral a 32-node Gauss-Hermite rule.  Because the
 Gauss-Hermite nodes are symmetric, the periodic rule folds onto the quarter
 period [0, pi/2]: the thermostat operator evaluates 65 angles instead of 256
-and needs a grid symmetric about 0 (every `uniform_nodes` grid is).
-Ratio-type functions G = f/g live against the standard Gaussian weight g;
-physical velocities are rescaled by sqrt(beta) before estimation.
+and needs a grid symmetric about 0 (every `uniform_nodes` grid is).  Since
+it annihilates the odd part of G, it is applied to the even part of G at the
+nodes v >= 0 only, and its output mirrored.  Ratio-type functions G = f/g live
+against the standard Gaussian weight g; physical velocities are rescaled by
+sqrt(beta) before estimation.
 
-Off-grid evaluation (the quadratures reach past the grid edge) extrapolates
-log G by the one-sided parabola through the three edge nodes, which is exact
-for Gaussian-family ratios, and falls back to edge clamping when the edge
-values are not positive.
+Inside the grid, values come from 8-point Lagrange interpolation, each
+stencil's polynomial held in power form and evaluated by Horner's rule.
+Off-grid evaluation (the quadratures reach past the grid edge) uses the exact
+extension when the grid has one; otherwise it extrapolates log G by a
+least-squares parabola over the edge window, which is exact for
+Gaussian-family ratios, and falls back to edge clamping when the edge values
+are not positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import hermite_e
 
 from .core import Params
@@ -129,37 +136,58 @@ def _tail_model(nodes: np.ndarray, values: np.ndarray, left: bool):
     return coef, edge
 
 
+def _power_form_matrix() -> np.ndarray:
+    """Row m: the coefficients of u^0 .. u^7 in the Lagrange basis polynomial
+    of stencil node m, with u = t - 3.5 centred on the 8-node stencil; exact
+    rationals, each rounded once to float."""
+    u = [Fraction(2 * k - (_STENCIL - 1), 2) for k in range(_STENCIL)]
+    rows = []
+    for m in range(_STENCIL):
+        coef = [Fraction(1)]  # prod over k != m of (u - u_k), lowest power first
+        for k in range(_STENCIL):
+            if k != m:
+                coef = [a - u[k] * b for a, b in zip([0, *coef], [*coef, 0])]
+        scale = math.prod(u[m] - u[k] for k in range(_STENCIL) if k != m)
+        rows.append([float(c / scale) for c in coef])
+    return np.array(rows)
+
+
+_POWER_FORM = _power_form_matrix()
+
+
 def evaluate(grid: DensityGrid, points: np.ndarray) -> np.ndarray:
     """Evaluate the gridded function at arbitrary points: 8-point Lagrange
-    interpolation inside the grid, the exact extension or tail model outside."""
+    interpolation inside the grid, the exact extension or tail model outside,
+    NaN at NaN points.
+
+    Inside, each stencil's interpolant is held in power form in u = t - 3.5
+    (t the position within the stencil): one (8, n - 7) coefficient table per
+    call, then one Horner pass per point with one gather per coefficient row.
+    Away from the two clipped edge stencils |u| <= 1/2."""
     nodes, values = grid.nodes, grid.values
     pts = np.asarray(points, dtype=float)
     flat = pts.ravel()
-    out = np.empty_like(flat)
+    out = np.full_like(flat, np.nan)
     h = grid.spacing
     x0 = nodes[0]
     n = nodes.size
 
     inside = (flat >= x0) & (flat <= nodes[-1])
     if np.any(inside):
-        p = flat[inside]
-        pos = (p - x0) / h
+        pos = (flat[inside] - x0) / h
         snapped = np.round(pos)
-        near = np.abs(pos - snapped) < 5e-9
-        pos[near] = snapped[near]
+        np.copyto(pos, snapped, where=np.abs(pos - snapped) < 5e-9)
         base = np.clip(np.floor(pos).astype(np.int64) - (_STENCIL // 2 - 1), 0, n - _STENCIL)
-        t = pos - base
-        acc = np.zeros_like(p)
-        for m in range(_STENCIL):
-            w = np.ones_like(p)
-            for k in range(_STENCIL):
-                if k == m:
-                    continue
-                w *= (t - k) / (m - k)
-            acc += w * values[base + m]
+        u = pos - base
+        u -= 0.5 * (_STENCIL - 1)
+        table = _POWER_FORM.T @ sliding_window_view(values, _STENCIL).T
+        acc = table[-1][base]
+        for row in table[-2::-1]:
+            acc *= u
+            acc += row[base]
         out[inside] = acc
 
-    outside = ~inside
+    outside = (flat < x0) | (flat > nodes[-1])  # a NaN point is neither, and stays NaN
     if np.any(outside):
         if grid.extension is not None:
             out[outside] = np.asarray(grid.extension(flat[outside]), dtype=float)
@@ -183,11 +211,12 @@ def _gauss_nodes(n: int = GAUSS_NODES):
 
 def ou_apply(G: DensityGrid, s: float, n_gauss: int = GAUSS_NODES) -> DensityGrid:
     """Gaussian smoothing semigroup at time s: the value at v is the Gaussian
-    average of G(e^-s v + sqrt(1 - e^-2s) w)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    average of G(e^-s v + sqrt(1 - e^-2s) w).  s = 0 is the identity, and
+    s = inf gives the constant integral of g * G."""
+    if not s >= 0:
+        raise ValueError(f"s must be >= 0, got {s!r}")
     if s == 0.0:
-        return DensityGrid(nodes=G.nodes, values=G.values.copy())
+        return DensityGrid(nodes=G.nodes, values=G.values.copy(), extension=G.extension)
     c = math.exp(-s)
     spread = math.sqrt(max(0.0, 1.0 - c * c))
     x, w = _gauss_nodes(n_gauss)
@@ -209,23 +238,31 @@ def t_apply(G: DensityGrid, n_theta: int = THETA_NODES,
         T[G](v) = (1/n_theta) sum_{k=0}^{n_theta/4} c_k [A_k(v) + A_k(-v)]
 
     with c_k = 1 at both ends of the quarter period and 2 inside.  A_k(-v) is
-    A_k reversed, so the grid must be symmetric about 0 and n_theta a multiple
-    of 4.
+    A_k of the reflection G(-.) at v, so A_k(v) + A_k(-v) = 2 A_k[G_e](v) for
+    the even part G_e = (G + G(-.))/2, and T[G] is evaluated only at the nodes
+    v >= 0 and mirrored.  On the grid G_e is the mean of the values and their
+    reversal; off it, it is the mean of G's own extension or tail model at +-q.
+    The grid must be symmetric about 0 and n_theta a multiple of 4.
     """
     if n_theta <= 0 or n_theta % 4:
         raise ValueError(f"n_theta must be a positive multiple of 4, got {n_theta}")
     nodes = G.nodes
     if np.max(np.abs(nodes + nodes[::-1])) > 1e-9 * G.spacing:
         raise ValueError("grid must be symmetric about 0")
+    even = DensityGrid(nodes=nodes, values=0.5 * (G.values + G.values[::-1]),
+                       extension=lambda q: 0.5 * (evaluate(G, q) + evaluate(G, -q)))
+    below = nodes.size // 2
+    half = nodes[below:]
     x, w = _gauss_nodes(n_gauss)
     quarter = n_theta // 4
-    acc = np.zeros_like(nodes)
+    acc = np.zeros_like(half)
     for k in range(quarter + 1):
         th = 2.0 * math.pi * k / n_theta
-        pts = math.cos(th) * nodes[:, None] + math.sin(th) * x[None, :]
+        pts = math.cos(th) * half[:, None] + math.sin(th) * x[None, :]
         c = 1.0 if k in (0, quarter) else 2.0
-        acc += c * (evaluate(G, pts) @ w)
-    return DensityGrid(nodes=nodes, values=(acc + acc[::-1]) / n_theta)
+        acc += c * (evaluate(even, pts) @ w)
+    acc *= 2.0 / n_theta
+    return DensityGrid(nodes=nodes, values=np.concatenate([acc[::-1][:below], acc]))
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:

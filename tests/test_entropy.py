@@ -73,6 +73,28 @@ def ratio_of_gaussian(variance, mean=0.0):
     return DensityGrid.from_function(fn)
 
 
+def product_form_evaluate(grid, points):
+    # reference interpolation inside the grid: each 8-point Lagrange weight as
+    # a product over the stencil, vectorized over the points
+    nodes, values = grid.nodes, grid.values
+    p = np.asarray(points, dtype=float).ravel()
+    assert np.all((p >= nodes[0]) & (p <= nodes[-1]))
+    pos = (p - nodes[0]) / grid.spacing
+    snapped = np.round(pos)
+    near = np.abs(pos - snapped) < 5e-9
+    pos[near] = snapped[near]
+    base = np.clip(np.floor(pos).astype(np.int64) - 3, 0, nodes.size - 8)
+    t = pos - base
+    acc = np.zeros_like(p)
+    for m in range(8):
+        w = np.ones_like(p)
+        for k in range(8):
+            if k != m:
+                w *= (t - k) / (m - k)
+        acc += w * values[base + m]
+    return acc
+
+
 def _gauss_hermite(n=GAUSS_NODES):
     x, w = hermite_e.hermegauss(n)
     return x, w / math.sqrt(2.0 * math.pi)
@@ -97,6 +119,14 @@ def quarter_average_gauss_legendre(G, n_theta=64):
         pts = math.cos(th) * G.nodes[:, None] + math.sin(th) * x[None, :]
         acc += wt * (evaluate(G, pts) @ w)
     return DensityGrid(nodes=G.nodes, values=acc)
+
+
+FOLD_CASES = pytest.mark.parametrize("fn", [
+    lambda v: np.exp(-0.25 * v**2) * (1.0 + 0.3 * v**2),      # even
+    lambda v: v,                                              # Hermite 1
+    lambda v: v**3 - 3.0 * v,                                 # Hermite 3
+    lambda v: 0.7 * np.exp(-((v - 1.1) ** 2)) + 0.3 * np.exp(-2.0 * (v + 0.4) ** 2),
+], ids=["even", "hermite1", "hermite3", "mixture"])
 
 
 class TestEvaluate:
@@ -125,6 +155,36 @@ class TestEvaluate:
         pts = np.array([-12.0, 12.0])
         want = np.exp(pts**2 / 4) / math.sqrt(2.0)
         assert np.max(np.abs(evaluate(g, pts) / want - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("grid", [
+        ratio_of_gaussian(2.0),
+        hermite_grid(6),
+        DensityGrid(DensityGrid.uniform_nodes(),
+                    np.random.default_rng(SEED).standard_normal(2048)),
+    ], ids=["ratio", "hermite6", "rough"])
+    def test_matches_product_form_oracle(self, grid):
+        rng = np.random.default_rng(SEED)
+        nodes, h = grid.nodes, grid.spacing
+        pts = np.concatenate([
+            rng.uniform(nodes[0], nodes[-1], 20_000),
+            nodes,                                                    # node hits
+            nodes[1:-1] + rng.uniform(-4.9e-9, 4.9e-9, nodes.size - 2) * h,  # snapped
+            rng.uniform(nodes[0], nodes[4], 500),                     # clipped left stencil
+            rng.uniform(nodes[-5], nodes[-1], 500),                   # clipped right stencil
+            nodes[[0, -1]],
+        ])
+        want = product_form_evaluate(grid, pts)
+        got = evaluate(grid, pts)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_nan_points_give_nan(self):
+        nodes = DensityGrid.uniform_nodes()
+        pts = np.array([np.nan, 0.3, -9.0, 9.0, np.nan])
+        for g in (DensityGrid(nodes, np.exp(-0.1 * nodes**2)),   # tail model
+                  ratio_of_gaussian(2.0)):                          # extension
+            out = evaluate(g, pts)
+            assert np.isnan(out[[0, 4]]).all()
+            assert np.isfinite(out[1:4]).all()
 
     def test_sign_changing_function_tails(self):
         nodes = DensityGrid.uniform_nodes()
@@ -225,6 +285,21 @@ class TestOuSemigroup:
         with pytest.raises(ValueError):
             ou_apply(hermite_grid(0), -0.1)
 
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError):
+            ou_apply(hermite_grid(0), math.nan)
+
+    def test_infinite_time_gives_gaussian_average(self):
+        g = ratio_of_gaussian(2.0, mean=0.3)
+        out = ou_apply(g, math.inf)
+        assert np.all(out.values == out.values[0])
+        assert math.isclose(out.values[0], 1.0, rel_tol=1e-12)  # g * G is a probability density
+
+    def test_identity_keeps_extension(self):
+        g = ratio_of_gaussian(2.0, mean=0.3)
+        pts = np.array([-12.0, -10.0, -8.5, 8.5, 10.0, 12.0])
+        assert np.array_equal(evaluate(ou_apply(g, 0.0), pts), evaluate(g, pts))
+
 
 class TestThermostatOperator:
     def test_constant_fixed(self):
@@ -259,17 +334,29 @@ class TestThermostatOperator:
             diff = DensityGrid(a.nodes, a.values - b.values)
             assert math.sqrt(max(gauss_inner(diff, diff), 0.0)) < 1e-8
 
-    @pytest.mark.parametrize("fn", [
-        lambda v: np.exp(-0.25 * v**2) * (1.0 + 0.3 * v**2),      # even
-        lambda v: v,                                              # Hermite 1
-        lambda v: v**3 - 3.0 * v,                                 # Hermite 3
-        lambda v: 0.7 * np.exp(-((v - 1.1) ** 2)) + 0.3 * np.exp(-2.0 * (v + 0.4) ** 2),
-    ], ids=["even", "hermite1", "hermite3", "mixture"])
+    @FOLD_CASES
     def test_fold_matches_full_period(self, fn):
         g = DensityGrid.from_function(fn, n=512)
         got = t_apply(g)
         want = full_period_t_apply(g)
         scale = max(1.0, float(np.max(np.abs(want.values))))
+        assert np.max(np.abs(got.values - want.values)) / scale <= 1e-12
+        assert np.array_equal(got.values, got.values[::-1])
+
+    @FOLD_CASES
+    @pytest.mark.parametrize("grid", ["odd", "tail"])
+    def test_fold_matches_full_period_odd_grid_and_tail_model(self, fn, grid):
+        # an odd node count puts a node at v = 0; a grid without an extension
+        # takes its off-grid values from the tail model on both sides.  T
+        # averages G, so the rounding of either rule scales with G; for odd G
+        # the output is 0 and the oracle's 256-angle sum cancels terms of
+        # size max|G| (2.6e-12 absolute for Hermite 3 on 511 nodes)
+        g = DensityGrid.from_function(fn, n=511 if grid == "odd" else 512)
+        if grid == "tail":
+            g = DensityGrid(g.nodes, g.values)
+        got = t_apply(g)
+        want = full_period_t_apply(g)
+        scale = max(1.0, float(np.max(np.abs(g.values))))
         assert np.max(np.abs(got.values - want.values)) / scale <= 1e-12
         assert np.array_equal(got.values, got.values[::-1])
 
