@@ -23,6 +23,8 @@ import numpy as np
 from .core import Params, angular_moment, gaussian_moment, hermite_eigenvalue_s
 
 DEFAULT_ORDER = 8
+STEP_ERROR_PER_TIME = 1e-10
+HANKEL_TOL = 1e-8
 
 
 class IntegrationError(RuntimeError):
@@ -48,12 +50,9 @@ class MomentVector:
         return self.m.size - 1
 
     @classmethod
-    def gaussian(cls, beta: float, order: int = DEFAULT_ORDER, mean: float = 0.0,
-                 time: float = 0.0) -> "MomentVector":
-        return cls(
-            m=np.array([gaussian_moment(k, 1.0 / beta, mean) for k in range(order + 1)]),
-            time=time,
-        )
+    def gaussian(cls, beta: float) -> "MomentVector":
+        """Moments m_0..m_DEFAULT_ORDER of the centred Gaussian of variance 1/beta."""
+        return cls(m=np.array([gaussian_moment(k, 1.0 / beta) for k in range(DEFAULT_ORDER + 1)]))
 
 
 @dataclass
@@ -126,14 +125,12 @@ def integrate_moments(
     horizon: float,
     dt: float = 1e-2,
     sample_times=None,
-    err_per_time: float = 1e-10,
-    hankel_tol: float = 1e-8,
 ) -> MomentSeries:
     """Integrate the hierarchy with step-doubling error control.
 
-    Local error (full step vs two half steps) is kept below err_per_time per
-    unit time on every component, relative to max(1, |m|).  Moment-matrix
-    positivity is checked at every output time.
+    Local error (full step vs two half steps) is kept below STEP_ERROR_PER_TIME
+    per unit time on every component, relative to max(1, |m|).  Moment-matrix
+    positivity is checked at every output time, to HANKEL_TOL.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -167,7 +164,7 @@ def integrate_moments(
                 half = _rk4(f, _rk4(f, y, 0.5 * step), 0.5 * step)
                 scale = np.maximum(1.0, np.abs(y))
                 err = float(np.max(np.abs(full - half) / scale))
-                if err <= max(err_per_time * step, roundoff_floor) or step < 1e-12:
+                if err <= max(STEP_ERROR_PER_TIME * step, roundoff_floor) or step < 1e-12:
                     break
                 step *= 0.5
                 stretched = False
@@ -175,10 +172,10 @@ def integrate_moments(
             # fifth-order local extrapolation of the doubled step
             y = half + (half - full) / 15.0
             t += step
-            if not stretched and err < 0.25 * max(err_per_time * step, roundoff_floor):
+            if not stretched and err < 0.25 * max(STEP_ERROR_PER_TIME * step, roundoff_floor):
                 h = min(2.0 * h, dt * 16.0)
         out[row] = y
-        if _hankel_min_eig(y) < -hankel_tol:
+        if _hankel_min_eig(y) < -HANKEL_TOL:
             raise IntegrationError(
                 f"moment matrix lost positivity at t={target:g} "
                 "(increase the order or reduce the step)"

@@ -42,7 +42,6 @@ class MarginalSet:
     edges: np.ndarray
     n_particles: int
     n_replicas: int
-    time: float
 
     @property
     def centers(self) -> np.ndarray:
@@ -68,11 +67,9 @@ def extract_marginals(
     snapshot: np.ndarray,
     k: int,
     beta: float = 1.0,
-    bins: int | None = None,
-    half_width: float = GRID_HALF_WIDTH,
-    time: float = 0.0,
 ) -> MarginalSet:
-    """One- or two-particle marginal histogram from an (M, N) snapshot.
+    """One- or two-particle marginal histogram from an (M, N) snapshot, with
+    GRID_BINS_1D or GRID_BINS_2D cells per axis over +-GRID_HALF_WIDTH sigma.
 
     Pooling runs over all particles (k=1) or all ordered distinct pairs (k=2)
     of every replica, so permuting particle labels cannot change the result.
@@ -81,25 +78,20 @@ def extract_marginals(
     if v.ndim != 2:
         raise ValueError("snapshot must be (replicas, particles)")
     m, n = v.shape
-    if k == 1:
-        bins = GRID_BINS_1D if bins is None else bins
-    elif k == 2:
-        if n < 2:
-            raise ValueError("pair marginal needs N >= 2")
-        bins = GRID_BINS_2D if bins is None else bins
-    else:
+    if k not in (1, 2):
         raise ValueError(f"marginal order must be 1 or 2, got {k}")
+    if k == 2 and n < 2:
+        raise ValueError("pair marginal needs N >= 2")
+    bins = GRID_BINS_1D if k == 1 else GRID_BINS_2D
 
     scale = 1.0 / math.sqrt(beta)
-    edges = np.linspace(-half_width * scale, half_width * scale, bins + 1)
+    edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
     counts = cell_counts(v, edges)
     if k == 1:
         masses = counts.sum(axis=0) / (m * n)
     else:
         masses = _weighted_masses(counts, np.ones(m))[1]
-    return MarginalSet(
-        k=k, masses=masses, edges=edges, n_particles=n, n_replicas=m, time=time
-    )
+    return MarginalSet(k=k, masses=masses, edges=edges, n_particles=n, n_replicas=m)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,6 @@ def chaos_ladder(
     seed: int = 0,
     initial_temperature: float = 2.0,
     n_bootstrap: int = 16,
-    bins: int = GRID_BINS_2D,
 ) -> list[ChaosLadderPoint]:
     """Factorization defect at a fixed time across a ladder of system sizes.
 
@@ -196,7 +187,7 @@ def chaos_ladder(
             snapshot_times=[t],
         )
         scale = 1.0 / math.sqrt(params.beta)
-        edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
+        edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, GRID_BINS_2D + 1)
         counts = cell_counts(series.snapshots[t], edges)
         metric = _metric_from_masses(*_weighted_masses(counts, np.ones(n_replicas)), edges, edges)
         weights = np.random.default_rng(seed + 0xC0FFEE).multinomial(

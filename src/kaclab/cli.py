@@ -267,8 +267,8 @@ def emit_csv(path: str, header: list[str], rows, comments=()) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _out_path(config: RunConfig, key: str = "out") -> str:
-    path = config.options.get(key)
+def _out_path(config: RunConfig) -> str:
+    path = config.options.get("out")
     if path:
         return path
     outdir = os.environ.get(OUTDIR_ENV, ".")

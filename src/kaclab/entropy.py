@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +40,9 @@ GRID_POINTS = 2048
 GRID_HALF_WIDTH = 8.0
 THETA_NODES = 256
 GAUSS_NODES = 32
+ESTIMATOR_BINS = 256
+THERMOSTAT_CHECK_TOL = 1e-8
+MARGINAL_CHECK_TOL = 1e-10
 _STENCIL = 8
 _LOG_FLOOR = 1e-300
 
@@ -111,7 +115,7 @@ class DensityGrid:
         return cls(nodes=nodes, values=np.asarray(fn(nodes), dtype=float), extension=fn)
 
     @classmethod
-    def gaussian(cls, variance: float = 1.0, mean: float = 0.0, n: int = GRID_POINTS,
+    def gaussian(cls, variance: float = 1.0, mean: float = 0.0,
                  half_width: float = GRID_HALF_WIDTH) -> "DensityGrid":
         def fn(v):
             v = np.asarray(v, dtype=float)
@@ -119,7 +123,7 @@ class DensityGrid:
                 2 * math.pi * variance
             )
 
-        return cls.from_function(fn, n=n, half_width=half_width)
+        return cls.from_function(fn, half_width=half_width)
 
 
 _TAIL_WINDOW = 128  # one-sided fit window, ~1 velocity unit on the default grid
@@ -134,6 +138,32 @@ def _tail_model(nodes: np.ndarray, values: np.ndarray, left: bool):
         return None, edge
     coef = np.polyfit(x, np.log(y), 2)
     return coef, edge
+
+
+def _tail_values(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp of the tail parabola at x, its log clipped to [-745, 700]: np.polyval's
+    value at finite x, and the curve's limit at +-inf (Horner meets no 0 * inf)."""
+    lead = np.append(np.trim_zeros(coef[:-1], "f"), coef[-1])
+    logs = np.full_like(x, lead[0])
+    with np.errstate(over="ignore"):  # an overflowed log is clipped like any other
+        for p in lead[1:]:
+            logs = logs * x + p
+    return np.exp(np.clip(logs, -745.0, 700.0))
+
+
+def _off_grid(grid: DensityGrid, pts: np.ndarray) -> np.ndarray:
+    """Values at 1-d points outside the grid: the exact extension if there is
+    one, else the nearer edge's tail model (fitted curve or clamped edge)."""
+    if grid.extension is not None:
+        return np.asarray(grid.extension(pts), dtype=float)
+    nodes, values = grid.nodes, grid.values
+    out = np.empty_like(pts)
+    left = pts < 0.5 * (nodes[0] + nodes[-1])
+    for is_left, mask in ((True, left), (False, ~left)):
+        if np.any(mask):
+            coef, edge = _tail_model(nodes, values, left=is_left)
+            out[mask] = edge if coef is None else _tail_values(coef, pts[mask])
+    return out
 
 
 def _power_form_matrix() -> np.ndarray:
@@ -157,8 +187,8 @@ _POWER_FORM = _power_form_matrix()
 
 def evaluate(grid: DensityGrid, points: np.ndarray) -> np.ndarray:
     """Evaluate the gridded function at arbitrary points: 8-point Lagrange
-    interpolation inside the grid, the exact extension or tail model outside,
-    NaN at NaN points.
+    interpolation inside the grid, `_off_grid` (the exact extension or the
+    tail model, whose limit it takes at +-inf) outside, NaN at NaN points.
 
     Inside, each stencil's interpolant is held in power form in u = t - 3.5
     (t the position within the stencil): one (8, n - 7) coefficient table per
@@ -189,79 +219,72 @@ def evaluate(grid: DensityGrid, points: np.ndarray) -> np.ndarray:
 
     outside = (flat < x0) | (flat > nodes[-1])  # a NaN point is neither, and stays NaN
     if np.any(outside):
-        if grid.extension is not None:
-            out[outside] = np.asarray(grid.extension(flat[outside]), dtype=float)
-        else:
-            for is_left, mask in ((True, flat < x0), (False, flat > nodes[-1])):
-                if not np.any(mask):
-                    continue
-                coef, edge = _tail_model(nodes, values, left=is_left)
-                if coef is None:
-                    out[mask] = edge
-                else:
-                    logs = np.clip(np.polyval(coef, flat[mask]), -745.0, 700.0)
-                    out[mask] = np.exp(logs)
+        out[outside] = _off_grid(grid, flat[outside])
     return out.reshape(pts.shape)
 
 
-def _gauss_nodes(n: int = GAUSS_NODES):
-    x, w = hermite_e.hermegauss(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+@lru_cache(maxsize=None)
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: at import, hermegauss's LAPACK call raises every run's peak RSS
+    x, w = hermite_e.hermegauss(GAUSS_NODES)
+    w = w / math.sqrt(2.0 * math.pi)
+    for table in (x, w):
+        table.flags.writeable = False
+    return x, w
 
 
-def ou_apply(G: DensityGrid, s: float, n_gauss: int = GAUSS_NODES) -> DensityGrid:
+def _gauss_average(G: DensityGrid, v: np.ndarray, c: float, s: float) -> np.ndarray:
+    """sum_j w_j G(c v + s x_j) at each v: the Gaussian average of
+    G(c v + s .) by the GAUSS_NODES-point Gauss-Hermite rule."""
+    x, w = _gauss_nodes()
+    return evaluate(G, c * v[:, None] + s * x[None, :]) @ w
+
+
+def ou_apply(G: DensityGrid, s: float) -> DensityGrid:
     """Gaussian smoothing semigroup at time s: the value at v is the Gaussian
-    average of G(e^-s v + sqrt(1 - e^-2s) w).  s = 0 is the identity, and
-    s = inf gives the constant integral of g * G."""
+    average of G(e^-s v + sqrt(1 - e^-2s) w), by `_gauss_average`.  s = 0 is
+    the identity, and s = inf gives the constant integral of g * G."""
     if not s >= 0:
         raise ValueError(f"s must be >= 0, got {s!r}")
     if s == 0.0:
         return DensityGrid(nodes=G.nodes, values=G.values.copy(), extension=G.extension)
     c = math.exp(-s)
     spread = math.sqrt(max(0.0, 1.0 - c * c))
-    x, w = _gauss_nodes(n_gauss)
-    pts = c * G.nodes[:, None] + spread * x[None, :]
-    vals = evaluate(G, pts) @ w
-    return DensityGrid(nodes=G.nodes, values=vals)
+    return DensityGrid(nodes=G.nodes, values=_gauss_average(G, G.nodes, c, spread))
 
 
-def t_apply(G: DensityGrid, n_theta: int = THETA_NODES,
-            n_gauss: int = GAUSS_NODES) -> DensityGrid:
+def t_apply(G: DensityGrid) -> DensityGrid:
     """Thermostat averaging operator: Gaussian partner plus uniform rotation
     angle.  Output is exactly even in v; odd input is annihilated.
 
-    The n_theta-point periodic angle rule is folded onto the quarter period.
-    With A_k(v) = sum_j w_j G(cos(theta_k) v + sin(theta_k) x_j), the symmetric
-    Gauss-Hermite nodes make the angles theta + pi, pi - theta and 2 pi - theta
-    contribute A_k(+-v), so
+    The n = THETA_NODES point periodic angle rule is folded onto the quarter
+    period.  With A_k(v) = `_gauss_average` of G(cos(theta_k) v + sin(theta_k) .),
+    the symmetric Gauss-Hermite nodes make the angles theta + pi, pi - theta
+    and 2 pi - theta contribute A_k(+-v), so
 
-        T[G](v) = (1/n_theta) sum_{k=0}^{n_theta/4} c_k [A_k(v) + A_k(-v)]
+        T[G](v) = (1/n) sum_{k=0}^{n/4} c_k [A_k(v) + A_k(-v)]
 
     with c_k = 1 at both ends of the quarter period and 2 inside.  A_k(-v) is
     A_k of the reflection G(-.) at v, so A_k(v) + A_k(-v) = 2 A_k[G_e](v) for
     the even part G_e = (G + G(-.))/2, and T[G] is evaluated only at the nodes
     v >= 0 and mirrored.  On the grid G_e is the mean of the values and their
-    reversal; off it, it is the mean of G's own extension or tail model at +-q.
-    The grid must be symmetric about 0 and n_theta a multiple of 4.
+    reversal; off it, the mean of G's own `_off_grid` values at +-q.  The grid
+    must be symmetric about 0.
     """
-    if n_theta <= 0 or n_theta % 4:
-        raise ValueError(f"n_theta must be a positive multiple of 4, got {n_theta}")
     nodes = G.nodes
     if np.max(np.abs(nodes + nodes[::-1])) > 1e-9 * G.spacing:
         raise ValueError("grid must be symmetric about 0")
     even = DensityGrid(nodes=nodes, values=0.5 * (G.values + G.values[::-1]),
-                       extension=lambda q: 0.5 * (evaluate(G, q) + evaluate(G, -q)))
+                       extension=lambda q: 0.5 * (_off_grid(G, q) + _off_grid(G, -q)))
     below = nodes.size // 2
     half = nodes[below:]
-    x, w = _gauss_nodes(n_gauss)
-    quarter = n_theta // 4
+    quarter = THETA_NODES // 4
     acc = np.zeros_like(half)
     for k in range(quarter + 1):
-        th = 2.0 * math.pi * k / n_theta
-        pts = math.cos(th) * half[:, None] + math.sin(th) * x[None, :]
-        c = 1.0 if k in (0, quarter) else 2.0
-        acc += c * (evaluate(even, pts) @ w)
-    acc *= 2.0 / n_theta
+        th = 2.0 * math.pi * k / THETA_NODES
+        weight = 1.0 if k in (0, quarter) else 2.0
+        acc += weight * _gauss_average(even, half, math.cos(th), math.sin(th))
+    acc *= 2.0 / THETA_NODES
     return DensityGrid(nodes=nodes, values=np.concatenate([acc[::-1][:below], acc]))
 
 
@@ -336,8 +359,6 @@ def _plugin_kl(p: np.ndarray, q: np.ndarray, n: int) -> float:
 def relative_entropy_samples(
     samples,
     beta: float,
-    bins: int = 256,
-    half_width: float = GRID_HALF_WIDTH,
     n_bootstrap: int = 200,
     seed: int = 0,
 ) -> EntropyEstimate:
@@ -351,7 +372,7 @@ def relative_entropy_samples(
         raise EstimatorError(f"need at least 1000 samples, got {n}")
     if float(u.std()) == 0.0:
         raise EstimatorError("degenerate sample (all values equal)")
-    edges = np.linspace(-half_width, half_width, bins + 1)
+    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
     counts = cell_counts(u, edges)
     q = _gaussian_cell_masses(edges)
     p = counts / n
@@ -378,10 +399,10 @@ class ThermostatEntropyReport:
     margin_smoothed: float
 
 
-def check_thermostat_entropy_inequality(
-    G: DensityGrid, tol: float = 1e-8, strict: bool = True
-) -> ThermostatEntropyReport:
-    """Both forms of the one-particle thermostat entropy inequality."""
+def check_thermostat_entropy_inequality(G: DensityGrid,
+                                        strict: bool = True) -> ThermostatEntropyReport:
+    """Both forms of the one-particle thermostat entropy inequality; with
+    `strict`, a margin below -THERMOSTAT_CHECK_TOL raises."""
     g = standard_gaussian(G.nodes)
     mass = float(np.trapezoid(g * G.values, G.nodes))
     if abs(mass - 1.0) > 1e-6:
@@ -398,6 +419,7 @@ def check_thermostat_entropy_inequality(
         margin=rhs - lhs,
         margin_smoothed=rhs - lhs_smoothed,
     )
+    tol = THERMOSTAT_CHECK_TOL
     if strict and (report.margin < -tol or report.margin_smoothed < -tol):
         raise EntropyCheckError(f"thermostat entropy inequality violated: {report}")
     return report
@@ -410,11 +432,10 @@ class MarginalEntropyReport:
     margin: float
 
 
-def check_marginal_entropy_inequality(
-    joint, tol: float = 1e-10, strict: bool = True
-) -> MarginalEntropyReport:
+def check_marginal_entropy_inequality(joint) -> MarginalEntropyReport:
     """Sum of dropped-coordinate marginal entropies against (N-1) times the
-    joint entropy, for a discrete joint density on a product grid."""
+    joint entropy, for a discrete joint density on a product grid; a margin
+    below -MARGINAL_CHECK_TOL raises."""
     p = np.asarray(joint, dtype=float)
     n = p.ndim
     if n < 2 or n > 4:
@@ -427,7 +448,7 @@ def check_marginal_entropy_inequality(
     lhs = sum(float(_xlogx(p.sum(axis=j)).sum()) for j in range(n))
     rhs = (n - 1) * float(_xlogx(p).sum())
     report = MarginalEntropyReport(lhs=lhs, rhs=rhs, margin=rhs - lhs)
-    if strict and report.margin < -tol:
+    if report.margin < -MARGINAL_CHECK_TOL:
         raise EntropyCheckError(f"marginal entropy inequality violated: {report}")
     return report
 
@@ -470,7 +491,6 @@ def entropy_decay_experiment(
     n_replicas: int,
     sample_times=None,
     seed: int = 0,
-    bins: int = 256,
     n_bootstrap: int = 200,
 ) -> EntropyDecaySeries:
     """Track the one-particle relative-entropy proxy along a simulation and
@@ -502,7 +522,7 @@ def entropy_decay_experiment(
     err = np.empty(times.size)
     for k, t in enumerate(times):
         value, stderr = _pooled_estimate_with_cluster_bootstrap(
-            series.snapshots[float(t)], params.beta, bins, n_bootstrap, rng
+            series.snapshots[float(t)], params.beta, ESTIMATOR_BINS, n_bootstrap, rng
         )
         est[k] = n * value
         err[k] = n * stderr

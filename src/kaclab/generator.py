@@ -353,17 +353,17 @@ class FirstGap:
     eigenvalues_checked: np.ndarray
 
 
-def _check_tol(tol: float, *sectors: SectorMatrix) -> float:
+def _check_tol(*sectors: SectorMatrix) -> float:
     # eigenvalues carry roundoff relative to the entries: scale the absolute
     # tolerance by the largest entry once that exceeds 1
-    return tol * max([1.0] + [float(np.max(np.abs(m.entries))) for m in sectors])
+    return AGREEMENT_TOL * max([1.0] + [float(np.max(np.abs(m.entries))) for m in sectors])
 
 
-def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
+def first_gap(params: Params) -> FirstGap:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
     assembled operator on the symmetric degree-2 and degree-4 sectors, to
-    `tol` times max(1, largest |entry| of those sectors)."""
+    AGREEMENT_TOL times max(1, largest |entry| of those sectors)."""
     n = params.n_particles
     if n < 2:
         raise ValueError("gap computation needs N >= 2")
@@ -373,7 +373,7 @@ def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
     ev2 = g2.eigenvalues()
     ev4 = g4.eigenvalues()
     allev = np.sort(np.concatenate([ev2, ev4]))
-    tol = _check_tol(tol, g2, g4)
+    tol = _check_tol(g2, g4)
     if params.mu > 0:
         if abs(allev[0] - closed) > tol:
             raise AssemblyError(
@@ -388,13 +388,17 @@ def first_gap(params: Params, tol: float = AGREEMENT_TOL) -> FirstGap:
     return FirstGap(value=closed, eigenvalues_checked=allev)
 
 
-def _second_gap_quadratic_coeffs(params: Params) -> tuple[float, float]:
+def _sector_quadratic(level: int, params: Params) -> tuple[float, float]:
+    """(b, c) of the sector quadratic x^2 - b x + c at level l, s = s_{2l}:
+    b = lam Lambda_N + (2 - s) mu and c = mu (lam Lambda_N + (1 - s) mu)
+    - s lam Lambda_N mu (N Gamma((l,))), N Gamma exact until one rounding."""
     n = params.n_particles
     lam_L = params.lam * kac_gap_Lambda(n)
-    b = lam_L + 13.0 * params.mu / 8.0
-    c = params.mu * (lam_L + 5.0 * params.mu / 8.0) - (3.0 / 8.0) * lam_L * params.mu * (
-        3.0 / (n + 2)
-    )
+    mu = params.mu
+    s = float(hermite_eigenvalue_s_exact(2 * level))
+    n_gamma = float(n * sphere_moment_Gamma_exact((level,), n))
+    b = lam_L + (2.0 - s) * mu
+    c = mu * (lam_L + (1.0 - s) * mu) - s * lam_L * mu * n_gamma
     return b, c
 
 
@@ -412,8 +416,7 @@ def _lower_root(b: float, c: float) -> tuple[float, float]:
 
 def second_gap_quadratic(params: Params) -> float:
     """Lower root of the explicit second-gap quadratic."""
-    b, c = _second_gap_quadratic_coeffs(params)
-    return _lower_root(b, c)[0]
+    return second_gap_pair(params)[0]
 
 
 def second_gap_matrix(params: Params) -> np.ndarray:
@@ -438,14 +441,13 @@ def second_gap_limit(params: Params) -> float:
 def second_gap_pair(params: Params) -> tuple[float, float]:
     """Both roots of the second-gap quadratic (lower, upper).  Which branch an
     eigenfunction class follows for extreme lam/mu ratios is not decided here."""
-    b, c = _second_gap_quadratic_coeffs(params)
-    return _lower_root(b, c)
+    return _lower_root(*_sector_quadratic(2, params))
 
 
-def second_gap(params: Params, tol: float = AGREEMENT_TOL) -> float:
+def second_gap(params: Params) -> float:
     """Second spectral gap by three independent routes (quadratic formula,
-    closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector),
-    required to agree to `tol` times max(1, largest |entry| of the sector)."""
+    closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector), required
+    to agree to AGREEMENT_TOL times max(1, largest |entry| of the sector)."""
     if params.n_particles < 2:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
@@ -455,7 +457,7 @@ def second_gap(params: Params, tol: float = AGREEMENT_TOL) -> float:
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
     values = (r_quad, r_mat, r_sector)
-    if max(values) - min(values) > _check_tol(tol, sect):
+    if max(values) - min(values) > _check_tol(sect):
         raise AssemblyError(
             "second-gap routes disagree: "
             f"quadratic={r_quad!r} matrix={r_mat!r} sector={r_sector!r}"
@@ -464,15 +466,8 @@ def second_gap(params: Params, tol: float = AGREEMENT_TOL) -> float:
 
 
 def sector_gap_bound(level: int, params: Params) -> float:
-    """Closed-form lower bound x_l for the smallest eigenvalue of
-    mu*L_T + lam*L_R on the degree-2l sector."""
+    """Closed-form lower bound x_l for the smallest eigenvalue of mu*L_T + lam*L_R
+    on the degree-2l sector: `_sector_quadratic`'s lower root (level 2: the second gap)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    n = params.n_particles
-    lam_L = params.lam * kac_gap_Lambda(n)
-    mu = params.mu
-    s = float(hermite_eigenvalue_s_exact(2 * level))
-    n_gamma = n * float(sphere_moment_Gamma_exact((level,), n))
-    b = lam_L + (2.0 - s) * mu
-    c = (1.0 - s) * mu * mu + lam_L * mu - lam_L * mu * s * n_gamma
-    return _lower_root(b, c)[0]
+    return _lower_root(*_sector_quadratic(level, params))[0]

@@ -333,7 +333,6 @@ def run(
     sample_times: Sequence[float] | None = None,
     seed: int = 0,
     initial: InitialCondition | None = None,
-    histogram_bins: int = HISTOGRAM_BINS,
     snapshot_times: Sequence[float] = (),
 ) -> ObservableSeries:
     """Evolve an ensemble and record observables at the sampling grid."""
@@ -352,14 +351,14 @@ def run(
     ens = Ensemble.create(params, n_replicas, seed, initial)
     sigma = 1.0 / math.sqrt(params.beta)
     edges = np.linspace(-HISTOGRAM_HALF_WIDTH * sigma, HISTOGRAM_HALF_WIDTH * sigma,
-                        histogram_bins + 1)
+                        HISTOGRAM_BINS + 1)
 
     t_count = times.size
     ke = np.empty(t_count)
     ke_err = np.empty(t_count)
     mom = np.empty((t_count, N_MOMENTS))
     mom_err = np.empty((t_count, N_MOMENTS))
-    masses = np.empty((t_count, histogram_bins + 2))
+    masses = np.empty((t_count, HISTOGRAM_BINS + 2))
     snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ class TestEvaluate:
         assert out[1] == g.values[0]
         assert math.isclose(out[0], 9.0, rel_tol=5e-3)
 
+    def test_infinite_points_take_the_tail_limit(self):
+        # without an extension, +-inf gets the limit of the tail curve (its log
+        # clipped to [-745, 700]), which is also its value at +-1e300, and
+        # neither warns
+        nodes = DensityGrid.uniform_nodes()
+        for values, want in ((np.exp(-0.1 * nodes**2), math.exp(-745.0)),
+                             (np.exp(0.05 * nodes**2), math.exp(700.0)),
+                             (np.ones_like(nodes), 1.0)):
+            g = DensityGrid(nodes, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                at_inf = evaluate(g, np.array([np.inf, -np.inf]))
+                at_big = evaluate(g, np.array([1e300, -1e300]))
+            assert np.array_equal(at_inf, at_big)
+            assert np.allclose(at_inf, want, rtol=1e-12, atol=0.0)
+        clamped = DensityGrid(nodes, nodes.copy())  # left edge negative: clamped
+        assert evaluate(clamped, np.array([-np.inf]))[0] == nodes[0]
+
 
 class TestRelativeEntropyGrid:
     def test_equilibrium_is_zero(self):
@@ -365,11 +384,6 @@ class TestThermostatOperator:
         shifted = nodes + 0.5 * (nodes[1] - nodes[0])
         with pytest.raises(ValueError, match="symmetric"):
             t_apply(DensityGrid(shifted, np.ones_like(shifted)))
-
-    def test_rejects_angle_count_not_multiple_of_four(self):
-        g = DensityGrid.from_function(np.ones_like, n=512)
-        with pytest.raises(ValueError, match="multiple of 4"):
-            t_apply(g, n_theta=254)
 
 
 class TestThermostatEntropyInequality:

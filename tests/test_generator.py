@@ -364,9 +364,9 @@ class TestSecondGap:
 
 class TestSectorGapBound:
     def test_reduces_to_second_gap_quadratic(self):
-        for n in (2, 3, 6):
+        for n in (2, 3, 6, 10**9):
             p = Params(n_particles=n, lam=0.8, mu=1.7)
-            assert abs(sector_gap_bound(2, p) - second_gap_quadratic(p)) < 1e-12
+            assert sector_gap_bound(2, p) == second_gap_quadratic(p)
 
     def test_pure_thermostat_branch(self):
         for level, s in [(1, 0.5), (2, 3.0 / 8.0), (3, 5.0 / 16.0)]:
