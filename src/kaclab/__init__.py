@@ -2,7 +2,6 @@
 thermostatted Kac particle system."""
 
 from .core import (
-    MultiIndex,
     Params,
     angular_moment,
     hermite_eigenvalue_s,
@@ -11,7 +10,6 @@ from .core import (
 )
 
 __all__ = [
-    "MultiIndex",
     "Params",
     "angular_moment",
     "hermite_eigenvalue_s",

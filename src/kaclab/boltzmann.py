@@ -134,11 +134,13 @@ def integrate_moments(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 65)
     times = np.asarray(sample_times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("sample times must be finite")
     if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0) or times[-1] > horizon + 1e-12:
         raise ValueError("sample times must be increasing within [0, horizon]")
 

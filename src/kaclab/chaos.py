@@ -63,6 +63,11 @@ def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     return singles / (total * n), pair / (total * n * (n - 1))
 
 
+def _grid_edges(beta: float, bins: int) -> np.ndarray:
+    scale = 1.0 / math.sqrt(beta)
+    return np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
+
+
 def extract_marginals(
     snapshot: np.ndarray,
     k: int,
@@ -82,10 +87,7 @@ def extract_marginals(
         raise ValueError(f"marginal order must be 1 or 2, got {k}")
     if k == 2 and n < 2:
         raise ValueError("pair marginal needs N >= 2")
-    bins = GRID_BINS_1D if k == 1 else GRID_BINS_2D
-
-    scale = 1.0 / math.sqrt(beta)
-    edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
+    edges = _grid_edges(beta, GRID_BINS_1D if k == 1 else GRID_BINS_2D)
     counts = cell_counts(v, edges)
     if k == 1:
         masses = counts.sum(axis=0) / (m * n)
@@ -126,25 +128,29 @@ def _phi_cells(degree: int, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _metric_from_masses(m1: np.ndarray, m2: np.ndarray, edges1: np.ndarray,
-                        edges2: np.ndarray) -> float:
-    singles = {d: float(_phi_cells(d, edges1) @ m1) for d in range(5)}
-    pair_cells = {d: _phi_cells(d, edges2) for d in range(5)}
+def _metric_from_masses(m1: np.ndarray, m2: np.ndarray, edges: np.ndarray) -> float:
+    phi = [_phi_cells(d, edges) for d in range(5)]
+    singles = [float(p @ m1) for p in phi]
     worst = 0.0
     for i, j in _DICTIONARY_DEGREES:
-        pair_val = float(pair_cells[i] @ m2 @ pair_cells[j])
+        pair_val = float(phi[i] @ m2 @ phi[j])
         worst = max(worst, abs(pair_val - singles[i] * singles[j]))
     return worst
 
 
-def chaos_metric(one: MarginalSet, two: MarginalSet) -> float:
+def _defect(counts: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> float:
+    return _metric_from_masses(*_weighted_masses(counts, weights), edges)
+
+
+def chaos_metric(snapshot: np.ndarray, beta: float = 1.0) -> float:
     """Worst factorization defect |<phi_i x phi_j, f2> - <phi_i, f1><phi_j, f1>|
-    over the test-function dictionary."""
-    if one.k != 1 or two.k != 2:
-        raise ValueError("expected a one-particle and a two-particle marginal")
-    if one.n_particles != two.n_particles:
-        raise ValueError("marginals come from different ensembles")
-    return _metric_from_masses(one.masses, two.masses, one.edges, two.edges)
+    over the test-function dictionary, for the one- and two-particle marginals
+    of an (M, N) snapshot counted on one GRID_BINS_2D grid (as `chaos_ladder`)."""
+    v = np.asarray(snapshot, dtype=float)
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError("snapshot must be (replicas, particles) with at least 2 particles")
+    edges = _grid_edges(beta, GRID_BINS_2D)
+    return _defect(cell_counts(v, edges), np.ones(v.shape[0]), edges)
 
 
 @dataclass
@@ -186,14 +192,12 @@ def chaos_ladder(
             initial=uniform,
             snapshot_times=[t],
         )
-        scale = 1.0 / math.sqrt(params.beta)
-        edges = np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, GRID_BINS_2D + 1)
+        edges = _grid_edges(params.beta, GRID_BINS_2D)
         counts = cell_counts(series.snapshots[t], edges)
-        metric = _metric_from_masses(*_weighted_masses(counts, np.ones(n_replicas)), edges, edges)
+        metric = _defect(counts, np.ones(n_replicas), edges)
         weights = np.random.default_rng(seed + 0xC0FFEE).multinomial(
             n_replicas, np.full(n_replicas, 1.0 / n_replicas), size=n_bootstrap)
-        boots = [_metric_from_masses(*_weighted_masses(counts, w.astype(float)), edges, edges)
-                 for w in weights]
+        boots = [_defect(counts, w.astype(float), edges) for w in weights]
         out.append(
             ChaosLadderPoint(
                 n_particles=n, time=t, metric=metric,

@@ -46,65 +46,81 @@ class UsageError(Exception):
     pass
 
 
-# schema: key -> (python type, default, required)
+# a key's domain: a predicate on its converted value, and what the value must be
+_ABOVE_0 = (lambda x: x > 0, "> 0")
+_AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
+_AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
+_AT_LEAST_2 = (lambda x: x >= 2, ">= 2")
+_SEED = (lambda x: 0 <= x < 2**64, "in [0, 2**64)")
+_ANY = (lambda x: True, "")
+
+
+def _is_ladder(text: str) -> bool:
+    try:
+        return all(int(x) >= 2 for x in text.split(","))
+    except ValueError:
+        return False
+
+
+_LADDER = (_is_ladder, "a comma list of integers >= 2")
+
+# schema: key -> (python type, default, required, domain); every float must
+# also be finite
 _COMMON = {
-    "n": (int, None, False),
-    "lam": (float, 1.0, False),
-    "mu": (float, 1.0, False),
-    "beta": (float, 1.0, False),
-    "seed": (int, 0, False),
-    "out": (str, None, False),
+    "lam": (float, 1.0, False, _AT_LEAST_0),
+    "mu": (float, 1.0, False, _AT_LEAST_0),
+    "beta": (float, 1.0, False, _ABOVE_0),
+    "seed": (int, 0, False, _SEED),
+    "out": (str, None, False, _ANY),
 }
 
 _SCHEMAS: dict[str, dict] = {
     "simulate": {
         **_COMMON,
-        "n": (int, None, True),
-        "replicas": (int, 1000, False),
-        "horizon": (float, 4.0, False),
-        "samples": (int, 33, False),
-        "k0": (float, None, False),
-        "t_hot": (float, None, False),
-        "t_cold": (float, None, False),
-        "n_hot": (int, None, False),
-        "histogram_out": (str, None, False),
+        "n": (int, None, True, _AT_LEAST_1),
+        "replicas": (int, 1000, False, _AT_LEAST_1),
+        "horizon": (float, 4.0, False, _ABOVE_0),
+        "samples": (int, 33, False, _AT_LEAST_1),
+        "k0": (float, None, False, _AT_LEAST_0),
+        "t_hot": (float, None, False, _AT_LEAST_0),
+        "t_cold": (float, None, False, _AT_LEAST_0),
+        "n_hot": (int, None, False, _ANY),
+        "histogram_out": (str, None, False, _ANY),
     },
     "spectrum": {
         **_COMMON,
-        "n": (int, None, True),
+        "n": (int, None, True, _AT_LEAST_2),
     },
     "boltzmann": {
         **_COMMON,
-        "horizon": (float, 4.0, False),
-        "samples": (int, 33, False),
-        "kmax": (int, 8, False),
-        "t0": (float, 2.0, False),
-        "mean": (float, 0.0, False),
+        "horizon": (float, 4.0, False, _ABOVE_0),
+        "samples": (int, 33, False, _AT_LEAST_1),
+        "kmax": (int, 8, False, _AT_LEAST_0),
+        "t0": (float, 2.0, False, _AT_LEAST_0),
+        "mean": (float, 0.0, False, _ANY),
     },
     "entropy": {
         **_COMMON,
-        "n": (int, None, True),
-        "mu": (float, None, True),
-        "replicas": (int, 2000, False),
-        "horizon": (float, 6.0, False),
-        "samples": (int, 13, False),
-        "t_hot": (float, 4.0, False),
-        "t_cold": (float, 0.5, False),
-        "n_hot": (int, None, False),
+        "n": (int, None, True, _AT_LEAST_1),
+        "mu": (float, None, True, _AT_LEAST_0),
+        "replicas": (int, 2000, False, _AT_LEAST_1),
+        "horizon": (float, 6.0, False, _ABOVE_0),
+        "samples": (int, 13, False, _AT_LEAST_1),
+        # the initial relative entropy takes log(beta * T)
+        "t_hot": (float, 4.0, False, _ABOVE_0),
+        "t_cold": (float, 0.5, False, _ABOVE_0),
+        "n_hot": (int, None, False, _ANY),
     },
     "chaos": {
         **_COMMON,
-        "replicas": (int, 2000, False),
-        "time": (float, None, False),
-        "n_ladder": (str, "10,50,250,1250", False),
-        "t0": (float, 2.0, False),
+        "replicas": (int, 2000, False, _AT_LEAST_1),
+        "time": (float, None, False, _ABOVE_0),
+        "n_ladder": (str, "10,50,250,1250", False, _LADDER),
+        "t0": (float, 2.0, False, _AT_LEAST_0),
     },
 }
 
 _FLAG_ALIASES = {"lambda": "lam"}
-
-# options the library rejects with a ValueError unless positive
-_POSITIVE = {"replicas", "samples", "horizon", "time"}
 
 
 @dataclass(frozen=True)
@@ -136,15 +152,6 @@ class RunConfig:
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise UsageError(message)
-
-
-def _require_temperature(key: str, value: float, positive: bool = False) -> None:
-    ok = math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
-    _require(ok, f"'{key}' must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
-
-
-def _require_n_hot(n_hot: int, n: int) -> None:
-    _require(0 <= n_hot <= n, f"'n_hot' must lie in [0, {n}], got {n_hot}")
 
 
 def _flag_to_key(flag: str) -> str:
@@ -236,11 +243,11 @@ def parse_config(argv: list[str]) -> RunConfig:
     for key, raw in merged.items():
         if key not in schema:
             raise UsageError(f"unknown key '{key}' for verb '{verb}'")
-        options[key] = _convert(key, raw, schema[key][0])
-        _require(key not in _POSITIVE or options[key] > 0, f"'{key}' must be positive, got {raw!r}")
-        _require(key != "seed" or 0 <= options[key] < 2**64,
-                 f"'seed' must lie in [0, 2**64), got {raw!r}")
-    for key, (_, default, required) in schema.items():
+        typ, _, _, (ok, text) = schema[key]
+        value = options[key] = _convert(key, raw, typ)
+        _require(typ is not float or math.isfinite(value), f"'{key}' must be finite, got {raw!r}")
+        _require(ok(value), f"'{key}' must be {text}, got {raw!r}")
+    for key, (_, default, required, _) in schema.items():
         if key not in options:
             if required:
                 raise UsageError(f"missing required key '{key}' for verb '{verb}'")
@@ -276,28 +283,29 @@ def _out_path(config: RunConfig) -> str:
 
 
 def _initial_from_options(config: RunConfig, params: Params):
+    """Two-temperature start if any of t_hot, t_cold or n_hot is set (the
+    others then default to 4/beta, 1/beta and N // 10, at least 1), else a
+    product Gaussian at temperature 2 k0 / N or 1/beta."""
     o = config.options
-    if o.get("t_hot") is not None or o.get("n_hot") is not None:
-        n_hot = o.get("n_hot")
-        if n_hot is None:
-            n_hot = max(1, params.n_particles // 10)
-        initial = TwoTemperature(
-            t_hot=o.get("t_hot") if o.get("t_hot") is not None else 4.0 / params.beta,
-            t_cold=o.get("t_cold") if o.get("t_cold") is not None else 1.0 / params.beta,
-            n_hot=n_hot,
-        )
-        _require_temperature("t_hot", initial.t_hot)
-        _require_temperature("t_cold", initial.t_cold)
-        _require_n_hot(n_hot, params.n_particles)
-        return initial
-    if o.get("k0") is not None:
-        _require_temperature("k0", o["k0"])
-        return ProductGaussian(temperature=2.0 * o["k0"] / params.n_particles)
-    return ProductGaussian(temperature=1.0 / params.beta)
+    t_hot, t_cold, n_hot = (o.get(k) for k in ("t_hot", "t_cold", "n_hot"))
+    if t_hot is None and t_cold is None and n_hot is None:
+        if o.get("k0") is not None:
+            return ProductGaussian(temperature=2.0 * o["k0"] / params.n_particles)
+        return ProductGaussian(temperature=1.0 / params.beta)
+    _require(o.get("k0") is None, "'k0' cannot be combined with 't_hot', 't_cold' or 'n_hot'")
+    n = params.n_particles
+    n_hot = max(1, n // 10) if n_hot is None else n_hot
+    _require(0 <= n_hot <= n, f"'n_hot' must lie in [0, {n}], got {n_hot}")
+    return TwoTemperature(t_hot=4.0 / params.beta if t_hot is None else t_hot,
+                          t_cold=1.0 / params.beta if t_cold is None else t_cold, n_hot=n_hot)
+
+
+_NO_EVENTS = "lambda = mu = 0: the simulator has no events"
 
 
 def _run_simulate(config: RunConfig) -> None:
     params = config.params()
+    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
     times = np.linspace(0.0, o["horizon"], o["samples"])
     series = run(
@@ -326,7 +334,6 @@ def _run_simulate(config: RunConfig) -> None:
 
 def _run_spectrum(config: RunConfig) -> None:
     params = config.params()
-    _require(params.n_particles >= 2, "spectrum needs n >= 2")
     rows = []
     gap1 = first_gap(params)
     rows.append((params.n_particles, params.lam, params.mu, "first", gap1.value))
@@ -345,18 +352,25 @@ def _run_spectrum(config: RunConfig) -> None:
              config.as_lines())
 
 
+def _gaussian_moments(order: int, variance: float, mean: float = 0.0) -> np.ndarray:
+    """Raw moments 0..order of N(mean, variance); [inf] if one overflows a float."""
+    try:
+        return np.array([gaussian_moment(q, variance, mean) for q in range(order + 1)])
+    except OverflowError:
+        return np.array([np.inf])
+
+
 def _run_boltzmann(config: RunConfig) -> None:
     params = config.params()
     o = config.options
-    _require_temperature("t0", o["t0"])
-    _require(math.isfinite(o["mean"]), f"'mean' must be finite, got {o['mean']!r}")
     order = o["kmax"]
-    _require(order >= 0, f"'kmax' must be >= 0, got {order}")
-    m0 = MomentVector(
-        m=np.array([gaussian_moment(q, o["t0"], o["mean"]) for q in range(order + 1)])
-    )
+    m0 = _gaussian_moments(order, o["t0"], o["mean"])
+    bath = _gaussian_moments(order, 1.0 / params.beta)
+    _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
+             f"the initial or bath moments overflow at order {order}")
     times = np.linspace(0.0, o["horizon"], o["samples"])
-    series = integrate_moments(m0, params, horizon=o["horizon"], sample_times=times)
+    series = integrate_moments(MomentVector(m=m0), params, horizon=o["horizon"],
+                               sample_times=times)
     header = ["time"] + [f"m{q}" for q in range(1, order + 1)]
     rows = [(t, *series.values[k, 1:]) for k, t in enumerate(series.times)]
     emit_csv(_out_path(config), header, rows, config.as_lines())
@@ -364,16 +378,11 @@ def _run_boltzmann(config: RunConfig) -> None:
 
 def _run_entropy(config: RunConfig) -> None:
     params = config.params()
+    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
-    n_hot = o["n_hot"] if o["n_hot"] is not None else max(1, params.n_particles // 10)
-    # the initial relative entropy takes log(beta * T): both temperatures must be > 0
-    _require_temperature("t_hot", o["t_hot"], positive=True)
-    _require_temperature("t_cold", o["t_cold"], positive=True)
-    _require_n_hot(n_hot, params.n_particles)
-    initial = TwoTemperature(t_hot=o["t_hot"], t_cold=o["t_cold"], n_hot=n_hot)
     series = entropy_decay_experiment(
         params,
-        initial,
+        _initial_from_options(config, params),
         horizon=o["horizon"],
         n_replicas=o["replicas"],
         sample_times=np.linspace(0.0, o["horizon"], o["samples"]),
@@ -389,16 +398,13 @@ def _run_entropy(config: RunConfig) -> None:
 
 def _run_chaos(config: RunConfig) -> None:
     params = config.params()
+    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
-    try:
-        ladder = tuple(int(x) for x in o["n_ladder"].split(","))
-    except ValueError:
-        raise UsageError(f"malformed value for 'n_ladder': {o['n_ladder']!r}")
-    _require(min(ladder) >= 2, "every size in n_ladder must be >= 2")
-    _require_temperature("t0", o["t0"])
+    _require(o["time"] is not None or (params.mu > 0 and math.isfinite(1.0 / params.mu)),
+             "'time' defaults to 1/mu, which is not finite: give 'time'")
     points = chaos_ladder(
         params,
-        n_values=ladder,
+        n_values=tuple(int(x) for x in o["n_ladder"].split(",")),
         time=o["time"],
         n_replicas=o["replicas"],
         seed=o["seed"],

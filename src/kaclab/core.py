@@ -44,32 +44,6 @@ class Params:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of nonnegative integers indexing monomial/Hermite bases; |alpha| = sum of entries."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        e = tuple(int(x) for x in self.entries)
-        if any(x < 0 for x in e):
-            raise ValueError(f"multi-index entries must be nonnegative, got {e}")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-
 def double_factorial(n: int) -> int:
     """n!! with the conventions (-1)!! = 0!! = 1."""
     if n < -1:

@@ -44,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    MultiIndex,
     Params,
     angular_moment_exact,
     compositions,
@@ -78,7 +77,7 @@ class SectorBasis:
 
     n_particles: int
     degree: int
-    indices: tuple[MultiIndex, ...]
+    indices: tuple[tuple[int, ...], ...]
     symmetric: bool
 
     @property
@@ -110,7 +109,7 @@ def sector_basis(n_particles: int, level: int, symmetric: bool = False) -> Secto
     return SectorBasis(
         n_particles=n_particles,
         degree=2 * level,
-        indices=tuple(MultiIndex(t) for t in idx),
+        indices=idx,
         symmetric=symmetric,
     )
 
@@ -228,7 +227,7 @@ def _assemble(basis: SectorBasis, columns, scale: int | Fraction, subtract_from_
     formed exactly and rounded once."""
     dim = basis.dim
     n = basis.n_particles
-    idx = [mi.entries for mi in basis.indices]
+    idx = basis.indices
     pos = {a: k for k, a in enumerate(idx)}
     orb = {a: orbit_size(a, n) if basis.symmetric else 1 for a in idx}
     n2 = {a: _norm2(a) for a in idx}
@@ -251,8 +250,8 @@ def build_LT(basis: SectorBasis) -> SectorMatrix:
     """Thermostat sum: diagonal with sigma_{2 alpha} = sum_i (1 - s_{2 alpha_i})."""
     # a zero entry adds 1 - s_0 = 0 exactly
     diag = [
-        float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in mi.entries))
-        for mi in basis.indices
+        float(sum(1 - hermite_eigenvalue_s_exact(2 * x) for x in a))
+        for a in basis.indices
     ]
     return SectorMatrix(basis=basis, entries=np.diag(diag), operator_tag="L_T")
 
@@ -276,8 +275,7 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
 def _radial_columns(basis: SectorBasis):
     level, n = basis.level, basis.n_particles
     if basis.symmetric:
-        parts = [mi.entries for mi in basis.indices]
-        return lambda p: _b_columns_symmetric(p, parts, level, n)
+        return lambda p: _b_columns_symmetric(p, basis.indices, level, n)
     return lambda a: _b_columns(a, level)
 
 
@@ -318,8 +316,7 @@ def radial_direction(basis: SectorBasis) -> np.ndarray:
     Hermite transfer of (sum v_i^2)^l) in the basis' orthonormal coordinates."""
     level = basis.level
     vec = np.zeros(basis.dim)
-    for k, mi in enumerate(basis.indices):
-        a = mi.entries
+    for k, a in enumerate(basis.indices):
         coef = float(multinomial(level, a)) * math.sqrt(float(_norm2(a)))
         if basis.symmetric:
             coef *= math.sqrt(orbit_size(a, basis.n_particles))
@@ -335,8 +332,7 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
     n = basis.n_particles
     mono = {(2,): 1.0 - 3.0 / (n + 2), (1, 1): -6.0 / (n + 2)}
     vec = np.zeros(basis.dim)
-    for k, mi in enumerate(basis.indices):
-        a = mi.entries
+    for k, a in enumerate(basis.indices):
         key = tuple(sorted((x for x in a if x), reverse=True))
         if key not in mono:
             continue

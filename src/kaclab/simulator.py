@@ -5,13 +5,12 @@ unordered pair is rotated by a uniform angle, which preserves its kinetic
 energy) and thermostat collisions (rate mu*N total; one particle is rotated
 against a fresh Gaussian partner that is never seen again).
 
-`step` realizes one jump with its exponential waiting time.  `run` evolves an
-ensemble of independent replicas to a sampling grid: for each replica and grid
-interval it draws the Poisson event count and then the event sequence, which
-is the same process read at the grid times (the embedded chain is independent
-of the jump epochs).  Every replica owns a counter-based Philox stream keyed
-by (master seed, replica index); results are bit-reproducible for a given
-seed and configuration.
+`run` evolves an ensemble of independent replicas to a sampling grid: for
+each replica and grid interval it draws the Poisson event count and then the
+event sequence, which is the same process read at the grid times (the
+embedded chain is independent of the jump epochs).  Every replica owns a
+counter-based Philox stream keyed by (master seed, replica index); results
+are bit-reproducible for a given seed and configuration.
 
 `Ensemble.advance_to` applies one interval with one rotation kernel for both
 event types:
@@ -121,35 +120,6 @@ def initial_relative_entropy(initial: InitialCondition, params: Params) -> float
             initial.t_cold
         )
     raise TypeError("closed-form entropy available for product Gaussian data only")
-
-
-# ---------------------------------------------------------------------------
-# single-jump kernel
-
-def step(state, params: Params, rng: np.random.Generator):
-    """One jump of the chain: returns (new state, exponential waiting time)."""
-    v = np.array(state, dtype=float)
-    n = v.size
-    lam, mu = params.lam, params.mu
-    if lam + mu == 0.0:
-        raise NoEventError("lam = mu = 0 gives an infinite waiting time")
-    if lam > 0.0 and n < 2:
-        raise ValueError("pair collisions need N >= 2")
-    wait = rng.exponential(1.0 / ((lam + mu) * n))
-    theta = 2.0 * math.pi * rng.random()
-    c, s = math.cos(theta), math.sin(theta)
-    if rng.random() < lam / (lam + mu):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        j += j >= i
-        vi, vj = v[i], v[j]
-        v[i] = vi * c + vj * s
-        v[j] = -vi * s + vj * c
-    else:
-        j = int(rng.integers(n))
-        w = rng.normal(0.0, 1.0 / math.sqrt(params.beta))
-        v[j] = v[j] * c + w * s
-    return v, wait
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +306,13 @@ def run(
     snapshot_times: Sequence[float] = (),
 ) -> ObservableSeries:
     """Evolve an ensemble and record observables at the sampling grid."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 33)
     times = np.asarray(sample_times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("sample times must be finite")
     if times.size == 0 or np.any(np.diff(times) <= 0) and times.size > 1:
         raise ValueError("sample times must be strictly increasing")
     if times[0] < 0 or times[-1] > horizon + 1e-12:

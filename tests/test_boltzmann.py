@@ -147,6 +147,18 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_moments(make_moments(1.0), p, horizon=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(horizon=1.0, sample_times=[0.0, math.nan]),
+        dict(horizon=math.inf, sample_times=[0.0, 1.0]),
+        dict(horizon=math.inf),
+        dict(horizon=math.nan),
+    ])
+    def test_rejects_non_finite_times(self, kwargs):
+        # NaN passes every ordering check, and linspace(0, inf) starts with NaN
+        p = Params(n_particles=10, lam=1.0, mu=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_moments(make_moments(1.0), p, **kwargs)
+
     def test_positivity_guard_trips_on_fake_moments(self):
         # a vector violating moment positivity is rejected at the first output
         p = Params(n_particles=10, lam=0.0, mu=0.0)

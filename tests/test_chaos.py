@@ -49,12 +49,12 @@ def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=6
         pair[np.diag_indices(cells)] -= (counts * weights[:, None]).sum(axis=0)
         return m1, pair / (weights.sum() * n * (n - 1))
 
-    metric = _metric_from_masses(*masses_for(np.ones(n_replicas)), edges, edges)
+    metric = _metric_from_masses(*masses_for(np.ones(n_replicas)), edges)
     rng = np.random.default_rng(seed + 0xC0FFEE)
     boots = [
         _metric_from_masses(
             *masses_for(rng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
-                        .astype(float)), edges, edges)
+                        .astype(float)), edges)
         for _ in range(n_bootstrap)
     ]
     return metric, float(np.std(boots, ddof=1))
@@ -112,8 +112,13 @@ class TestExtractMarginals:
     def test_product_data_factorizes(self):
         rng = np.random.default_rng(SEED)
         snap = rng.standard_normal((3000, 10))
-        metric = chaos_metric(extract_marginals(snap, 1), extract_marginals(snap, 2))
-        assert metric < 0.01
+        assert chaos_metric(snap) < 0.01
+
+    def test_iid_data_has_no_grid_floor(self):
+        # one- and pair marginals on one grid: pairing a finer one-particle
+        # grid left a defect of 2.3e-3 on this exactly chaotic sample
+        rng = np.random.default_rng(SEED)
+        assert chaos_metric(rng.standard_normal((500, 200))) < 1e-3
 
     def test_equilibrium_marginal_matches_gaussian(self):
         rng = np.random.default_rng(SEED)
@@ -153,15 +158,27 @@ class TestChaosMetric:
         assert oracle > 0.02  # the defect is real, bounded away from zero
         rng = np.random.default_rng(SEED)
         snap = forced_pair_collision(rng, 400_000)
-        metric = chaos_metric(extract_marginals(snap, 1), extract_marginals(snap, 2))
+        metric = chaos_metric(snap)
         assert metric > 0.5 * oracle
         assert abs(metric - oracle) < 0.3 * oracle
 
-    def test_requires_matched_orders(self):
-        snap = np.zeros((10, 4))
-        m1 = extract_marginals(snap, 1)
+    def test_rejects_bad_snapshot(self):
         with pytest.raises(ValueError):
-            chaos_metric(m1, m1)
+            chaos_metric(np.zeros(4))
+        with pytest.raises(ValueError):
+            chaos_metric(np.zeros((10, 1)))
+
+    def test_equals_ladder_rung_metric(self):
+        base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
+        pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED,
+                           n_bootstrap=2)
+        half = math.sqrt(3.0 * 2.0 / base.beta)
+        for p in pts:
+            series = run(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
+                         n_replicas=200, horizon=0.4, sample_times=[0.0, 0.4], seed=SEED,
+                         initial=lambda rng, n: rng.uniform(-half, half, n),
+                         snapshot_times=[0.4])
+            assert chaos_metric(series.snapshots[0.4], beta=0.8) == p.metric
 
 
 class TestLadder:

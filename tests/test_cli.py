@@ -18,6 +18,7 @@ from kaclab.cli import (
     parse_config,
 )
 from kaclab.generator import AssemblyError
+from kaclab.simulator import TwoTemperature
 
 
 def read_csv(path):
@@ -32,6 +33,31 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return comments, header, rows
+
+
+def assert_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# one small valid configuration per verb; each contract case overrides one key
+VALID_ARGV = {
+    "simulate": ["--n", "4", "--replicas", "10", "--horizon", "1", "--samples", "3"],
+    "spectrum": ["--n", "4"],
+    "boltzmann": ["--horizon", "1", "--samples", "3"],
+    "entropy": ["--n", "5", "--mu", "1", "--replicas", "20", "--horizon", "1",
+                "--samples", "3"],
+    "chaos": ["--n-ladder", "4,8", "--replicas", "10", "--time", "0.5"],
+}
+CONTRACT_CASES = [
+    (verb, key, raw)
+    for verb, schema in cli._SCHEMAS.items()
+    for key, spec in schema.items()
+    for raw in {float: ("nan", "inf", "-inf"), int: ("-1",)}.get(spec[0], ())
+]
 
 
 class TestParseConfig:
@@ -220,11 +246,48 @@ class TestExitCodes:
         ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "18446744073709551616"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-        assert not (tmp_path / "x.csv").exists()
+        assert_usage_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", sorted(VALID_ARGV))
+    def test_contract_base_configurations_run(self, verb, tmp_path):
+        assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("verb, key, raw", CONTRACT_CASES)
+    def test_every_numeric_key_rejects_non_finite_and_negative(self, verb, key, raw, tmp_path,
+                                                               capsys):
+        flag = "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+        assert_usage_error([verb, *VALID_ARGV[verb], flag, raw], tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "4", "--k0", "5", "--t-hot", "2"],
+        ["simulate", "--n", "4", "--k0", "5", "--t-cold", "2"],
+        ["simulate", "--n", "4", "--k0", "5", "--n-hot", "1"],
+        ["simulate", "--n", "4", "--lambda", "0", "--mu", "0"],
+        ["entropy", "--n", "5", "--lambda", "0", "--mu", "0"],
+        ["chaos", "--lambda", "0", "--mu", "0", "--time", "1", "--n-ladder", "4,8",
+         "--replicas", "10"],
+        ["chaos", "--mu", "0", "--n-ladder", "4,8", "--replicas", "10"],
+        ["chaos", "--mu", "1e-320", "--n-ladder", "4,8", "--replicas", "10"],
+        ["boltzmann", "--kmax", "1000", "--horizon", "1"],
+        ["boltzmann", "--beta", "1e-300", "--horizon", "1"],
+        ["boltzmann", "--mean", "1e300", "--horizon", "1"],
+    ])
+    def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
+        assert_usage_error(argv, tmp_path, capsys)
+
+    def test_t_cold_alone_selects_two_temperature_start(self, tmp_path, monkeypatch):
+        seen = {}
+        real_run = cli.run
+
+        def spy(params, **kwargs):
+            seen.update(kwargs)
+            return real_run(params, **kwargs)
+
+        monkeypatch.setattr(cli, "run", spy)
+        rc = main(["simulate", "--n", "20", "--beta", "2", "--t-cold", "0.5", "--replicas", "5",
+                   "--horizon", "1", "--samples", "2", "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_OK
+        assert seen["initial"] == TwoTemperature(t_hot=2.0, t_cold=0.5, n_hot=2)
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "1"],

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kaclab.core import (
-    MultiIndex,
     Params,
     angular_moment,
     angular_moment_exact,
@@ -183,13 +182,6 @@ class TestCombinatorics:
                     assert orbit_size(p, n) == want
         with pytest.raises(ValueError):
             orbit_size((1, 1, 1), 2)
-
-    def test_multi_index(self):
-        m = MultiIndex((2, 0, 1))
-        assert m.weight == 3
-        assert len(m) == 3 and m[0] == 2
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
 
 
 class TestParams:

@@ -66,7 +66,7 @@ def symmetric_sector_oracle(basis, tag: str) -> np.ndarray:
     rational part scale*(delta - total) formed exactly before one float
     conversion."""
     n, level = basis.n_particles, basis.level
-    idx = [mi.entries + (0,) * (n - len(mi.entries)) for mi in basis.indices]
+    idx = [a + (0,) * (n - len(a)) for a in basis.indices]
     if tag == "L_T":
         return np.diag([float(sum(1 - hermite_eigenvalue_s_exact(2 * a) for a in p))
                         for p in idx])

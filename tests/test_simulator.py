@@ -18,7 +18,6 @@ from kaclab.simulator import (
     initial_relative_entropy,
     run,
     sample_initial,
-    step,
 )
 
 SEED = 20260808
@@ -92,104 +91,6 @@ def lockstep_advance_to(ens, t):
             j = (u_site[et] * n).astype(np.int64)
             v[rt, j] = v[rt, j] * cos_t[~kac] + w_all[et] * sin_t[~kac]
     ens.time = t
-
-
-class ScriptedRng:
-    """Deterministic stand-in for a Generator: pops scripted draws in call order."""
-
-    def __init__(self, exponential=0.1, randoms=(), integers=(), normals=()):
-        self._exp = exponential
-        self._r = list(randoms)
-        self._i = list(integers)
-        self._n = list(normals)
-
-    def exponential(self, scale):
-        return self._exp * scale
-
-    def random(self):
-        return self._r.pop(0)
-
-    def integers(self, n):
-        return self._i.pop(0)
-
-    def normal(self, loc, scale):
-        return self._n.pop(0)
-
-
-class TestStep:
-    def test_kac_event_preserves_pair_energy(self):
-        rng = np.random.default_rng(SEED)
-        p = Params(n_particles=6, lam=1.0, mu=0.0)
-        v = rng.standard_normal(6) * 1.7
-        for _ in range(200):
-            w, _ = step(v, p, rng)
-            assert math.isclose((w**2).sum(), (v**2).sum(), rel_tol=1e-12)
-            v = w
-
-    def test_thermostat_zero_angle_is_identity(self):
-        # scripted draws: theta = 0, type draw 0.9 -> thermostat branch (lam=0 anyway)
-        p = Params(n_particles=3, lam=0.0, mu=2.0)
-        rng = ScriptedRng(randoms=[0.0, 0.9], integers=[1], normals=[5.0])
-        v0 = np.array([0.3, -1.2, 0.8])
-        v1, wait = step(v0, p, rng)
-        assert np.array_equal(v1, v0)
-        assert math.isclose(wait, 0.1 / (2.0 * 3))
-
-    def test_scripted_kac_rotation(self):
-        p = Params(n_particles=2, lam=1.0, mu=0.0)
-        theta = 0.3
-        rng = ScriptedRng(randoms=[theta / (2 * math.pi), 0.0], integers=[0, 0])
-        v0 = np.array([1.0, 2.0])
-        v1, _ = step(v0, p, rng)
-        c, s = math.cos(theta), math.sin(theta)
-        assert np.allclose(v1, [c + 2 * s, -s + 2 * c], rtol=0, atol=1e-15)
-
-    def test_energy_changes_only_at_thermostat_events(self):
-        p = Params(n_particles=4, lam=1.0, mu=1.0)
-        v = np.array([1.0, -0.5, 2.0, 0.25])
-        # two collisions, then a thermostat kick, then a collision
-        script = [
-            dict(randoms=[0.37, 0.2], integers=[1, 2]),
-            dict(randoms=[0.91, 0.4], integers=[3, 0]),
-            dict(randoms=[0.11, 0.8], integers=[2], normals=[1.5]),
-            dict(randoms=[0.62, 0.1], integers=[0, 2]),
-        ]
-        energies = [float((v**2).sum())]
-        for spec in script:
-            v, _ = step(v, p, ScriptedRng(**spec))
-            energies.append(float((v**2).sum()))
-        assert math.isclose(energies[1], energies[0], rel_tol=1e-12)
-        assert math.isclose(energies[2], energies[1], rel_tol=1e-12)
-        assert abs(energies[3] - energies[2]) > 1e-6
-        assert math.isclose(energies[4], energies[3], rel_tol=1e-12)
-
-    def test_one_step_thermostat_second_moment(self):
-        # kernel average: E[v'^2 | v] = v^2/2 + 1/(2 beta); check by quadrature,
-        # then the Monte Carlo chain against it
-        beta, t0 = 1.0, 3.0
-        th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        wq = np.linspace(-8, 8, 4001)
-        gw = np.exp(-(wq**2) / 2) / math.sqrt(2 * math.pi)
-        for v in (0.0, 1.3, -2.1):
-            vals = (v * np.cos(th)[:, None] + wq[None, :] * np.sin(th)[:, None]) ** 2
-            quad = float(np.trapezoid(vals.mean(axis=0) * gw, wq))
-            assert math.isclose(quad, v * v / 2 + 0.5, rel_tol=1e-6)
-        p = Params(n_particles=1, lam=0.0, mu=1.0, beta=beta)
-        rng = np.random.default_rng(SEED)
-        m = 40000
-        v0 = math.sqrt(t0) * rng.standard_normal(m)
-        v1 = np.array([step([x], p, rng)[0][0] for x in v0])
-        want = 0.5 * (t0 + 1.0 / beta)
-        sigma = (v1**2).std(ddof=1) / math.sqrt(m)
-        assert abs((v1**2).mean() - want) < 4 * sigma
-
-    def test_no_event_error(self):
-        with pytest.raises(NoEventError):
-            step([1.0, 2.0], Params(n_particles=2, lam=0.0, mu=0.0), np.random.default_rng(0))
-
-    def test_pair_needs_two(self):
-        with pytest.raises(ValueError):
-            step([1.0], Params(n_particles=1, lam=1.0, mu=1.0), np.random.default_rng(0))
 
 
 class TestInitialConditions:
@@ -364,6 +265,18 @@ class TestRunObservables:
                      snapshot_times=[0.5, 1.0], seed=SEED)
         assert set(series.snapshots) == {0.5, 1.0}
         assert series.snapshots[0.5].shape == (10, 6)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(horizon=1.0, sample_times=[0.0, math.nan]),
+        dict(horizon=1.0, sample_times=[0.0, math.inf]),
+        dict(horizon=math.inf, sample_times=[0.0, 1.0]),
+        dict(horizon=math.inf),
+        dict(horizon=math.nan),
+    ])
+    def test_rejects_non_finite_times(self, kwargs):
+        p = Params(n_particles=4, lam=1.0, mu=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            run(p, n_replicas=3, seed=SEED, **kwargs)
 
     def test_temperature_definition(self):
         p = Params(n_particles=10, lam=0.0, mu=1.0)
