@@ -395,8 +395,23 @@ class TestFingerprint:
          "5af9cb9825a9396a8f4d88a1c77b0aca8b0e7d40c7e7c300a6d2c382cd99c102"),
         (["spectrum", "--n", "5", "--lambda", "0.7", "--mu", "1.3"],
          "c90febb813104bcd27dc01b5b5eddab6c2f4e5524d9f78e2d39ab8093ac9c9e1"),
+        (["entropy", "--n", "6", "--lambda", "1", "--mu", "1", "--replicas", "60",
+          "--horizon", "1", "--samples", "3", "--seed", "7"],
+         "55db78079d88998e25ddaa17e4c2b7ded48c98706143ad68ae086b88f9d0e1b9"),
+        (["chaos", "--lambda", "1", "--mu", "1", "--replicas", "60", "--time", "0.5",
+          "--n-ladder", "4,8", "--seed", "7"],
+         "131413e2bc0342afcde240506e71a751660aa1edfe8e6b2fe3dbe107c13b900f"),
     ])
     def test_golden_digest(self, argv, want, tmp_path):
         out = tmp_path / "f.csv"
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         assert self.digest(out) == want
+
+    def test_golden_histogram_digest(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        argv = ["simulate", "--n", "6", "--lambda", "1", "--mu", "1", "--k0", "12",
+                "--replicas", "40", "--horizon", "2", "--samples", "5", "--seed", "7",
+                "--histogram-out", str(hist), "--out", str(tmp_path / "f.csv")]
+        assert main(argv) == EXIT_OK
+        assert self.digest(hist) == (
+            "c8483ea3f22abd31642ca3c711ed7d6f9d8a8c74dc8b7b01ef754cb23f29f92f")
