@@ -25,27 +25,8 @@ from .core import Params, gaussian_moment
 from .boltzmann import MomentVector, integrate_moments
 from .simulator import ProductGaussian, cell_counts, run
 
-GRID_BINS_1D = 256
 GRID_BINS_2D = 64
 GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
-
-
-@dataclass(frozen=True, eq=False)
-class MarginalSet:
-    """Histogram estimate of the k-particle marginal pooled over particles,
-    pairs and replicas.  Cells are half-open, [e_b, e_(b+1)); cell 0 and cell
-    -1 on each axis hold the mass below edges[0] and at or above edges[-1]
-    (`simulator.cell_counts`)."""
-
-    k: int
-    masses: np.ndarray          # (bins+2,) for k=1, (bins+2, bins+2) for k=2
-    edges: np.ndarray
-    n_particles: int
-    n_replicas: int
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,34 +47,6 @@ def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
 def _grid_edges(beta: float, bins: int) -> np.ndarray:
     scale = 1.0 / math.sqrt(beta)
     return np.linspace(-GRID_HALF_WIDTH * scale, GRID_HALF_WIDTH * scale, bins + 1)
-
-
-def extract_marginals(
-    snapshot: np.ndarray,
-    k: int,
-    beta: float = 1.0,
-) -> MarginalSet:
-    """One- or two-particle marginal histogram from an (M, N) snapshot, with
-    GRID_BINS_1D or GRID_BINS_2D cells per axis over +-GRID_HALF_WIDTH sigma.
-
-    Pooling runs over all particles (k=1) or all ordered distinct pairs (k=2)
-    of every replica, so permuting particle labels cannot change the result.
-    """
-    v = np.asarray(snapshot, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("snapshot must be (replicas, particles)")
-    m, n = v.shape
-    if k not in (1, 2):
-        raise ValueError(f"marginal order must be 1 or 2, got {k}")
-    if k == 2 and n < 2:
-        raise ValueError("pair marginal needs N >= 2")
-    edges = _grid_edges(beta, GRID_BINS_1D if k == 1 else GRID_BINS_2D)
-    counts = cell_counts(v, edges)
-    if k == 1:
-        masses = counts.sum(axis=0) / (m * n)
-    else:
-        masses = _weighted_masses(counts, np.ones(m))[1]
-    return MarginalSet(k=k, masses=masses, edges=edges, n_particles=n, n_replicas=m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +140,7 @@ def chaos_ladder(
             params,
             n_replicas=n_replicas,
             horizon=t,
-            sample_times=[0.0, t],
+            sample_times=(),
             seed=seed,
             initial=uniform,
             snapshot_times=[t],

@@ -21,7 +21,7 @@ import numpy as np
 from .boltzmann import IntegrationError, MomentVector, integrate_moments
 from .chaos import chaos_ladder
 from .core import Params, gaussian_moment
-from .entropy import EntropyCheckError, EstimatorError, entropy_decay_experiment
+from .entropy import EntropyCheckError, entropy_decay_experiment
 from .generator import (
     AssemblyError,
     first_gap,
@@ -32,7 +32,14 @@ from .generator import (
     build_generator,
     sector_basis,
 )
-from .simulator import ProductGaussian, SimulationError, TwoTemperature, run
+from .simulator import (
+    N_MOMENTS,
+    ProductGaussian,
+    SimulationError,
+    TwoTemperature,
+    cell_counts,
+    run,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,6 +47,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 OUTDIR_ENV = "KACLAB_OUTDIR"
+
+HISTOGRAM_BINS = 256
+HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
 
 
 class UsageError(Exception):
@@ -307,14 +317,24 @@ def _run_simulate(config: RunConfig) -> None:
     params = config.params()
     _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
+    initial = _initial_from_options(config, params)
+    temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
+             else [initial.temperature])
+    order = 2 * N_MOMENTS  # run forms the variance of the highest moment
+    _require(all(np.isfinite(_gaussian_moments(order, t)).all()
+                 for t in [*temps, 1.0 / params.beta]),
+             f"the Gaussian moments up to order {order} at the initial or bath "
+             "temperature overflow")
     times = np.linspace(0.0, o["horizon"], o["samples"])
+    hist_out = o.get("histogram_out")
     series = run(
         params,
         n_replicas=o["replicas"],
         horizon=o["horizon"],
         sample_times=times,
         seed=o["seed"],
-        initial=_initial_from_options(config, params),
+        initial=initial,
+        snapshot_times=[times[-1]] if hist_out else (),
     )
     header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
     rows = [
@@ -322,14 +342,13 @@ def _run_simulate(config: RunConfig) -> None:
         for k, t in enumerate(series.times)
     ]
     emit_csv(_out_path(config), header, rows, config.as_lines())
-    if o.get("histogram_out"):
-        edges = series.histogram_edges
-        hrows = [
-            (edges[b], edges[b + 1], series.histogram[-1][b])
-            for b in range(edges.size - 1)
-        ]
-        emit_csv(o["histogram_out"], ["bin_left", "bin_right", "mass"], hrows,
-                 config.as_lines())
+    if hist_out:
+        width = HISTOGRAM_HALF_WIDTH * (1.0 / math.sqrt(params.beta))
+        edges = np.linspace(-width, width, HISTOGRAM_BINS + 1)
+        snap = series.snapshots[times[-1]]
+        masses = cell_counts(snap, edges).sum(axis=0) / snap.size
+        hrows = [(edges[b], edges[b + 1], masses[b + 1]) for b in range(HISTOGRAM_BINS)]
+        emit_csv(hist_out, ["bin_left", "bin_right", "mass"], hrows, config.as_lines())
 
 
 def _run_spectrum(config: RunConfig) -> None:
@@ -438,8 +457,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssemblyError, IntegrationError, EntropyCheckError, EstimatorError,
-            SimulationError) as exc:
+    except (AssemblyError, IntegrationError, EntropyCheckError, SimulationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -47,10 +47,6 @@ _STENCIL = 8
 _LOG_FLOOR = 1e-300
 
 
-class EstimatorError(RuntimeError):
-    """Not enough (or degenerate) data for a reliable entropy estimate."""
-
-
 class EntropyCheckError(RuntimeError):
     """A proved inequality failed numerically beyond tolerance."""
 
@@ -336,14 +332,6 @@ def relative_entropy_grid(f: DensityGrid, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # sample estimator
 
-@dataclass(frozen=True)
-class EntropyEstimate:
-    value: float
-    stderr: float
-    n_samples: int
-    n_occupied: int
-
-
 def _gaussian_cell_masses(edges: np.ndarray) -> np.ndarray:
     cdf = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in edges])
     inner = np.diff(cdf)
@@ -354,37 +342,6 @@ def _plugin_kl(p: np.ndarray, q: np.ndarray, n: int) -> float:
     occ = p > 0
     value = float(np.sum(p[occ] * np.log(p[occ] / np.maximum(q[occ], _LOG_FLOOR))))
     return value - (int(occ.sum()) - 1) / (2.0 * n)  # Miller-Madow style correction
-
-
-def relative_entropy_samples(
-    samples,
-    beta: float,
-    n_bootstrap: int = 200,
-    seed: int = 0,
-) -> EntropyEstimate:
-    """Histogram plug-in estimate (bias corrected) of the relative entropy of
-    the sample law against the Gaussian with variance 1/beta, with a
-    multinomial-bootstrap error bar.  Cells are half-open; a sample on the
-    top edge counts as overflow (`simulator.cell_counts`)."""
-    u = np.asarray(samples, dtype=float).ravel() * math.sqrt(beta)
-    n = u.size
-    if n < 1000:
-        raise EstimatorError(f"need at least 1000 samples, got {n}")
-    if float(u.std()) == 0.0:
-        raise EstimatorError("degenerate sample (all values equal)")
-    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
-    counts = cell_counts(u, edges)
-    q = _gaussian_cell_masses(edges)
-    p = counts / n
-    value = _plugin_kl(p, q, n)
-    draws = np.random.default_rng(seed).multinomial(n, p, size=n_bootstrap) / n
-    boots = [_plugin_kl(pb, q, n) for pb in draws]
-    return EntropyEstimate(
-        value=value,
-        stderr=float(np.std(boots, ddof=1)),
-        n_samples=n,
-        n_occupied=int(np.count_nonzero(counts)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +424,12 @@ class EntropyDecaySeries:
 
 
 def _pooled_estimate_with_cluster_bootstrap(
-    snapshot: np.ndarray, beta: float, bins: int, n_bootstrap: int,
-    rng: np.random.Generator
+    snapshot: np.ndarray, beta: float, n_bootstrap: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     # every resample is a weighted sum of per-replica cell counts; the sums are
     # integers below 2**53, so one matmul gives each resample exactly
     m, n = snapshot.shape
-    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, bins + 1)
+    edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
     q = _gaussian_cell_masses(edges)
     counts = cell_counts(snapshot * math.sqrt(beta), edges)
     n_tot = m * n
@@ -511,7 +467,7 @@ def entropy_decay_experiment(
         params,
         n_replicas=n_replicas,
         horizon=horizon,
-        sample_times=times,
+        sample_times=(),
         seed=seed,
         initial=initial,
         snapshot_times=times,
@@ -522,7 +478,7 @@ def entropy_decay_experiment(
     err = np.empty(times.size)
     for k, t in enumerate(times):
         value, stderr = _pooled_estimate_with_cluster_bootstrap(
-            series.snapshots[float(t)], params.beta, ESTIMATOR_BINS, n_bootstrap, rng
+            series.snapshots[float(t)], params.beta, n_bootstrap, rng
         )
         est[k] = n * value
         err[k] = n * stderr

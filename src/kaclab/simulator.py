@@ -5,10 +5,12 @@ unordered pair is rotated by a uniform angle, which preserves its kinetic
 energy) and thermostat collisions (rate mu*N total; one particle is rotated
 against a fresh Gaussian partner that is never seen again).
 
-`run` evolves an ensemble of independent replicas to a sampling grid: for
-each replica and grid interval it draws the Poisson event count and then the
-event sequence, which is the same process read at the grid times (the
-embedded chain is independent of the jump epochs).  Every replica owns a
+`run` evolves an ensemble of independent replicas through its stops: the
+sample times, where it records the kinetic energy and the first six pooled
+moments, and the snapshot times, where it copies the state.  For each replica
+and interval between stops it draws the Poisson event count and then the
+event sequence, which is the same process read at the stops (the embedded
+chain is independent of the jump epochs).  Every replica owns a
 counter-based Philox stream keyed by (master seed, replica index); results
 are bit-reproducible for a given seed and configuration.
 
@@ -40,8 +42,6 @@ import numpy as np
 
 from .core import Params
 
-HISTOGRAM_BINS = 256
-HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
 N_MOMENTS = 6
 BLOCK_STEPS = 64  # lock-step iterations whose events are gathered at once
 
@@ -275,20 +275,14 @@ def cell_counts(values, edges) -> np.ndarray:
 
 @dataclass
 class ObservableSeries:
-    """Ensemble observables on a sampling grid."""
+    """Ensemble observables on a sampling grid, and state copies."""
 
     params: Params
-    seed: int
-    n_replicas: int
     times: np.ndarray
     kinetic_energy: np.ndarray          # ensemble mean of (1/2) sum v_i^2
     kinetic_energy_stderr: np.ndarray
     moments: np.ndarray                 # (T, 6) pooled one-particle raw moments
     moment_stderr: np.ndarray
-    histogram: np.ndarray               # (T, bins) one-particle marginal masses
-    histogram_underflow: np.ndarray
-    histogram_overflow: np.ndarray
-    histogram_edges: np.ndarray
     snapshots: dict = field(default_factory=dict)  # time -> (M, N) velocities
 
     @property
@@ -305,41 +299,36 @@ def run(
     initial: InitialCondition | None = None,
     snapshot_times: Sequence[float] = (),
 ) -> ObservableSeries:
-    """Evolve an ensemble and record observables at the sampling grid."""
+    """Evolve an ensemble, record observables at `sample_times` and copy the
+    state at `snapshot_times`; with `sample_times=()` only the copies."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 33)
     times = np.asarray(sample_times, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError("sample times must be finite")
-    if times.size == 0 or np.any(np.diff(times) <= 0) and times.size > 1:
-        raise ValueError("sample times must be strictly increasing")
-    if times[0] < 0 or times[-1] > horizon + 1e-12:
-        raise ValueError("sample times must lie in [0, horizon]")
     snap_set = {float(t) for t in snapshot_times}
-    stops = np.unique(np.concatenate([times, np.array(sorted(snap_set))])) if snap_set else times
+    stops = np.union1d(times, list(snap_set))
+    if stops.size == 0 or not (np.isfinite(stops).all() and stops[0] >= 0
+                               and stops[-1] <= horizon + 1e-12):
+        raise ValueError("need sample or snapshot times, each finite and in [0, horizon]")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be strictly increasing")
 
     ens = Ensemble.create(params, n_replicas, seed, initial)
-    sigma = 1.0 / math.sqrt(params.beta)
-    edges = np.linspace(-HISTOGRAM_HALF_WIDTH * sigma, HISTOGRAM_HALF_WIDTH * sigma,
-                        HISTOGRAM_BINS + 1)
-
     t_count = times.size
     ke = np.empty(t_count)
     ke_err = np.empty(t_count)
     mom = np.empty((t_count, N_MOMENTS))
     mom_err = np.empty((t_count, N_MOMENTS))
-    masses = np.empty((t_count, HISTOGRAM_BINS + 2))
     snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}
     m = n_replicas
-    for t in stops:
-        ens.advance_to(float(t))
-        if float(t) in snap_set:
-            snaps[float(t)] = ens.snapshot()
-        k = sample_pos.get(float(t))
+    for t in stops.tolist():
+        ens.advance_to(t)
+        if t in snap_set:
+            snaps[t] = ens.snapshot()
+        k = sample_pos.get(t)
         if k is None:
             continue
         v = ens.velocities
@@ -353,21 +342,14 @@ def run(
             mom_err[k, q] = rep_mean.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
             if q < N_MOMENTS - 1:
                 pw = pw * v
-        masses[k] = cell_counts(v, edges).sum(axis=0) / v.size
 
     return ObservableSeries(
         params=params,
-        seed=seed,
-        n_replicas=n_replicas,
         times=times,
         kinetic_energy=ke,
         kinetic_energy_stderr=ke_err,
         moments=mom,
         moment_stderr=mom_err,
-        histogram=masses[:, 1:-1],
-        histogram_underflow=masses[:, 0],
-        histogram_overflow=masses[:, -1],
-        histogram_edges=edges,
         snapshots=snaps,
     )
 

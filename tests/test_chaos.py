@@ -7,15 +7,17 @@ from kaclab.core import Params
 from kaclab.chaos import (
     _DICTIONARY_DEGREES,
     _PHI,
+    GRID_BINS_2D,
+    _grid_edges,
     _metric_from_masses,
+    _weighted_masses,
     BoltzmannComparison,
     chaos_ladder,
     chaos_metric,
     compare_to_boltzmann,
-    extract_marginals,
     mckean_series_radius,
 )
-from kaclab.simulator import ProductGaussian, run
+from kaclab.simulator import ProductGaussian, cell_counts, run
 
 SEED = 20260808
 
@@ -28,6 +30,12 @@ def add_at_pair_counts(snapshot, edges):
     counts = np.zeros((m, edges.size + 1), dtype=np.int64)
     np.add.at(counts, (np.repeat(np.arange(m), n), idx.ravel()), 1)
     return counts
+
+
+def marginals(snapshot, beta=1.0):
+    # one- and two-particle masses on the ladder's grid, every replica weight 1
+    edges = _grid_edges(beta, GRID_BINS_2D)
+    return _weighted_masses(cell_counts(snapshot, edges), np.ones(len(snapshot))), edges
 
 
 def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
@@ -96,18 +104,17 @@ class TestExtractMarginals:
     def test_mass_accounting(self):
         rng = np.random.default_rng(SEED)
         snap = rng.standard_normal((200, 8))
-        for k in (1, 2):
-            m = extract_marginals(snap, k)
-            assert math.isclose(float(m.masses.sum()), 1.0, abs_tol=1e-12)
+        for masses in marginals(snap)[0]:
+            assert math.isclose(float(masses.sum()), 1.0, abs_tol=1e-12)
 
     def test_exchangeability_bit_identical(self):
         rng = np.random.default_rng(SEED)
         snap = rng.standard_normal((50, 6)) * 1.3
         perm = rng.permutation(6)
-        for k in (1, 2):
-            a = extract_marginals(snap, k)
-            b = extract_marginals(snap[:, perm], k)
-            assert np.array_equal(a.masses, b.masses)
+        a, _ = marginals(snap)
+        b, _ = marginals(snap[:, perm])
+        for k in (0, 1):
+            assert np.array_equal(a[k], b[k])
 
     def test_product_data_factorizes(self):
         rng = np.random.default_rng(SEED)
@@ -123,33 +130,26 @@ class TestExtractMarginals:
     def test_equilibrium_marginal_matches_gaussian(self):
         rng = np.random.default_rng(SEED)
         snap = rng.standard_normal((5000, 10))
-        m = extract_marginals(snap, 1)
-        centers = m.centers
-        width = m.edges[1] - m.edges[0]
+        (one, _), edges = marginals(snap)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        width = edges[1] - edges[0]
         want = np.exp(-(centers**2) / 2) / math.sqrt(2 * math.pi) * width
         noise = 4.0 * np.sqrt(np.maximum(want, 1e-12) / snap.size)  # ~4 sigma per cell
-        assert np.all(np.abs(m.masses[1:-1] - want) < noise + 1e-4)
+        assert np.all(np.abs(one[1:-1] - want) < noise + 1e-4)
 
     def test_pair_masses_match_add_at_counts_bit_for_bit(self):
         rng = np.random.default_rng(SEED)
         beta = 1.7
         snap = rng.standard_normal((120, 7)) * 1.4 / math.sqrt(beta)
-        got = extract_marginals(snap, 2, beta=beta)
-        counts = add_at_pair_counts(snap, got.edges)
+        (one, pair_masses), edges = marginals(snap, beta=beta)
+        counts = add_at_pair_counts(snap, edges)
         c = counts.astype(float)
         pair = c.T @ c
         pair[np.diag_indices(c.shape[1])] -= counts.sum(axis=0)
-        assert np.array_equal(got.masses, pair / (120 * 7 * 6))
-        one = extract_marginals(snap, 1, beta=beta)
-        want = np.bincount(np.searchsorted(one.edges, snap.ravel(), side="right"),
-                           minlength=one.edges.size + 1) / snap.size
-        assert np.array_equal(one.masses, want)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            extract_marginals(np.zeros((3, 3)), 3)
-        with pytest.raises(ValueError):
-            extract_marginals(np.zeros((3, 1)), 2)
+        assert np.array_equal(pair_masses, pair / (120 * 7 * 6))
+        want = np.bincount(np.searchsorted(edges, snap.ravel(), side="right"),
+                           minlength=edges.size + 1) / snap.size
+        assert np.array_equal(one, want)
 
 
 class TestChaosMetric:

@@ -18,7 +18,10 @@ from kaclab.cli import (
     parse_config,
 )
 from kaclab.generator import AssemblyError
-from kaclab.simulator import TwoTemperature
+from kaclab.simulator import Ensemble, TwoTemperature
+from test_simulator import lockstep_advance_to
+
+SEED = 20260808
 
 
 def read_csv(path):
@@ -199,6 +202,61 @@ class TestVerbs:
         assert [r[0] for r in rows] == ["4", "8"]
 
 
+def histogram_rows(argv, tmp_path):
+    hist = tmp_path / "h.csv"
+    assert main([*argv, "--out", str(tmp_path / "c.csv"), "--histogram-out", str(hist)]) == EXIT_OK
+    return read_csv(str(hist))[2]
+
+
+class TestHistogramOut:
+    """`simulate --histogram-out`: the one-particle marginal of the final state."""
+
+    ARGV = ["simulate", "--n", "10", "--lambda", "0.5", "--mu", "1", "--k0", "20",
+            "--replicas", "50", "--horizon", "0.5", "--samples", "2", "--seed", str(SEED)]
+
+    def test_histogram_mass_accounting(self, tmp_path, monkeypatch):
+        seen = {}
+        real_run = cli.run
+
+        def spy(params, **kwargs):
+            seen["series"] = real_run(params, **kwargs)
+            return seen["series"]
+
+        monkeypatch.setattr(cli, "run", spy)
+        rows = histogram_rows(self.ARGV, tmp_path)
+        snap = seen["series"].snapshots[0.5]
+        lo, hi = float(rows[0][0]), float(rows[-1][1])
+        outside = np.count_nonzero((snap < lo) | (snap >= hi)) / snap.size
+        assert abs(sum(float(r[2]) for r in rows) + outside - 1.0) < 1e-12
+
+    def test_top_edge_sample_counted_once(self, tmp_path, monkeypatch):
+        def one_at_top_edge(rng, n):
+            v = rng.standard_normal(n)
+            v[0] = 8.0  # HISTOGRAM_HALF_WIDTH standard deviations at beta = 1
+            return v
+
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", lambda params, **kwargs: real_run(
+            params, **{**kwargs, "initial": one_at_top_edge}))
+        # one sample time: the histogram is of the initial state
+        rows = histogram_rows(["simulate", "--n", "5", "--replicas", "4", "--horizon", "0.1",
+                               "--samples", "1", "--seed", str(SEED)], tmp_path)
+        assert float(rows[-1][1]) == 8.0
+        # the 4 samples on the top edge are overflow; the other 16 lie inside
+        assert math.isclose(sum(float(r[2]) for r in rows), 1.0 - 4 / 20, abs_tol=1e-12)
+
+    def test_histogram_reproducible(self, tmp_path):
+        assert histogram_rows(self.ARGV, tmp_path) == histogram_rows(self.ARGV, tmp_path)
+
+    @pytest.mark.parametrize("lam, mu", [("1", "1"), ("0", "2"), ("3", "0")])
+    def test_histogram_matches_lockstep(self, lam, mu, tmp_path, monkeypatch):
+        argv = ["simulate", "--n", "9", "--lambda", lam, "--mu", mu, "--k0", "11.25",
+                "--replicas", "48", "--horizon", "2", "--samples", "6", "--seed", str(SEED)]
+        new = histogram_rows(argv, tmp_path)
+        monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
+        assert histogram_rows(argv, tmp_path) == new
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert main(["entropy", "--n", "10"]) == EXIT_USAGE
@@ -274,6 +332,28 @@ class TestExitCodes:
     ])
     def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("extra", [
+        ["--beta", "1e-300"],
+        ["--k0", "1e300"],
+        ["--t-hot", "1e300"],
+        ["--t-cold", "1e300"],
+        ["--k0", "2e102"],  # T = 1e102: the Gaussian m6 is finite, sample sixth powers are not
+        ["--k0", "2e50"],  # T = 1e50: every Gaussian moment up to order 12 is finite
+    ])
+    def test_extreme_temperatures_exit_2_or_give_finite_csv(self, extra, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--n", "4", "--replicas", "10", "--horizon", "1", "--samples", "3",
+                   *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc == EXIT_USAGE:
+            assert err.startswith("error: ") and "overflow" in err
+            assert not out.exists()
+        else:
+            assert rc == EXIT_OK
+            _, _, rows = read_csv(str(out))
+            assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_t_cold_alone_selects_two_temperature_start(self, tmp_path, monkeypatch):
         seen = {}

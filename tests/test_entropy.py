@@ -11,7 +11,6 @@ from kaclab.entropy import (
     GAUSS_NODES,
     DensityGrid,
     EntropyCheckError,
-    EstimatorError,
     check_marginal_entropy_inequality,
     check_thermostat_entropy_inequality,
     entropy_decay_experiment,
@@ -20,7 +19,6 @@ from kaclab.entropy import (
     gauss_weighted_entropy,
     ou_apply,
     relative_entropy_grid,
-    relative_entropy_samples,
     semigroup_defect,
     standard_gaussian,
     t_apply,
@@ -39,14 +37,14 @@ def per_row_cell_counts(u, edges):
     return np.concatenate([[under], inner, [over]]).astype(np.int64)
 
 
-def per_draw_pooled_estimate(snapshot, beta, bins, n_bootstrap, rng):
+def per_draw_pooled_estimate(snapshot, beta, n_bootstrap, rng):
     # reference replica bootstrap: per-row counts, one multinomial draw and one
     # mat-vec per resample
     m, n = snapshot.shape
-    edges = np.linspace(-8.0, 8.0, bins + 1)
+    edges = np.linspace(-8.0, 8.0, 257)
     q = entropy_module._gaussian_cell_masses(edges)
     u = snapshot * math.sqrt(beta)
-    counts = np.empty((m, bins + 2), dtype=np.int64)
+    counts = np.empty((m, edges.size + 1), dtype=np.int64)
     for r in range(m):
         counts[r] = per_row_cell_counts(u[r], edges)
     n_tot = m * n
@@ -454,47 +452,45 @@ class TestMarginalEntropyInequality:
             check_marginal_entropy_inequality(np.full((2, 2), 0.3))
 
 
+def pooled_estimate(samples, beta, n_bootstrap=200, seed=SEED):
+    # the decay experiment's estimator on 2000 replicas of the samples
+    return entropy_module._pooled_estimate_with_cluster_bootstrap(
+        np.reshape(samples, (2000, -1)), beta, n_bootstrap, np.random.default_rng(seed))
+
+
 class TestSampleEstimator:
     def test_equilibrium_near_zero(self):
         rng = np.random.default_rng(SEED)
-        est = relative_entropy_samples(rng.standard_normal(200_000), beta=1.0, seed=SEED)
-        assert abs(est.value) < 3 * est.stderr + 5e-4
+        value, stderr = pooled_estimate(rng.standard_normal(200_000), beta=1.0)
+        assert abs(value) < 3 * stderr + 5e-4
 
     def test_hot_gaussian_matches_closed_form(self):
         rng = np.random.default_rng(SEED)
         samples = math.sqrt(2.0) * rng.standard_normal(400_000)
-        est = relative_entropy_samples(samples, beta=1.0, seed=SEED)
+        value, stderr = pooled_estimate(samples, beta=1.0)
         want = 0.5 * (2.0 - 1.0 - math.log(2.0))
-        assert abs(est.value - want) < 3 * est.stderr + 2e-3
+        assert abs(value - want) < 3 * stderr + 2e-3
 
     def test_beta_rescaling(self):
         rng = np.random.default_rng(SEED)
         beta = 4.0
         samples = math.sqrt(2.0 / beta) * rng.standard_normal(200_000)
-        est = relative_entropy_samples(samples, beta=beta, seed=SEED)
+        value, stderr = pooled_estimate(samples, beta=beta)
         want = 0.5 * (2.0 - 1.0 - math.log(2.0))
-        assert abs(est.value - want) < 3 * est.stderr + 2e-3
+        assert abs(value - want) < 3 * stderr + 2e-3
 
     def test_matches_per_draw_bootstrap_bit_for_bit(self):
         rng = np.random.default_rng(SEED)
         samples = 1.2 * rng.standard_normal(20_000)
         beta, n_boot = 1.5, 40
-        est = relative_entropy_samples(samples, beta=beta, n_bootstrap=n_boot, seed=SEED)
+        got = pooled_estimate(samples, beta=beta, n_bootstrap=n_boot)
         u = samples * math.sqrt(beta)
         edges = np.linspace(-8.0, 8.0, 257)
         q = entropy_module._gaussian_cell_masses(edges)
         p = per_row_cell_counts(u, edges) / u.size
-        draws = np.random.default_rng(SEED)
-        boots = [entropy_module._plugin_kl(draws.multinomial(u.size, p) / u.size, q, u.size)
-                 for _ in range(n_boot)]
-        assert est.value == entropy_module._plugin_kl(p, q, u.size)
-        assert est.stderr == float(np.std(boots, ddof=1))
-
-    def test_errors(self):
-        with pytest.raises(EstimatorError):
-            relative_entropy_samples(np.ones(500), beta=1.0)
-        with pytest.raises(EstimatorError):
-            relative_entropy_samples(np.ones(5000), beta=1.0)
+        assert got[0] == entropy_module._plugin_kl(p, q, u.size)
+        assert got == per_draw_pooled_estimate(samples.reshape(2000, -1), beta, n_boot,
+                                               np.random.default_rng(SEED))
 
 
 class TestDecayExperiment:

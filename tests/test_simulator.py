@@ -136,7 +136,6 @@ class TestEnsemble:
         c = run(p, n_replicas=32, horizon=1.0, seed=SEED + 1, initial=ProductGaussian(2.0))
         assert np.array_equal(a.kinetic_energy, b.kinetic_energy)
         assert np.array_equal(a.moments, b.moments)
-        assert np.array_equal(a.histogram, b.histogram)
         assert not np.array_equal(a.kinetic_energy, c.kinetic_energy)
 
     def test_replica_order_does_not_couple(self):
@@ -207,8 +206,7 @@ class TestRotationKernel:
         new = run(p, **kwargs)
         monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
         ref = run(p, **kwargs)
-        for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr",
-                     "histogram", "histogram_underflow", "histogram_overflow"):
+        for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
         assert new.snapshots.keys() == ref.snapshots.keys() == {0.3, 1.2}
         for t in ref.snapshots:
@@ -236,29 +234,6 @@ class TestRunObservables:
         rate = fit_cooling_rate(series, p)
         assert abs(rate - p.mu / 2) < 0.1 * (p.mu / 2)
 
-    def test_histogram_mass_accounting(self):
-        p = Params(n_particles=10, lam=0.5, mu=1.0)
-        series = run(p, n_replicas=50, horizon=0.5, sample_times=[0.0, 0.5], seed=SEED,
-                     initial=ProductGaussian(4.0))
-        total = series.histogram.sum(axis=1) + series.histogram_underflow + series.histogram_overflow
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_top_edge_sample_counted_once(self):
-        p = Params(n_particles=5, lam=1.0, mu=1.0)
-
-        def one_at_top_edge(rng, n):
-            v = rng.standard_normal(n)
-            v[0] = 8.0  # HISTOGRAM_HALF_WIDTH standard deviations at beta = 1
-            return v
-
-        series = run(p, n_replicas=4, horizon=0.1, sample_times=[0.0], seed=SEED,
-                     initial=one_at_top_edge)
-        assert series.histogram_edges[-1] == 8.0
-        total = series.histogram[0].sum() + series.histogram_underflow[0] \
-            + series.histogram_overflow[0]
-        assert math.isclose(total, 1.0, abs_tol=1e-12)
-        assert series.histogram_overflow[0] == 4 / 20
-
     def test_snapshots_recorded(self):
         p = Params(n_particles=6, lam=1.0, mu=1.0)
         series = run(p, n_replicas=10, horizon=1.0, sample_times=[0.0, 1.0],
@@ -266,12 +241,30 @@ class TestRunObservables:
         assert set(series.snapshots) == {0.5, 1.0}
         assert series.snapshots[0.5].shape == (10, 6)
 
+    def test_snapshots_only(self):
+        # with no sample times the stops are the snapshot times alone; t = 0
+        # draws nothing, so the states equal a run that also samples there
+        p = Params(n_particles=6, lam=1.0, mu=1.0)
+        kwargs = dict(n_replicas=10, horizon=1.0, seed=SEED, snapshot_times=[0.5, 1.0])
+        only = run(p, sample_times=(), **kwargs)
+        full = run(p, sample_times=[0.0, 0.5, 1.0], **kwargs)
+        assert only.times.size == 0
+        assert only.kinetic_energy.shape == (0,)
+        assert only.moments.shape == (0, 6)
+        assert only.snapshots.keys() == full.snapshots.keys() == {0.5, 1.0}
+        for t in full.snapshots:
+            assert np.array_equal(only.snapshots[t], full.snapshots[t])
+
     @pytest.mark.parametrize("kwargs", [
         dict(horizon=1.0, sample_times=[0.0, math.nan]),
         dict(horizon=1.0, sample_times=[0.0, math.inf]),
         dict(horizon=math.inf, sample_times=[0.0, 1.0]),
         dict(horizon=math.inf),
         dict(horizon=math.nan),
+        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[2.0]),
+        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[-1.0]),
+        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[math.nan]),
+        dict(horizon=1.0, sample_times=(), snapshot_times=()),
     ])
     def test_rejects_non_finite_times(self, kwargs):
         p = Params(n_particles=4, lam=1.0, mu=1.0)
