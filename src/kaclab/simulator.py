@@ -44,6 +44,10 @@ from .core import Params
 
 N_MOMENTS = 6
 BLOCK_STEPS = 64  # lock-step iterations whose events are gathered at once
+# doubles (32 MiB): glibc's malloc maps a block this large and unmaps it when it
+# is freed, and pages never touched take no memory; a smaller workspace would
+# stay in its heap after the interval, under the next interval's peak
+WORKSPACE_MIN = 1 << 22
 
 
 class SimulationError(RuntimeError):
@@ -185,8 +189,9 @@ class Ensemble:
         offsets = np.zeros(m, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         n_events = int(counts.sum())
-        # workspace: [state (M*N) | bath slot of every event (E) | uniforms (4E)]
-        ws = np.empty(size + 5 * n_events)
+        # workspace: [state (M*N) | bath slot of every event (E) | uniforms (4E)],
+        # allocated at no less than WORKSPACE_MIN so that it is returned on free
+        ws = np.empty(max(size + 5 * n_events, WORKSPACE_MIN))[: size + 5 * n_events]
         ws[:size] = self.velocities.reshape(-1)
         bath = ws[size : size + n_events]
         uniforms = ws[size + n_events :]
