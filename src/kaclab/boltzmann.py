@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Params, angular_moment, gaussian_moment, hermite_eigenvalue_s
+from .core import Params, angular_moment, gaussian_moments, hermite_eigenvalue_s
 
-DEFAULT_ORDER = 8
+INITIAL_STEP = 1e-2  # the step doubles up to 16 times this
 STEP_ERROR_PER_TIME = 1e-10
 HANKEL_TOL = 1e-8
 
@@ -49,11 +49,6 @@ class MomentVector:
     def order(self) -> int:
         return self.m.size - 1
 
-    @classmethod
-    def gaussian(cls, beta: float) -> "MomentVector":
-        """Moments m_0..m_DEFAULT_ORDER of the centred Gaussian of variance 1/beta."""
-        return cls(m=np.array([gaussian_moment(k, 1.0 / beta) for k in range(DEFAULT_ORDER + 1)]))
-
 
 @dataclass
 class MomentSeries:
@@ -74,8 +69,7 @@ def _rhs_tables(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.nda
             w[n, k] = math.comb(n, k) * angular_moment(k, n - k)
     idx = np.arange(order + 1)
     rev = np.maximum(idx[:, None] - idx[None, :], 0)
-    g = np.array([gaussian_moment(k, 1.0 / beta) for k in range(order + 1)])
-    wg = w * g[rev]
+    wg = w * gaussian_moments(order, 1.0 / beta)[rev]
     for table in (w, rev, wg):
         table.flags.writeable = False
     return w, rev, wg
@@ -123,7 +117,6 @@ def integrate_moments(
     m0: MomentVector,
     params: Params,
     horizon: float,
-    dt: float = 1e-2,
     sample_times=None,
 ) -> MomentSeries:
     """Integrate the hierarchy with step-doubling error control.
@@ -132,8 +125,6 @@ def integrate_moments(
     per unit time on every component, relative to max(1, |m|).  Moment-matrix
     positivity is checked at every output time, to HANKEL_TOL.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     if sample_times is None:
@@ -148,7 +139,7 @@ def integrate_moments(
     y = m0.m.copy()
     t = float(m0.time)
     out = np.empty((times.size, y.size))
-    h = dt
+    h = INITIAL_STEP
     roundoff_floor = 4e-15  # scaled step-doubling differences bottom out here
 
     for row, target in enumerate(times):
@@ -175,7 +166,7 @@ def integrate_moments(
             y = half + (half - full) / 15.0
             t += step
             if not stretched and err < 0.25 * max(STEP_ERROR_PER_TIME * step, roundoff_floor):
-                h = min(2.0 * h, dt * 16.0)
+                h = min(2.0 * h, INITIAL_STEP * 16.0)
         out[row] = y
         if _hankel_min_eig(y) < -HANKEL_TOL:
             raise IntegrationError(

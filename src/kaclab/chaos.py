@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .core import Params, gaussian_moment
+from .core import Params, gaussian_moments
 from .boltzmann import MomentVector, integrate_moments
 from .simulator import ProductGaussian, cell_counts, run
 
@@ -64,7 +64,9 @@ def _damped_hermite(degree: int):
     scale = float(np.max(np.abs(raw)))
 
     def phi(v):
-        v = np.asarray(v, dtype=float)
+        # the Gaussian factor is exactly 0 past |v| = 54.6, so clipping
+        # changes no value and keeps hermeval from overflowing
+        v = np.clip(np.asarray(v, dtype=float), -60.0, 60.0)
         return hermite_e.hermeval(v, coef) * np.exp(-v**2 / 4.0) / scale
 
     return phi
@@ -112,7 +114,6 @@ class ChaosLadderPoint:
     time: float
     metric: float
     stderr: float
-    seed: int
 
 
 def chaos_ladder(
@@ -155,7 +156,6 @@ def chaos_ladder(
             ChaosLadderPoint(
                 n_particles=n, time=t, metric=metric,
                 stderr=float(np.std(boots, ddof=1)) if n_bootstrap > 1 else float("nan"),
-                seed=seed,
             )
         )
     return out
@@ -166,12 +166,7 @@ def chaos_ladder(
 
 @dataclass
 class BoltzmannComparison:
-    n_particles: int
-    times: np.ndarray
-    simulated: np.ndarray       # (T, 6)
-    stderr: np.ndarray          # (T, 6)
-    predicted: np.ndarray       # (T, 6)
-    standardized: np.ndarray    # (T, 6)
+    standardized: np.ndarray    # (T, 6): (simulated - predicted) / stderr
 
     @property
     def max_standardized(self) -> float:
@@ -194,11 +189,7 @@ def compare_to_boltzmann(
     if sample_times is None:
         sample_times = np.linspace(0.0, horizon, 9)
     times = np.asarray(sample_times, dtype=float)
-    m0 = MomentVector(
-        m=np.array(
-            [gaussian_moment(q, initial.temperature, initial.mean) for q in range(9)]
-        )
-    )
+    m0 = MomentVector(m=gaussian_moments(8, initial.temperature, initial.mean))
     ode = integrate_moments(m0, params, horizon=horizon, sample_times=times)
     predicted = ode.values[:, 1:7]
 
@@ -214,15 +205,7 @@ def compare_to_boltzmann(
             initial=initial,
         )
         stderr = np.maximum(series.moment_stderr, 1e-300)
-        std = (series.moments - predicted) / stderr
-        out[n] = BoltzmannComparison(
-            n_particles=n,
-            times=times,
-            simulated=series.moments,
-            stderr=series.moment_stderr,
-            predicted=predicted,
-            standardized=std,
-        )
+        out[n] = BoltzmannComparison(standardized=(series.moments - predicted) / stderr)
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .boltzmann import IntegrationError, MomentVector, integrate_moments
 from .chaos import chaos_ladder
-from .core import Params, gaussian_moment
+from .core import Params, gaussian_moments
 from .entropy import EntropyCheckError, entropy_decay_experiment
 from .generator import (
     AssemblyError,
@@ -28,9 +28,9 @@ from .generator import (
     second_gap,
     second_gap_limit,
     second_gap_matrix,
-    second_gap_quadratic,
     build_generator,
     sector_basis,
+    sector_gap_bound,
 )
 from .simulator import (
     N_MOMENTS,
@@ -50,6 +50,9 @@ OUTDIR_ENV = "KACLAB_OUTDIR"
 
 HISTOGRAM_BINS = 256
 HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
+# expected simulator events per run: about 20 times criterion 05's 4.8e7, and a
+# few minutes at 200-300 ns per event
+MAX_EVENTS = 1e9
 
 
 class UsageError(Exception):
@@ -310,18 +313,25 @@ def _initial_from_options(config: RunConfig, params: Params):
                           t_cold=1.0 / params.beta if t_cold is None else t_cold, n_hot=n_hot)
 
 
-_NO_EVENTS = "lambda = mu = 0: the simulator has no events"
+def _require_events(params: Params, n_values, replicas: int, time: float) -> None:
+    """Some event rate is positive and the expected event count (lambda + mu) N M T,
+    summed over `n_values`, is at most MAX_EVENTS."""
+    rate = params.lam + params.mu
+    _require(rate > 0, "lambda = mu = 0: the simulator has no events")
+    events = rate * sum(n_values) * replicas * time
+    _require(events <= MAX_EVENTS, f"the expected event count (lambda + mu) N M T = "
+             f"{events:.3g} exceeds MAX_EVENTS = {MAX_EVENTS:.3g}")
 
 
 def _run_simulate(config: RunConfig) -> None:
     params = config.params()
-    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
+    _require_events(params, [params.n_particles], o["replicas"], o["horizon"])
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
     order = 2 * N_MOMENTS  # run forms the variance of the highest moment
-    _require(all(np.isfinite(_gaussian_moments(order, t)).all()
+    _require(all(np.isfinite(gaussian_moments(order, t)).all()
                  for t in [*temps, 1.0 / params.beta]),
              f"the Gaussian moments up to order {order} at the initial or bath "
              "temperature overflow")
@@ -354,12 +364,11 @@ def _run_simulate(config: RunConfig) -> None:
 def _run_spectrum(config: RunConfig) -> None:
     params = config.params()
     rows = []
-    gap1 = first_gap(params)
-    rows.append((params.n_particles, params.lam, params.mu, "first", gap1.value))
+    rows.append((params.n_particles, params.lam, params.mu, "first", first_gap(params)))
     if params.mu > 0:
-        value = second_gap(params)  # raises AssemblyError if routes disagree
+        second_gap(params)  # raises AssemblyError if routes disagree
         rows.append((params.n_particles, params.lam, params.mu, "second_quadratic",
-                     second_gap_quadratic(params)))
+                     sector_gap_bound(2, params)))
         rows.append((params.n_particles, params.lam, params.mu, "second_matrix",
                      float(np.linalg.eigvalsh(second_gap_matrix(params))[0])))
         sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
@@ -371,20 +380,12 @@ def _run_spectrum(config: RunConfig) -> None:
              config.as_lines())
 
 
-def _gaussian_moments(order: int, variance: float, mean: float = 0.0) -> np.ndarray:
-    """Raw moments 0..order of N(mean, variance); [inf] if one overflows a float."""
-    try:
-        return np.array([gaussian_moment(q, variance, mean) for q in range(order + 1)])
-    except OverflowError:
-        return np.array([np.inf])
-
-
 def _run_boltzmann(config: RunConfig) -> None:
     params = config.params()
     o = config.options
     order = o["kmax"]
-    m0 = _gaussian_moments(order, o["t0"], o["mean"])
-    bath = _gaussian_moments(order, 1.0 / params.beta)
+    m0 = gaussian_moments(order, o["t0"], o["mean"])
+    bath = gaussian_moments(order, 1.0 / params.beta)
     _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
              f"the initial or bath moments overflow at order {order}")
     times = np.linspace(0.0, o["horizon"], o["samples"])
@@ -397,8 +398,8 @@ def _run_boltzmann(config: RunConfig) -> None:
 
 def _run_entropy(config: RunConfig) -> None:
     params = config.params()
-    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
+    _require_events(params, [params.n_particles], o["replicas"], o["horizon"])
     series = entropy_decay_experiment(
         params,
         _initial_from_options(config, params),
@@ -417,13 +418,15 @@ def _run_entropy(config: RunConfig) -> None:
 
 def _run_chaos(config: RunConfig) -> None:
     params = config.params()
-    _require(params.lam + params.mu > 0, _NO_EVENTS)
     o = config.options
     _require(o["time"] is not None or (params.mu > 0 and math.isfinite(1.0 / params.mu)),
              "'time' defaults to 1/mu, which is not finite: give 'time'")
+    ladder = tuple(int(x) for x in o["n_ladder"].split(","))
+    _require_events(params, ladder, o["replicas"],
+                    1.0 / params.mu if o["time"] is None else o["time"])
     points = chaos_ladder(
         params,
-        n_values=tuple(int(x) for x in o["n_ladder"].split(",")),
+        n_values=ladder,
         time=o["time"],
         n_replicas=o["replicas"],
         seed=o["seed"],

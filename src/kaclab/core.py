@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Params:
@@ -89,17 +91,16 @@ def angular_moment(p: int, q: int) -> float:
     return float(angular_moment_exact(p, q))
 
 
-def kac_gap_Lambda(n_particles: int) -> float:
+def kac_gap_Lambda_exact(n_particles: int) -> Fraction:
     """Gap of the pair-collision operator off the radial subspace: (N+2)/(2(N-1))."""
     if n_particles < 2:
         raise ValueError(f"pair collisions need N >= 2, got {n_particles}")
-    return 0.5 * (n_particles + 2) / (n_particles - 1)
-
-
-def kac_gap_Lambda_exact(n_particles: int) -> Fraction:
-    if n_particles < 2:
-        raise ValueError(f"pair collisions need N >= 2, got {n_particles}")
     return Fraction(n_particles + 2, 2 * (n_particles - 1))
+
+
+def kac_gap_Lambda(n_particles: int) -> float:
+    """Lambda_N rounded once from the exact rational."""
+    return float(kac_gap_Lambda_exact(n_particles))
 
 
 def sphere_moment_Gamma_exact(alpha, n_particles: int | None = None) -> Fraction:
@@ -194,16 +195,19 @@ def orbit_size(index, n_particles: int) -> int:
     return out
 
 
-def gaussian_moment(order: int, variance: float, mean: float = 0.0) -> float:
-    """k-th raw moment of a normal distribution."""
+def gaussian_moments(order: int, variance: float, mean: float = 0.0) -> np.ndarray:
+    """Raw moments m_0..m_order of a normal distribution; inf for each moment
+    whose float computation overflows."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    out = 0.0
-    for j in range(0, order + 1, 2):
-        out += (
-            math.comb(order, j)
-            * double_factorial(j - 1)
-            * variance ** (j // 2)
-            * mean ** (order - j)
-        )
+    out = np.empty(order + 1)
+    for k in range(order + 1):
+        m, c = 0.0, 1  # c = C(k, j) (j - 1)!! = k! / ((k - j)! j!!), an exact integer
+        try:
+            for j in range(0, k + 1, 2):
+                m += c * variance ** (j // 2) * mean ** (k - j)
+                c = c * (k - j) * (k - j - 1) // (j + 2)
+        except OverflowError:
+            m = math.inf
+        out[k] = m if math.isfinite(m) else math.inf
     return out

@@ -56,7 +56,6 @@ from .core import (
     sphere_moment_Gamma_exact,
 )
 
-DEFAULT_L_MAX = 4
 AGREEMENT_TOL = 1e-10
 
 
@@ -143,7 +142,7 @@ def _pair_rotation_avg(ai: int, aj: int) -> tuple[tuple[tuple[int, int], Fractio
     return tuple(sorted(acc.items()))
 
 
-def apply_Q_monomial(exponents, l_max: int = DEFAULT_L_MAX) -> dict[tuple[int, ...], Fraction]:
+def apply_Q_monomial(exponents) -> dict[tuple[int, ...], Fraction]:
     """Expand the pair-collision average of the monomial v^exponents.
 
     `exponents` is the raw exponent tuple (all entries even); the result maps
@@ -158,9 +157,6 @@ def apply_Q_monomial(exponents, l_max: int = DEFAULT_L_MAX) -> dict[tuple[int, .
     if n < 2:
         raise ValueError("pair collisions need at least two variables")
     alpha = tuple(x // 2 for x in e)
-    level = sum(alpha)
-    if level > l_max:
-        raise ValueError(f"degree {2 * level} exceeds 2*l_max = {2 * l_max}")
 
     weight = Fraction(1, math.comb(n, 2))
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -174,9 +170,9 @@ def apply_Q_monomial(exponents, l_max: int = DEFAULT_L_MAX) -> dict[tuple[int, .
     return acc
 
 
-def _q_columns(alpha: tuple[int, ...], l_max: int) -> dict[tuple[int, ...], Fraction]:
+def _q_columns(alpha: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     # half-exponent view of apply_Q_monomial
-    raw = apply_Q_monomial(tuple(2 * x for x in alpha), l_max=l_max)
+    raw = apply_Q_monomial(tuple(2 * x for x in alpha))
     return {tuple(x // 2 for x in k): v for k, v in raw.items()}
 
 
@@ -261,11 +257,9 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
     if basis.n_particles < 2:
         raise ValueError("pair collisions need N >= 2")
     n = basis.n_particles
-    l_max = max(DEFAULT_L_MAX, basis.level)
     return _assemble(
         basis,
-        (lambda p: _q_columns_symmetric(p, n)) if basis.symmetric
-        else (lambda a: _q_columns(a, l_max)),
+        (lambda p: _q_columns_symmetric(p, n)) if basis.symmetric else _q_columns,
         scale=n,
         subtract_from_identity=True,
         tag="L_K",
@@ -343,19 +337,13 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-@dataclass(frozen=True)
-class FirstGap:
-    value: float  # eigenfunction sum_i (v_i^2 - 1/beta)
-    eigenvalues_checked: np.ndarray
-
-
 def _check_tol(*sectors: SectorMatrix) -> float:
     # eigenvalues carry roundoff relative to the entries: scale the absolute
     # tolerance by the largest entry once that exceeds 1
     return AGREEMENT_TOL * max([1.0] + [float(np.max(np.abs(m.entries))) for m in sectors])
 
 
-def first_gap(params: Params) -> FirstGap:
+def first_gap(params: Params) -> float:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
     assembled operator on the symmetric degree-2 and degree-4 sectors, to
@@ -381,7 +369,7 @@ def first_gap(params: Params) -> FirstGap:
         # thermostat off: the radial kernel is degenerate across sectors
         if abs(allev[0]) > tol or abs(allev[1]) > tol:
             raise AssemblyError("expected a degenerate kernel at mu = 0")
-    return FirstGap(value=closed, eigenvalues_checked=allev)
+    return closed
 
 
 def _sector_quadratic(level: int, params: Params) -> tuple[float, float]:
@@ -398,7 +386,7 @@ def _sector_quadratic(level: int, params: Params) -> tuple[float, float]:
     return b, c
 
 
-def _lower_root(b: float, c: float) -> tuple[float, float]:
+def _lower_root(b: float, c: float) -> float:
     disc = b * b - 4.0 * c
     if disc < 0:
         if disc < -1e-12 * max(1.0, b * b):
@@ -406,13 +394,7 @@ def _lower_root(b: float, c: float) -> tuple[float, float]:
         disc = 0.0
     root = math.sqrt(disc)
     hi = 0.5 * (b + root)
-    lo = c / hi if hi != 0 else 0.5 * (b - root)  # stable for the smaller root
-    return lo, hi
-
-
-def second_gap_quadratic(params: Params) -> float:
-    """Lower root of the explicit second-gap quadratic."""
-    return second_gap_pair(params)[0]
+    return c / hi if hi != 0 else 0.5 * (b - root)  # stable for the smaller root
 
 
 def second_gap_matrix(params: Params) -> np.ndarray:
@@ -434,12 +416,6 @@ def second_gap_limit(params: Params) -> float:
     return min(params.lam / 2.0 + 5.0 * params.mu / 8.0, params.mu)
 
 
-def second_gap_pair(params: Params) -> tuple[float, float]:
-    """Both roots of the second-gap quadratic (lower, upper).  Which branch an
-    eigenfunction class follows for extreme lam/mu ratios is not decided here."""
-    return _lower_root(*_sector_quadratic(2, params))
-
-
 def second_gap(params: Params) -> float:
     """Second spectral gap by three independent routes (quadratic formula,
     closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector), required
@@ -448,7 +424,7 @@ def second_gap(params: Params) -> float:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
         raise ValueError("second gap needs mu > 0")
-    r_quad = second_gap_quadratic(params)
+    r_quad = sector_gap_bound(2, params)
     r_mat = float(np.linalg.eigvalsh(second_gap_matrix(params))[0])
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
@@ -466,4 +442,4 @@ def sector_gap_bound(level: int, params: Params) -> float:
     on the degree-2l sector: `_sector_quadratic`'s lower root (level 2: the second gap)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    return _lower_root(*_sector_quadratic(level, params))[0]
+    return _lower_root(*_sector_quadratic(level, params))

@@ -278,6 +278,16 @@ def cell_counts(values, edges) -> np.ndarray:
     return counts.reshape(v.shape[:-1] + (cells,))
 
 
+def _mean_stderr(x: np.ndarray) -> float:
+    """Standard error of the mean of x, 0 for a single value.  x is first scaled
+    by a power of two near its largest magnitude, which is exact, so that its
+    squares cannot overflow."""
+    if x.size < 2:
+        return 0.0
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return math.ldexp(np.ldexp(x, -e).std(ddof=1) / math.sqrt(x.size), e)
+
+
 @dataclass
 class ObservableSeries:
     """Ensemble observables on a sampling grid, and state copies."""
@@ -328,7 +338,6 @@ def run(
     snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}
-    m = n_replicas
     for t in stops.tolist():
         ens.advance_to(t)
         if t in snap_set:
@@ -339,12 +348,12 @@ def run(
         v = ens.velocities
         e_rep = 0.5 * np.einsum("ij,ij->i", v, v)
         ke[k] = e_rep.mean()
-        ke_err[k] = e_rep.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
+        ke_err[k] = _mean_stderr(e_rep)
         pw = v
         for q in range(N_MOMENTS):
             rep_mean = pw.mean(axis=1)
             mom[k, q] = rep_mean.mean()
-            mom_err[k, q] = rep_mean.std(ddof=1) / math.sqrt(m) if m > 1 else 0.0
+            mom_err[k, q] = _mean_stderr(rep_mean)
             if q < N_MOMENTS - 1:
                 pw = pw * v
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from kaclab.core import Params, gaussian_moment, kac_gap_Lambda
+from kaclab.core import Params, gaussian_moments, kac_gap_Lambda
 from kaclab.boltzmann import MomentVector, integrate_moments, linearized_eigenvalue
 from kaclab.chaos import chaos_ladder, compare_to_boltzmann
 from kaclab.cli import main
@@ -30,8 +30,8 @@ from kaclab.generator import (
     energy_square_direction,
     second_gap_limit,
     second_gap_matrix,
-    second_gap_quadratic,
     sector_basis,
+    sector_gap_bound,
 )
 from kaclab.simulator import ProductGaussian, TwoTemperature, fit_cooling_rate, run
 
@@ -81,13 +81,13 @@ def test_02_second_gap_three_routes():
     worst = 0.0
     for n, lam, mu in PARAM_GRID:
         params = Params(n_particles=n, lam=lam, mu=mu)
-        quad = second_gap_quadratic(params)
+        quad = sector_gap_bound(2, params)
         mat = float(np.linalg.eigvalsh(second_gap_matrix(params))[0])
         sect = float(
             build_generator(sector_basis(n, 2, symmetric=True), params).eigenvalues()[0]
         )
         worst = max(worst, max(quad, mat, sect) - min(quad, mat, sect))
-    pinned = second_gap_quadratic(Params(n_particles=3, lam=1.0, mu=1.0))
+    pinned = sector_gap_bound(2, Params(n_particles=3, lam=1.0, mu=1.0))
     ok = worst <= 1e-10 and abs(pinned - oracle) < 1e-12
     report(2, "second gap: quadratic, closed 2x2 and assembled sector agree",
            ok, f"max spread = {worst:.2e}, value(3,1,1) = {pinned:.6f}")
@@ -100,7 +100,7 @@ def test_03_second_gap_large_n_limit():
             errs = []
             for n in (10, 100, 1000):
                 p = Params(n_particles=n, lam=lam, mu=mu)
-                errs.append(abs(second_gap_quadratic(p) - second_gap_limit(p)))
+                errs.append(abs(sector_gap_bound(2, p) - second_gap_limit(p)))
             assert errs[0] > errs[1] > errs[2] > 0
             worst_c = max(worst_c, max(n * e for n, e in zip((10, 100, 1000), errs)))
     report(3, "second gap approaches min(lam/2 + 5mu/8, mu) at rate O(1/N)",
@@ -142,7 +142,7 @@ def test_05_newton_cooling():
 
 def test_06_moment_ode_exact_solutions():
     params = Params(n_particles=10, lam=0.7, mu=1.3)
-    m0 = MomentVector(m=np.array([gaussian_moment(q, 2.0, 0.4) for q in range(9)]))
+    m0 = MomentVector(m=gaussian_moments(8, 2.0, 0.4))
     times = np.linspace(0.0, 10.0 / params.mu, 41)
     series = integrate_moments(m0, params, horizon=times[-1], sample_times=times)
     m1_exact = m0.m[1] * np.exp(-(2 * params.lam + params.mu) * times)

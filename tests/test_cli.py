@@ -329,9 +329,24 @@ class TestExitCodes:
         ["boltzmann", "--kmax", "1000", "--horizon", "1"],
         ["boltzmann", "--beta", "1e-300", "--horizon", "1"],
         ["boltzmann", "--mean", "1e300", "--horizon", "1"],
+        ["chaos", "--mu", "1e-300", "--n-ladder", "4", "--replicas", "5"],
+        ["simulate", "--n", "4", "--horizon", "1e308"],
     ])
     def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
+
+    # expected events (lambda + mu) N M T of each VALID_ARGV run; chaos sums its ladder
+    @pytest.mark.parametrize("verb, events", [("simulate", 80), ("entropy", 200),
+                                              ("chaos", 120)])
+    def test_event_limit(self, verb, events, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EVENTS", events)
+        assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "ok.csv")]) == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_EVENTS", events - 1)
+        assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: the expected event count (lambda + mu) N M T = {events} exceeds "
+            f"MAX_EVENTS = {events - 1}\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("extra", [
         ["--beta", "1e-300"],
@@ -340,6 +355,8 @@ class TestExitCodes:
         ["--t-cold", "1e300"],
         ["--k0", "2e102"],  # T = 1e102: the Gaussian m6 is finite, sample sixth powers are not
         ["--k0", "2e50"],  # T = 1e50: every Gaussian moment up to order 12 is finite
+        # T = 2e50: run's standard errors square replica means of v^6 near 1e152
+        ["--k0", "4e50", "--replicas", "1000"],
     ])
     def test_extreme_temperatures_exit_2_or_give_finite_csv(self, extra, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -354,6 +371,15 @@ class TestExitCodes:
             assert rc == EXIT_OK
             _, _, rows = read_csv(str(out))
             assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+    def test_chaos_at_tiny_beta_gives_finite_csv(self, tmp_path):
+        # the grid's cell midpoints reach 1e151; pytest turns numpy's overflow
+        # warnings into errors
+        out = tmp_path / "x.csv"
+        assert main(["chaos", "--beta", "1e-300", "--n-ladder", "4,8", "--replicas", "20",
+                     "--time", "0.5", "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(str(out))
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_t_cold_alone_selects_two_temperature_start(self, tmp_path, monkeypatch):
         seen = {}

@@ -13,7 +13,7 @@ from kaclab.core import (
     angular_moment_exact,
     compositions,
     double_factorial,
-    gaussian_moment,
+    gaussian_moments,
     hermite_eigenvalue_s,
     hermite_eigenvalue_s_exact,
     kac_gap_Lambda,
@@ -224,19 +224,23 @@ class TestParams:
 
 class TestGaussianMoment:
     def test_centered(self):
-        assert gaussian_moment(0, 2.0) == 1.0
-        assert gaussian_moment(1, 2.0) == 0.0
-        assert gaussian_moment(2, 2.0) == 2.0
-        assert gaussian_moment(4, 2.0) == 12.0
-        assert gaussian_moment(6, 0.5) == 15.0 * 0.125
+        assert gaussian_moments(4, 2.0).tolist() == [1.0, 0.0, 2.0, 0.0, 12.0]
+        assert gaussian_moments(6, 0.5)[6] == 15.0 * 0.125
+
+    def test_overflow_is_inf(self):
+        # m_4 = 3 variance^2 = 3e400 overflows; the lower moments do not
+        got = gaussian_moments(4, 1e200)
+        assert got[:4].tolist() == [1.0, 0.0, 1e200, 0.0]
+        assert got[4] == math.inf
 
     def test_shifted_against_quadrature(self):
         mean, var = 0.7, 1.3
         x = np.linspace(mean - 12 * math.sqrt(var), mean + 12 * math.sqrt(var), 200001)
         dens = np.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+        got = gaussian_moments(6, var, mean)
         for k in range(7):
             oracle = float(np.trapezoid(x**k * dens, x))
-            assert math.isclose(gaussian_moment(k, var, mean), oracle, rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(got[k], oracle, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_double_factorial(self):
         assert [double_factorial(k) for k in (-1, 0, 1, 2, 5, 6)] == [1, 1, 1, 2, 15, 48]

@@ -31,8 +31,6 @@ from kaclab.generator import (
     second_gap,
     second_gap_limit,
     second_gap_matrix,
-    second_gap_pair,
-    second_gap_quadratic,
     sector_basis,
     sector_gap_bound,
 )
@@ -73,7 +71,7 @@ def symmetric_sector_oracle(basis, tag: str) -> np.ndarray:
 
     def columns(p):
         if tag == "L_K":
-            raw = apply_Q_monomial(tuple(2 * x for x in p), l_max=max(4, level))
+            raw = apply_Q_monomial(tuple(2 * x for x in p))
             return {tuple(x // 2 for x in k): v for k, v in raw.items()}
         gamma = sphere_moment_Gamma_exact(p)
         return {beta: gamma * multinomial(level, beta) for beta in compositions(level, n)}
@@ -138,11 +136,6 @@ class TestCollisionExpansion:
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
             apply_Q_monomial((1, 2))
-
-    def test_rejects_over_degree(self):
-        with pytest.raises(ValueError):
-            apply_Q_monomial((10, 0))
-        assert apply_Q_monomial((10, 0), l_max=5)
 
     def test_radial_annihilated(self):
         # (sum v_i^2) is in the kernel of N(I - Q) for any N
@@ -287,7 +280,7 @@ class TestSymmetricAssembly:
                     p = Params(n_particles=n, lam=lam, mu=mu)
                     sect = build_generator(sector_basis(n, 2, symmetric=True), p)
                     value = float(sect.eigenvalues()[0])
-                    assert abs(value - second_gap_quadratic(p)) <= AGREEMENT_TOL
+                    assert abs(value - sector_gap_bound(2, p)) <= AGREEMENT_TOL
                     errs.append(abs(value - second_gap_limit(p)))
                 assert all(a > b > 0 for a, b in zip(errs, errs[1:]))
                 assert max(n * e for n, e in zip(ladder, errs)) < 100.0
@@ -295,16 +288,13 @@ class TestSymmetricAssembly:
 
 class TestFirstGap:
     def test_pinned(self):
-        res = first_gap(Params(n_particles=5, lam=1.0, mu=1.0))
-        assert res.value == 0.5
+        assert first_gap(Params(n_particles=5, lam=1.0, mu=1.0)) == 0.5
 
     def test_thermostat_off_degenerate(self):
-        res = first_gap(Params(n_particles=4, lam=1.0, mu=0.0))
-        assert res.value == 0.0
+        assert first_gap(Params(n_particles=4, lam=1.0, mu=0.0)) == 0.0
 
     def test_pure_thermostat(self):
-        res = first_gap(Params(n_particles=3, lam=0.0, mu=2.0))
-        assert res.value == 1.0
+        assert first_gap(Params(n_particles=3, lam=0.0, mu=2.0)) == 1.0
 
     @given(
         st.floats(0.0, 8.0, allow_nan=False),
@@ -313,8 +303,7 @@ class TestFirstGap:
     )
     @settings(max_examples=40, deadline=None)
     def test_gap_independent_of_lambda(self, lam, mu, n):
-        res = first_gap(Params(n_particles=n, lam=lam, mu=mu))
-        assert res.value == mu / 2.0
+        assert first_gap(Params(n_particles=n, lam=lam, mu=mu)) == mu / 2.0
 
 
 class TestSecondGap:
@@ -333,7 +322,7 @@ class TestSecondGap:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_three_routes_agree(self, n, lam, mu):
         p = Params(n_particles=n, lam=lam, mu=mu)
-        quad = second_gap_quadratic(p)
+        quad = sector_gap_bound(2, p)
         mat = float(np.linalg.eigvalsh(second_gap_matrix(p))[0])
         sect = float(build_generator(sector_basis(n, 2, symmetric=True), p).eigenvalues()[0])
         assert max(quad, mat, sect) - min(quad, mat, sect) < 1e-10
@@ -344,14 +333,10 @@ class TestSecondGap:
             p = Params(n_particles=4, lam=lam, mu=1.5)
             assert second_gap(p) > p.mu / 2.0
 
-    def test_pair_ordered(self):
-        lo, hi = second_gap_pair(Params(n_particles=3, lam=2.0, mu=0.7))
-        assert lo <= hi
-
     def test_convergence_to_limit(self):
         p_of = lambda n: Params(n_particles=n, lam=1.0, mu=1.0)
         errs = [
-            abs(second_gap_quadratic(p_of(n)) - second_gap_limit(p_of(n)))
+            abs(sector_gap_bound(2, p_of(n)) - second_gap_limit(p_of(n)))
             for n in (10, 100, 1000)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -363,10 +348,10 @@ class TestSecondGap:
 
 
 class TestSectorGapBound:
-    def test_reduces_to_second_gap_quadratic(self):
+    def test_level_two_is_second_gap(self):
         for n in (2, 3, 6, 10**9):
             p = Params(n_particles=n, lam=0.8, mu=1.7)
-            assert sector_gap_bound(2, p) == second_gap_quadratic(p)
+            assert sector_gap_bound(2, p) == second_gap(p)
 
     def test_pure_thermostat_branch(self):
         for level, s in [(1, 0.5), (2, 3.0 / 8.0), (3, 5.0 / 16.0)]:
@@ -401,5 +386,5 @@ class TestAssemblyErrors:
         bad = sect.entries.copy()
         bad[0, 0] += 1e-6
         with pytest.raises(AssemblyError):
-            if abs(float(np.linalg.eigvalsh(bad)[0]) - second_gap_quadratic(p)) > 1e-10:
+            if abs(float(np.linalg.eigvalsh(bad)[0]) - sector_gap_bound(2, p)) > 1e-10:
                 raise AssemblyError("seeded disagreement")

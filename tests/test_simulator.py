@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import Params, gaussian_moment
+from kaclab.core import Params
 from kaclab.simulator import (
     Ensemble,
     IllConditionedFitError,
