@@ -23,6 +23,7 @@ from .chaos import chaos_ladder
 from .core import Params, gaussian_moments
 from .entropy import EntropyCheckError, entropy_decay_experiment
 from .generator import (
+    AGREEMENT_TOL,
     AssemblyError,
     first_gap,
     second_gap,
@@ -53,6 +54,12 @@ HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
 # expected simulator events per run: about 20 times criterion 05's 4.8e7, and a
 # few minutes at 200-300 ns per event
 MAX_EVENTS = 1e9
+# doubles a run may hold at once: 2 GiB
+MAX_DOUBLES = 2**28
+# held per replica besides its velocities: a Philox Generator (about 1.5 KiB)
+# while simulating, or the entropy estimator's cell counts and bootstrap
+# weights (916 doubles) after
+REPLICA_DOUBLES = 1024
 
 
 class UsageError(Exception):
@@ -70,15 +77,15 @@ _ANY = (lambda x: True, "")
 
 def _is_ladder(text: str) -> bool:
     try:
-        return all(int(x) >= 2 for x in text.split(","))
+        return all(2 <= int(x) <= sys.float_info.max for x in text.split(","))
     except ValueError:
         return False
 
 
-_LADDER = (_is_ladder, "a comma list of integers >= 2")
+_LADDER = (_is_ladder, "a comma list of integers >= 2 in the float range")
 
-# schema: key -> (python type, default, required, domain); every float must
-# also be finite
+# schema: key -> (python type, default, required, domain); every number must
+# also be finite as a float
 _COMMON = {
     "lam": (float, 1.0, False, _AT_LEAST_0),
     "mu": (float, 1.0, False, _AT_LEAST_0),
@@ -185,14 +192,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     out: dict[str, str] = {}
+    after_echo = False
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
-        if stripped.startswith("#"):
+        echo = stripped.startswith("#")
+        if echo:
             stripped = stripped.lstrip("#").strip()
         if not stripped:
             continue
         if "=" not in stripped:
+            if after_echo and not echo:
+                break  # the header of a CSV whose `#` lines echo its configuration
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        after_echo = echo
         key, _, raw = stripped.partition("=")
         out[_flag_to_key(key.strip())] = raw.strip()
     return out
@@ -210,33 +222,26 @@ def _usage() -> str:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve verb and options from argv plus an optional config file;
     explicit flags override file values, which override defaults."""
-    args = list(argv)
     cli_pairs: dict[str, str] = {}
     verb = None
     config_path = None
-    i = 0
-    while i < len(args):
-        tok = args[i]
+    tokens = iter(argv)
+    for tok in tokens:
         if not tok.startswith("-"):
             if verb is not None:
                 raise UsageError(f"unexpected positional argument {tok!r}")
             verb = tok
-            i += 1
             continue
-        if "=" in tok:
-            flag, _, raw = tok.partition("=")
-        else:
-            flag = tok
-            if i + 1 >= len(args):
+        flag, eq, raw = tok.partition("=")
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None:
                 raise UsageError(f"flag {flag!r} needs a value")
-            raw = args[i + 1]
-            i += 1
         key = _flag_to_key(flag)
         if key == "config":
             config_path = raw
         else:
             cli_pairs[key] = raw
-        i += 1
 
     file_pairs = _read_config_file(config_path) if config_path else {}
     if verb is None:
@@ -258,7 +263,9 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"unknown key '{key}' for verb '{verb}'")
         typ, _, _, (ok, text) = schema[key]
         value = options[key] = _convert(key, raw, typ)
-        _require(typ is not float or math.isfinite(value), f"'{key}' must be finite, got {raw!r}")
+        # a number past the float range (nan, inf, a huge int) would overflow the checks below
+        _require(typ is str or abs(value) <= sys.float_info.max,
+                 f"'{key}' must be finite, got {raw!r}")
         _require(ok(value), f"'{key}' must be {text}, got {raw!r}")
     for key, (_, default, required, _) in schema.items():
         if key not in options:
@@ -287,8 +294,8 @@ def emit_csv(path: str, header: list[str], rows, comments=()) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _out_path(config: RunConfig) -> str:
-    path = config.options.get("out")
+def _out_path(config: RunConfig, key: str) -> str:
+    path = config.options.get(key)
     if path:
         return path
     outdir = os.environ.get(OUTDIR_ENV, ".")
@@ -313,20 +320,35 @@ def _initial_from_options(config: RunConfig, params: Params):
                           t_cold=1.0 / params.beta if t_cold is None else t_cold, n_hot=n_hot)
 
 
-def _require_events(params: Params, n_values, replicas: int, time: float) -> None:
-    """Some event rate is positive and the expected event count (lambda + mu) N M T,
-    summed over `n_values`, is at most MAX_EVENTS."""
+def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas: int = 0,
+                  time: float = 0.0, step: float = 0.0, snapshots: int = 0) -> None:
+    """The verb's work estimate.  A simulation of `replicas` replicas to `time` at
+    each N in `n_values` needs some positive event rate, and its expected event
+    count (lambda + mu) N M T, summed over `n_values`, is at most MAX_EVENTS.
+    The doubles held at once are at most MAX_DOUBLES: the CSV cells, and at the
+    largest N the state, its workspace copy and `snapshots` kept copies,
+    REPLICA_DOUBLES per replica, and 5 per expected event of the longest
+    interval `step`."""
     rate = params.lam + params.mu
-    _require(rate > 0, "lambda = mu = 0: the simulator has no events")
-    events = rate * sum(n_values) * replicas * time
+    _require(not n_values or rate > 0, "lambda = mu = 0: the simulator has no events")
+    # in floats, which saturate at inf; parse_config keeps every count below the largest
+    m, n = float(replicas), float(max(n_values, default=0))
+    events = rate * sum(map(float, n_values)) * m * time
     _require(events <= MAX_EVENTS, f"the expected event count (lambda + mu) N M T = "
              f"{events:.3g} exceeds MAX_EVENTS = {MAX_EVENTS:.3g}")
+    held = (float(rows) * columns + m * (n * (2.0 + snapshots) + REPLICA_DOUBLES)
+            + 5 * rate * n * m * step)
+    _require(held <= MAX_DOUBLES, f"the doubles held at once (state, snapshots, replica "
+             f"streams, event buffer and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
+             f"{MAX_DOUBLES:.3g}")
 
 
-def _run_simulate(config: RunConfig) -> None:
-    params = config.params()
+def _run_simulate(config: RunConfig, params: Params) -> list:
     o = config.options
-    _require_events(params, [params.n_particles], o["replicas"], o["horizon"])
+    hist_out = o.get("histogram_out")
+    header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
+    _require_work(params, o["samples"], len(header), [params.n_particles], o["replicas"],
+                  o["horizon"], o["horizon"] / max(o["samples"] - 1, 1), 1 if hist_out else 0)
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
@@ -336,7 +358,6 @@ def _run_simulate(config: RunConfig) -> None:
              f"the Gaussian moments up to order {order} at the initial or bath "
              "temperature overflow")
     times = np.linspace(0.0, o["horizon"], o["samples"])
-    hist_out = o.get("histogram_out")
     series = run(
         params,
         n_replicas=o["replicas"],
@@ -346,44 +367,46 @@ def _run_simulate(config: RunConfig) -> None:
         initial=initial,
         snapshot_times=[times[-1]] if hist_out else (),
     )
-    header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
     rows = [
         (t, series.kinetic_energy[k], series.temperature[k], *series.moments[k])
         for k, t in enumerate(series.times)
     ]
-    emit_csv(_out_path(config), header, rows, config.as_lines())
+    files = [("out", header, rows)]
     if hist_out:
         width = HISTOGRAM_HALF_WIDTH * (1.0 / math.sqrt(params.beta))
         edges = np.linspace(-width, width, HISTOGRAM_BINS + 1)
         snap = series.snapshots[times[-1]]
         masses = cell_counts(snap, edges).sum(axis=0) / snap.size
         hrows = [(edges[b], edges[b + 1], masses[b + 1]) for b in range(HISTOGRAM_BINS)]
-        emit_csv(hist_out, ["bin_left", "bin_right", "mass"], hrows, config.as_lines())
+        files.append(("histogram_out", ["bin_left", "bin_right", "mass"], hrows))
+    return files
 
 
-def _run_spectrum(config: RunConfig) -> None:
-    params = config.params()
-    rows = []
-    rows.append((params.n_particles, params.lam, params.mu, "first", first_gap(params)))
+def _run_spectrum(config: RunConfig, params: Params) -> list:
+    # the degree-4 sector lies at least mu/8 above the gap mu/2; the checks
+    # resolve AGREEMENT_TOL times its largest entry
+    tol = AGREEMENT_TOL * float(np.max(np.abs(second_gap_matrix(params))))
+    ratio = params.mu / params.lam if params.lam else math.inf
+    _require(params.mu == 0 or params.mu / 8.0 > tol,
+             f"mu/lambda = {ratio:.3g}: the degree-4 sector lies mu/8 = {params.mu / 8.0:.3g} "
+             f"above the gap mu/2, not above the gap checks' resolution {tol:.3g} "
+             f"({AGREEMENT_TOL:g} times its largest entry)")
+    values = [("first", first_gap(params))]
     if params.mu > 0:
         second_gap(params)  # raises AssemblyError if routes disagree
-        rows.append((params.n_particles, params.lam, params.mu, "second_quadratic",
-                     sector_gap_bound(2, params)))
-        rows.append((params.n_particles, params.lam, params.mu, "second_matrix",
-                     float(np.linalg.eigvalsh(second_gap_matrix(params))[0])))
         sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
-        rows.append((params.n_particles, params.lam, params.mu, "second_sector",
-                     float(sect.eigenvalues()[0])))
-        rows.append((params.n_particles, params.lam, params.mu, "second_limit",
-                     second_gap_limit(params)))
-    emit_csv(_out_path(config), ["N", "lambda", "mu", "route", "value"], rows,
-             config.as_lines())
+        values += [("second_quadratic", sector_gap_bound(2, params)),
+                   ("second_matrix", float(np.linalg.eigvalsh(second_gap_matrix(params))[0])),
+                   ("second_sector", float(sect.eigenvalues()[0])),
+                   ("second_limit", second_gap_limit(params))]
+    rows = [(params.n_particles, params.lam, params.mu, route, x) for route, x in values]
+    return [("out", ["N", "lambda", "mu", "route", "value"], rows)]
 
 
-def _run_boltzmann(config: RunConfig) -> None:
-    params = config.params()
+def _run_boltzmann(config: RunConfig, params: Params) -> list:
     o = config.options
     order = o["kmax"]
+    _require_work(params, o["samples"], order + 1)
     m0 = gaussian_moments(order, o["t0"], o["mean"])
     bath = gaussian_moments(order, 1.0 / params.beta)
     _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
@@ -393,13 +416,13 @@ def _run_boltzmann(config: RunConfig) -> None:
                                sample_times=times)
     header = ["time"] + [f"m{q}" for q in range(1, order + 1)]
     rows = [(t, *series.values[k, 1:]) for k, t in enumerate(series.times)]
-    emit_csv(_out_path(config), header, rows, config.as_lines())
+    return [("out", header, rows)]
 
 
-def _run_entropy(config: RunConfig) -> None:
-    params = config.params()
+def _run_entropy(config: RunConfig, params: Params) -> list:
     o = config.options
-    _require_events(params, [params.n_particles], o["replicas"], o["horizon"])
+    _require_work(params, o["samples"], 4, [params.n_particles], o["replicas"], o["horizon"],
+                  o["horizon"] / max(o["samples"] - 1, 1), o["samples"])
     series = entropy_decay_experiment(
         params,
         _initial_from_options(config, params),
@@ -412,30 +435,31 @@ def _run_entropy(config: RunConfig) -> None:
         (t, series.estimate[k], series.stderr[k], series.bound[k])
         for k, t in enumerate(series.times)
     ]
-    emit_csv(_out_path(config), ["t", "S_estimate", "S_error", "bound"], rows,
-             config.as_lines())
+    return [("out", ["t", "S_estimate", "S_error", "bound"], rows)]
 
 
-def _run_chaos(config: RunConfig) -> None:
-    params = config.params()
+def _run_chaos(config: RunConfig, params: Params) -> list:
     o = config.options
-    _require(o["time"] is not None or (params.mu > 0 and math.isfinite(1.0 / params.mu)),
-             "'time' defaults to 1/mu, which is not finite: give 'time'")
+    time = o["time"]
+    if time is None:
+        _require(params.mu > 0 and math.isfinite(1.0 / params.mu),
+                 "'time' defaults to 1/mu, which is not finite: give 'time'")
+        time = 1.0 / params.mu
     ladder = tuple(int(x) for x in o["n_ladder"].split(","))
-    _require_events(params, ladder, o["replicas"],
-                    1.0 / params.mu if o["time"] is None else o["time"])
+    _require_work(params, len(ladder), 4, ladder, o["replicas"], time, time, 1)
     points = chaos_ladder(
         params,
         n_values=ladder,
-        time=o["time"],
+        time=time,
         n_replicas=o["replicas"],
         seed=o["seed"],
         initial_temperature=o["t0"],
     )
     rows = [(p.n_particles, p.time, p.metric, p.stderr) for p in points]
-    emit_csv(_out_path(config), ["N", "t", "metric", "stderr"], rows, config.as_lines())
+    return [("out", ["N", "t", "metric", "stderr"], rows)]
 
 
+# each runner returns its files as (the option naming the path, header, rows)
 _RUNNERS = {
     "simulate": _run_simulate,
     "spectrum": _run_spectrum,
@@ -456,7 +480,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}\n{_usage()}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _RUNNERS[config.verb](config)
+        params = config.params()
+        for key, header, rows in _RUNNERS[config.verb](config, params):
+            emit_csv(_out_path(config, key), header, rows, config.as_lines())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

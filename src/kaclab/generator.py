@@ -237,7 +237,7 @@ def _assemble(basis: SectorBasis, columns, scale: int | Fraction, subtract_from_
             ratio = Fraction(orb[a] * n2[b], orb[b] * n2[a])
             mat[pos[b], col] = float(scale * c) * math.sqrt(float(ratio))
     asym = float(np.max(np.abs(mat - mat.T))) if dim else 0.0
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat))) if dim else 1.0):
+    if not asym <= 1e-12 * max(1.0, float(np.max(np.abs(mat))) if dim else 1.0):
         raise AssemblyError(f"{tag} sector matrix asymmetric by {asym:.3e}")
     return SectorMatrix(basis=basis, entries=mat, operator_tag=tag)
 
@@ -338,16 +338,16 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
 
 
 def _check_tol(*sectors: SectorMatrix) -> float:
-    # eigenvalues carry roundoff relative to the entries: scale the absolute
-    # tolerance by the largest entry once that exceeds 1
-    return AGREEMENT_TOL * max([1.0] + [float(np.max(np.abs(m.entries))) for m in sectors])
+    # eigenvalues carry roundoff relative to the entries: AGREEMENT_TOL times
+    # the largest entry; every check is written `not x <= tol` so a NaN fails
+    return AGREEMENT_TOL * max(float(np.max(np.abs(m.entries))) for m in sectors)
 
 
 def first_gap(params: Params) -> float:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
     assembled operator on the symmetric degree-2 and degree-4 sectors, to
-    AGREEMENT_TOL times max(1, largest |entry| of those sectors)."""
+    AGREEMENT_TOL times the largest |entry| of those sectors."""
     n = params.n_particles
     if n < 2:
         raise ValueError("gap computation needs N >= 2")
@@ -359,31 +359,34 @@ def first_gap(params: Params) -> float:
     allev = np.sort(np.concatenate([ev2, ev4]))
     tol = _check_tol(g2, g4)
     if params.mu > 0:
-        if abs(allev[0] - closed) > tol:
+        if not abs(allev[0] - closed) <= tol:
             raise AssemblyError(
                 f"eigensolve gap {allev[0]!r} disagrees with closed form {closed!r}"
             )
-        if ev4.min() <= closed + tol:
+        if not ev4.min() > closed + tol:
             raise AssemblyError("first-gap eigenvector not isolated in the degree-2 sector")
     else:
         # thermostat off: the radial kernel is degenerate across sectors
-        if abs(allev[0]) > tol or abs(allev[1]) > tol:
+        if not (abs(allev[0]) <= tol and abs(allev[1]) <= tol):
             raise AssemblyError("expected a degenerate kernel at mu = 0")
     return closed
 
 
-def _sector_quadratic(level: int, params: Params) -> tuple[float, float]:
-    """(b, c) of the sector quadratic x^2 - b x + c at level l, s = s_{2l}:
+def _sector_quadratic(level: int, params: Params) -> tuple[float, float, int]:
+    """(b, c, e) of the sector quadratic x^2 - b x + c at level l, s = s_{2l}:
     b = lam Lambda_N + (2 - s) mu and c = mu (lam Lambda_N + (1 - s) mu)
-    - s lam Lambda_N mu (N Gamma((l,))), N Gamma exact until one rounding."""
+    - s lam Lambda_N mu (N Gamma((l,))), N Gamma exact until one rounding, with
+    the rates divided by 2**e, the power of two near max(lam, mu).  That is
+    exact, and keeps b*b and c normal floats at any rates."""
     n = params.n_particles
-    lam_L = params.lam * kac_gap_Lambda(n)
-    mu = params.mu
+    e = math.frexp(max(params.lam, params.mu))[1]
+    lam_L = math.ldexp(params.lam, -e) * kac_gap_Lambda(n)
+    mu = math.ldexp(params.mu, -e)
     s = float(hermite_eigenvalue_s_exact(2 * level))
     n_gamma = float(n * sphere_moment_Gamma_exact((level,), n))
     b = lam_L + (2.0 - s) * mu
     c = mu * (lam_L + (1.0 - s) * mu) - s * lam_L * mu * n_gamma
-    return b, c
+    return b, c, e
 
 
 def _lower_root(b: float, c: float) -> float:
@@ -419,7 +422,7 @@ def second_gap_limit(params: Params) -> float:
 def second_gap(params: Params) -> float:
     """Second spectral gap by three independent routes (quadratic formula,
     closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector), required
-    to agree to AGREEMENT_TOL times max(1, largest |entry| of the sector)."""
+    to agree to AGREEMENT_TOL times the largest |entry| of the sector."""
     if params.n_particles < 2:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
@@ -429,7 +432,7 @@ def second_gap(params: Params) -> float:
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
     values = (r_quad, r_mat, r_sector)
-    if max(values) - min(values) > _check_tol(sect):
+    if not np.ptp(values) <= _check_tol(sect):
         raise AssemblyError(
             "second-gap routes disagree: "
             f"quadratic={r_quad!r} matrix={r_mat!r} sector={r_sector!r}"
@@ -442,4 +445,5 @@ def sector_gap_bound(level: int, params: Params) -> float:
     on the degree-2l sector: `_sector_quadratic`'s lower root (level 2: the second gap)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    return _lower_root(*_sector_quadratic(level, params))
+    b, c, e = _sector_quadratic(level, params)
+    return math.ldexp(_lower_root(b, c), e)

@@ -59,7 +59,7 @@ CONTRACT_CASES = [
     (verb, key, raw)
     for verb, schema in cli._SCHEMAS.items()
     for key, spec in schema.items()
-    for raw in {float: ("nan", "inf", "-inf"), int: ("-1",)}.get(spec[0], ())
+    for raw in {float: ("nan", "inf", "-inf"), int: ("-1", "1" + "0" * 400)}.get(spec[0], ())
 ]
 
 
@@ -98,6 +98,17 @@ class TestParseConfig:
             parse_config(["spectrum", "--mu", "1"])
         with pytest.raises(UsageError):
             parse_config(["entropy", "--n", "10"])  # entropy needs mu
+
+    @pytest.mark.parametrize("text", [
+        "verb = spectrum\nn = 4\nN,lambda,mu,route,value\n",  # no `#` echo before it
+        "# verb = spectrum\n# a note\n",  # a `#` line that is not an echo
+    ])
+    def test_line_without_equals_is_an_error(self, text, tmp_path):
+        # only a CSV header after the `#` echo ends the configuration
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(UsageError, match="expected 'key = value'"):
+            parse_config(["--config", str(path)])
 
     def test_round_trip_through_comments(self, tmp_path):
         cfg = parse_config(
@@ -302,6 +313,7 @@ class TestExitCodes:
         ["entropy", "--n", "5", "--mu", "1", "--seed", "18446744073709551616"],
         ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "-1"],
         ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "18446744073709551616"],
+        ["chaos", "--n-ladder", "4," + "1" + "0" * 400, "--replicas", "10"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
@@ -331,6 +343,20 @@ class TestExitCodes:
         ["boltzmann", "--mean", "1e300", "--horizon", "1"],
         ["chaos", "--mu", "1e-300", "--n-ladder", "4", "--replicas", "5"],
         ["simulate", "--n", "4", "--horizon", "1e308"],
+        # the degree-4 sector's margin mu/8 is below the gap checks' resolution
+        ["spectrum", "--n", "4", "--mu", "1e-10"],
+        ["spectrum", "--n", "100", "--lambda", "1e10"],
+        # counts at 2**62: the doubles held at once exceed MAX_DOUBLES
+        ["simulate", "--n", "4", "--samples", str(2**62), "--replicas", "1"],
+        ["boltzmann", "--samples", str(2**62)],
+        ["entropy", "--n", "4", "--mu", "1", "--samples", str(2**62)],
+        ["simulate", "--n", str(2**62), "--replicas", "1", "--horizon", "1e-30", "--lambda", "0",
+         "--mu", "1e-300"],
+        ["chaos", "--n-ladder", str(2**62), "--replicas", "1", "--time", "1e-300"],
+        # counts in the float range whose estimates overflow it
+        ["chaos", "--n-ladder", f"{10**308},{10**308}", "--replicas", "1", "--time", "1e-300"],
+        ["simulate", "--n", str(10**308), "--replicas", str(10**308), "--horizon", "1e-300"],
+        ["boltzmann", "--samples", str(10**308), "--kmax", str(10**308)],
     ])
     def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
@@ -347,6 +373,49 @@ class TestExitCodes:
             f"error: the expected event count (lambda + mu) N M T = {events} exceeds "
             f"MAX_EVENTS = {events - 1}\n")
         assert not (tmp_path / "x.csv").exists()
+
+    # doubles held at once by each VALID_ARGV run: rows x columns of its CSV, and for the
+    # simulator M (N (2 + snapshots) + REPLICA_DOUBLES) + 5 (lambda + mu) N M dt at the
+    # largest N, dt the longest interval
+    @pytest.mark.parametrize("verb, held", [
+        ("simulate", 3 * 9 + 10 * (4 * 2 + 1024) + 5 * 2 * 4 * 10 * 0.5),
+        ("boltzmann", 3 * 9),
+        ("entropy", 3 * 4 + 20 * (5 * (2 + 3) + 1024) + 5 * 2 * 5 * 20 * 0.5),
+        ("chaos", 2 * 4 + 10 * (8 * 3 + 1024) + 5 * 2 * 8 * 10 * 0.5),
+    ])
+    def test_memory_limit(self, verb, held, tmp_path, capsys, monkeypatch):
+        assert cli.REPLICA_DOUBLES == 1024
+        monkeypatch.setattr(cli, "MAX_DOUBLES", held)
+        assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "ok.csv")]) == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_DOUBLES", held - 1)
+        assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the doubles held at once (state, snapshots, replica streams, event buffer "
+            f"and CSV cells) = {held:.3g} exceed MAX_DOUBLES = {held - 1:.3g}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("verb, key", [(verb, key) for verb, schema in cli._SCHEMAS.items()
+                                           for key, spec in schema.items() if spec[0] is int])
+    def test_every_int_key_at_2_62_exits_2_or_gives_finite_csv(self, verb, key, tmp_path,
+                                                                capsys):
+        out = tmp_path / "x.csv"
+        flag = "--" + key.replace("_", "-")
+        rc = main([verb, *VALID_ARGV[verb], flag, str(2**62), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_USAGE), err
+        if rc == EXIT_USAGE:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            _, header, rows = read_csv(str(out))
+            numeric = [k for k, name in enumerate(header) if name != "route"]
+            assert all(math.isfinite(float(row[k])) for row in rows for k in numeric)
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--n", "4", "--mu", "1e-10"],
+                                      ["spectrum", "--n", "100", "--lambda", "1e10"]])
+    def test_spectrum_ratio_rule_names_mu_over_lambda(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: mu/lambda = 1e-10: ")
 
     @pytest.mark.parametrize("extra", [
         ["--beta", "1e-300"],
@@ -400,6 +469,8 @@ class TestExitCodes:
         ["spectrum", "--n", "200", "--lambda", "1e6", "--mu", "1"],
         ["spectrum", "--n", "5", "--lambda", "1e6", "--mu", "0"],
         ["spectrum", "--n", "10000000", "--lambda", "5", "--mu", "1"],
+        ["spectrum", "--n", "4", "--lambda", "1e200", "--mu", "1e200"],
+        ["spectrum", "--n", "4", "--lambda", "1e-12", "--mu", "1e-12"],
     ])
     def test_spectrum_at_large_rates(self, argv, tmp_path, capsys):
         # the gap routes differ by roundoff on entries of size lambda; the
@@ -408,11 +479,24 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == EXIT_OK, capsys.readouterr().err
         _, _, rows = read_csv(str(out))
         values = {r[3]: float(r[4]) for r in rows}
+        assert all(math.isfinite(v) for v in values.values())
         lam = float(argv[4])
         assert values["first"] == float(argv[6]) / 2.0
         routes = [v for k, v in values.items() if k in ("second_quadratic", "second_matrix",
                                                            "second_sector")]
         assert max(routes, default=0.0) - min(routes, default=0.0) <= 1e-10 * lam
+
+    @pytest.mark.parametrize("c", ["1e200", "1e-12", "0x1p600"])
+    def test_spectrum_scales_with_rates(self, c, tmp_path):
+        # both gaps are linear in (lambda, mu)
+        def values(rate):
+            out = tmp_path / "s.csv"
+            assert main(["spectrum", "--n", "4", "--lambda", rate, "--mu", rate,
+                         "--out", str(out)]) == EXIT_OK
+            return np.array([float(r[4]) for r in read_csv(str(out))[2]])
+
+        scale = float.fromhex(c) if c.startswith("0x") else float(c)
+        np.testing.assert_allclose(values(repr(scale)), scale * values("1"), rtol=1e-12, atol=0)
 
     def test_params_rejects_n_zero(self):
         with pytest.raises(UsageError):
@@ -460,16 +544,20 @@ class TestDeterminism:
         bytes_b = b.read_bytes().replace(str(b).encode(), b"OUT")
         assert bytes_a == bytes_b
 
-    def test_round_trip_from_emitted_csv(self, tmp_path):
-        out = tmp_path / "s.csv"
-        args = ["spectrum", "--n", "4", "--lambda", "0.7", "--mu", "1.3",
-                "--out", str(out)]
-        assert main(args) == EXIT_OK
-        comments, _, _ = read_csv(str(out))
-        cfg_path = tmp_path / "echo.cfg"
-        cfg_path.write_text("\n".join(comments) + "\n")
-        cfg = parse_config(["--config", str(cfg_path)])
-        assert cfg == parse_config(args)
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "4", "--lambda", "0.7", "--mu", "1.3"],
+        ["simulate", "--n", "6", "--lambda", "0.3", "--mu", "1.1", "--k0", "7",
+         "--replicas", "30", "--horizon", "1", "--samples", "4", "--seed", "5"],
+    ])
+    def test_round_trip_from_emitted_csv(self, argv, tmp_path):
+        # `kaclab --config out.csv` re-reads the `#` echo and stops at the header
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--out", str(a)]) == EXIT_OK
+        assert parse_config(["--config", str(a)]) == parse_config([*argv, "--out", str(a)])
+        assert main(["--config", str(a), "--out", str(b)]) == EXIT_OK
+        data = [[line for line in p.read_bytes().splitlines(True) if not line.startswith(b"#")]
+                for p in (a, b)]
+        assert data[0] == data[1] and len(data[0]) > 1
 
 
 class TestFingerprint:

@@ -16,6 +16,7 @@ from kaclab.core import (
     partitions,
     sphere_moment_Gamma_exact,
 )
+import kaclab.generator as generator
 from kaclab.generator import (
     AGREEMENT_TOL,
     AssemblyError,
@@ -353,6 +354,15 @@ class TestSectorGapBound:
             p = Params(n_particles=n, lam=0.8, mu=1.7)
             assert sector_gap_bound(2, p) == second_gap(p)
 
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_exact_under_power_of_two_rates(self, e):
+        # the quadratic is formed on rates scaled near 1, so scaling both rates by
+        # 2**e scales the root exactly, with no overflow in b*b nor underflow in c
+        for n, lam, mu in [(2, 1.0, 1.0), (4, 0.3, 1.7), (10**9, 5.0, 1.0), (5, 0.0, 1.3)]:
+            p = Params(n_particles=n, lam=lam, mu=mu)
+            scaled = Params(n_particles=n, lam=math.ldexp(lam, e), mu=math.ldexp(mu, e))
+            assert sector_gap_bound(2, scaled) == math.ldexp(sector_gap_bound(2, p), e)
+
     def test_pure_thermostat_branch(self):
         for level, s in [(1, 0.5), (2, 3.0 / 8.0), (3, 5.0 / 16.0)]:
             p = Params(n_particles=4, lam=0.0, mu=1.3)
@@ -380,6 +390,12 @@ class TestSectorGapBound:
 
 
 class TestAssemblyErrors:
+    def test_nan_route_fails(self, monkeypatch):
+        # a NaN compares false with any tolerance, so every check must fail on it
+        monkeypatch.setattr(generator, "second_gap_matrix", lambda p: np.full((2, 2), np.nan))
+        with pytest.raises(AssemblyError, match="routes disagree"):
+            second_gap(Params(n_particles=3, lam=1.0, mu=1.0))
+
     def test_route_disagreement_detected(self):
         p = Params(n_particles=3, lam=1.0, mu=1.0)
         sect = build_generator(sector_basis(3, 2, symmetric=True), p)
