@@ -23,9 +23,9 @@ from .chaos import chaos_ladder
 from .core import Params, gaussian_moments
 from .entropy import EntropyCheckError, entropy_decay_experiment
 from .generator import (
-    AGREEMENT_TOL,
     AssemblyError,
     first_gap,
+    first_gap_margin,
     second_gap,
     second_gap_limit,
     second_gap_matrix,
@@ -40,6 +40,7 @@ from .simulator import (
     TwoTemperature,
     cell_counts,
     run,
+    workspace_doubles,
 )
 
 EXIT_OK = 0
@@ -193,7 +194,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise UsageError(f"cannot read config file {path}: {exc}")
     out: dict[str, str] = {}
     after_echo = False
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         echo = stripped.startswith("#")
         if echo:
@@ -201,8 +203,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            if after_echo and not echo:
-                break  # the header of a CSV whose `#` lines echo its configuration
+            # the header of a CSV whose `#` lines echo its configuration: data rows follow
+            if after_echo and not echo and not any("=" in rest for rest in lines[lineno:]):
+                break
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         after_echo = echo
         key, _, raw = stripped.partition("=")
@@ -326,9 +329,9 @@ def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas
     each N in `n_values` needs some positive event rate, and its expected event
     count (lambda + mu) N M T, summed over `n_values`, is at most MAX_EVENTS.
     The doubles held at once are at most MAX_DOUBLES: the CSV cells, and at the
-    largest N the state, its workspace copy and `snapshots` kept copies,
-    REPLICA_DOUBLES per replica, and 5 per expected event of the longest
-    interval `step`."""
+    largest N the state and `snapshots` kept copies, REPLICA_DOUBLES per
+    replica, and the simulator's workspace for the expected events of the
+    longest interval `step`."""
     rate = params.lam + params.mu
     _require(not n_values or rate > 0, "lambda = mu = 0: the simulator has no events")
     # in floats, which saturate at inf; parse_config keeps every count below the largest
@@ -336,8 +339,8 @@ def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas
     events = rate * sum(map(float, n_values)) * m * time
     _require(events <= MAX_EVENTS, f"the expected event count (lambda + mu) N M T = "
              f"{events:.3g} exceeds MAX_EVENTS = {MAX_EVENTS:.3g}")
-    held = (float(rows) * columns + m * (n * (2.0 + snapshots) + REPLICA_DOUBLES)
-            + 5 * rate * n * m * step)
+    held = (float(rows) * columns + m * (n * (1.0 + snapshots) + REPLICA_DOUBLES)
+            + workspace_doubles(m, n, rate * n * m * step))
     _require(held <= MAX_DOUBLES, f"the doubles held at once (state, snapshots, replica "
              f"streams, event buffer and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
              f"{MAX_DOUBLES:.3g}")
@@ -347,8 +350,9 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     o = config.options
     hist_out = o.get("histogram_out")
     header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
-    _require_work(params, o["samples"], len(header), [params.n_particles], o["replicas"],
-                  o["horizon"], o["horizon"] / max(o["samples"] - 1, 1), 1 if hist_out else 0)
+    _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
+                  replicas=o["replicas"], time=o["horizon"],
+                  step=o["horizon"] / max(o["samples"] - 1, 1), snapshots=1 if hist_out else 0)
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
@@ -383,14 +387,13 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
 
 
 def _run_spectrum(config: RunConfig, params: Params) -> list:
-    # the degree-4 sector lies at least mu/8 above the gap mu/2; the checks
-    # resolve AGREEMENT_TOL times its largest entry
-    tol = AGREEMENT_TOL * float(np.max(np.abs(second_gap_matrix(params))))
+    # the degree-4 sector lies at least mu/8 above the gap mu/2, so only a small
+    # mu/lambda brings it within the gap checks' resolution
+    margin, tol = first_gap_margin(params)
     ratio = params.mu / params.lam if params.lam else math.inf
-    _require(params.mu == 0 or params.mu / 8.0 > tol,
-             f"mu/lambda = {ratio:.3g}: the degree-4 sector lies mu/8 = {params.mu / 8.0:.3g} "
-             f"above the gap mu/2, not above the gap checks' resolution {tol:.3g} "
-             f"({AGREEMENT_TOL:g} times its largest entry)")
+    _require(params.mu == 0 or margin > tol,
+             f"mu/lambda = {ratio:.3g}: the degree-4 sector lies {margin:.3g} above the gap "
+             f"mu/2, not above the gap checks' resolution {tol:.3g}")
     values = [("first", first_gap(params))]
     if params.mu > 0:
         second_gap(params)  # raises AssemblyError if routes disagree
@@ -406,7 +409,7 @@ def _run_spectrum(config: RunConfig, params: Params) -> list:
 def _run_boltzmann(config: RunConfig, params: Params) -> list:
     o = config.options
     order = o["kmax"]
-    _require_work(params, o["samples"], order + 1)
+    _require_work(params, o["samples"], order + 1)  # before the header of kmax + 1 names
     m0 = gaussian_moments(order, o["t0"], o["mean"])
     bath = gaussian_moments(order, 1.0 / params.beta)
     _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
@@ -421,8 +424,10 @@ def _run_boltzmann(config: RunConfig, params: Params) -> list:
 
 def _run_entropy(config: RunConfig, params: Params) -> list:
     o = config.options
-    _require_work(params, o["samples"], 4, [params.n_particles], o["replicas"], o["horizon"],
-                  o["horizon"] / max(o["samples"] - 1, 1), o["samples"])
+    header = ["t", "S_estimate", "S_error", "bound"]
+    _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
+                  replicas=o["replicas"], time=o["horizon"],
+                  step=o["horizon"] / max(o["samples"] - 1, 1), snapshots=o["samples"])
     series = entropy_decay_experiment(
         params,
         _initial_from_options(config, params),
@@ -435,7 +440,7 @@ def _run_entropy(config: RunConfig, params: Params) -> list:
         (t, series.estimate[k], series.stderr[k], series.bound[k])
         for k, t in enumerate(series.times)
     ]
-    return [("out", ["t", "S_estimate", "S_error", "bound"], rows)]
+    return [("out", header, rows)]
 
 
 def _run_chaos(config: RunConfig, params: Params) -> list:
@@ -446,7 +451,9 @@ def _run_chaos(config: RunConfig, params: Params) -> list:
                  "'time' defaults to 1/mu, which is not finite: give 'time'")
         time = 1.0 / params.mu
     ladder = tuple(int(x) for x in o["n_ladder"].split(","))
-    _require_work(params, len(ladder), 4, ladder, o["replicas"], time, time, 1)
+    header = ["N", "t", "metric", "stderr"]
+    _require_work(params, len(ladder), len(header), n_values=ladder, replicas=o["replicas"],
+                  time=time, step=time, snapshots=1)
     points = chaos_ladder(
         params,
         n_values=ladder,
@@ -456,7 +463,7 @@ def _run_chaos(config: RunConfig, params: Params) -> list:
         initial_temperature=o["t0"],
     )
     rows = [(p.n_particles, p.time, p.metric, p.stderr) for p in points]
-    return [("out", ["N", "t", "metric", "stderr"], rows)]
+    return [("out", header, rows)]
 
 
 # each runner returns its files as (the option naming the path, header, rows)

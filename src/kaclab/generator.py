@@ -337,10 +337,19 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _check_tol(*sectors: SectorMatrix) -> float:
+def _check_tol(*entries: np.ndarray) -> float:
     # eigenvalues carry roundoff relative to the entries: AGREEMENT_TOL times
     # the largest entry; every check is written `not x <= tol` so a NaN fails
-    return AGREEMENT_TOL * max(float(np.max(np.abs(m.entries))) for m in sectors)
+    return AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries)
+
+
+def first_gap_margin(params: Params) -> tuple[float, float]:
+    """(margin, tol): how far the lowest eigenvalue of the symmetric degree-4
+    sector lies above the gap mu/2, from its closed form `second_gap_matrix`,
+    and the resolution of `first_gap`'s isolation check there.  `first_gap`
+    can tell the gap's eigenvector apart only when margin > tol."""
+    mat = second_gap_matrix(params)
+    return float(np.linalg.eigvalsh(mat)[0]) - params.mu / 2.0, _check_tol(mat)
 
 
 def first_gap(params: Params) -> float:
@@ -357,7 +366,7 @@ def first_gap(params: Params) -> float:
     ev2 = g2.eigenvalues()
     ev4 = g4.eigenvalues()
     allev = np.sort(np.concatenate([ev2, ev4]))
-    tol = _check_tol(g2, g4)
+    tol = _check_tol(g2.entries, g4.entries)
     if params.mu > 0:
         if not abs(allev[0] - closed) <= tol:
             raise AssemblyError(
@@ -432,7 +441,7 @@ def second_gap(params: Params) -> float:
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
     values = (r_quad, r_mat, r_sector)
-    if not np.ptp(values) <= _check_tol(sect):
+    if not np.ptp(values) <= _check_tol(sect.entries):
         raise AssemblyError(
             "second-gap routes disagree: "
             f"quadratic={r_quad!r} matrix={r_mat!r} sector={r_sector!r}"

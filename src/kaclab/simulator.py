@@ -138,6 +138,12 @@ def _replica_rngs(seed: int, n_replicas: int) -> list[np.random.Generator]:
     ]
 
 
+def workspace_doubles(n_replicas, n_particles, n_events):
+    """Doubles in `Ensemble.advance_to`'s workspace for an interval of
+    `n_events` events: the state, then a bath slot and four uniforms per event."""
+    return n_replicas * n_particles + 5 * n_events
+
+
 @dataclass
 class Ensemble:
     """Independent replicas of the N-particle state, one RNG stream each."""
@@ -191,7 +197,8 @@ class Ensemble:
         n_events = int(counts.sum())
         # workspace: [state (M*N) | bath slot of every event (E) | uniforms (4E)],
         # allocated at no less than WORKSPACE_MIN so that it is returned on free
-        ws = np.empty(max(size + 5 * n_events, WORKSPACE_MIN))[: size + 5 * n_events]
+        total = workspace_doubles(m, n, n_events)
+        ws = np.empty(max(total, WORKSPACE_MIN))[:total]
         ws[:size] = self.velocities.reshape(-1)
         bath = ws[size : size + n_events]
         uniforms = ws[size + n_events :]

@@ -102,6 +102,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("text", [
         "verb = spectrum\nn = 4\nN,lambda,mu,route,value\n",  # no `#` echo before it
         "# verb = spectrum\n# a note\n",  # a `#` line that is not an echo
+        "# n = 4\nlam 0.5\nmu = 2\n",  # a `key = value` line after it: not a CSV header
     ])
     def test_line_without_equals_is_an_error(self, text, tmp_path):
         # only a CSV header after the `#` echo ends the configuration
@@ -343,7 +344,7 @@ class TestExitCodes:
         ["boltzmann", "--mean", "1e300", "--horizon", "1"],
         ["chaos", "--mu", "1e-300", "--n-ladder", "4", "--replicas", "5"],
         ["simulate", "--n", "4", "--horizon", "1e308"],
-        # the degree-4 sector's margin mu/8 is below the gap checks' resolution
+        # the degree-4 sector lies within the gap checks' resolution above mu/2
         ["spectrum", "--n", "4", "--mu", "1e-10"],
         ["spectrum", "--n", "100", "--lambda", "1e10"],
         # counts at 2**62: the doubles held at once exceed MAX_DOUBLES
@@ -471,6 +472,10 @@ class TestExitCodes:
         ["spectrum", "--n", "10000000", "--lambda", "5", "--mu", "1"],
         ["spectrum", "--n", "4", "--lambda", "1e200", "--mu", "1e200"],
         ["spectrum", "--n", "4", "--lambda", "1e-12", "--mu", "1e-12"],
+        # the degree-4 sector lies about 0.49 mu and 0.31 mu above mu/2, above the checks'
+        # resolution 0.25 and 5e-11, though mu/8 is not
+        ["spectrum", "--n", "100", "--lambda", "5e9", "--mu", "1"],
+        ["spectrum", "--n", "4", "--lambda", "1", "--mu", "3.5e-10"],
     ])
     def test_spectrum_at_large_rates(self, argv, tmp_path, capsys):
         # the gap routes differ by roundoff on entries of size lambda; the
