@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Params, angular_moment, gaussian_moments, hermite_eigenvalue_s
+from .core import Params, angular_moment, check_times, gaussian_moments, hermite_eigenvalue_s
 
 INITIAL_STEP = 1e-2  # the step doubles up to 16 times this
 STEP_ERROR_PER_TIME = 1e-10
@@ -36,7 +36,6 @@ class MomentVector:
     """Raw moments m_0..m_order of the one-particle density at one time."""
 
     m: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
@@ -113,31 +112,17 @@ def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_moments(
-    m0: MomentVector,
-    params: Params,
-    horizon: float,
-    sample_times=None,
-) -> MomentSeries:
-    """Integrate the hierarchy with step-doubling error control.
+def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentSeries:
+    """Integrate the hierarchy from t = 0 with step-doubling error control.
 
     Local error (full step vs two half steps) is kept below STEP_ERROR_PER_TIME
     per unit time on every component, relative to max(1, |m|).  Moment-matrix
     positivity is checked at every output time, to HANKEL_TOL.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 65)
-    times = np.asarray(sample_times, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError("sample times must be finite")
-    if times.size == 0 or times[0] < 0 or np.any(np.diff(times) < 0) or times[-1] > horizon + 1e-12:
-        raise ValueError("sample times must be increasing within [0, horizon]")
-
+    times = check_times(sample_times, ())
     f = lambda y: moment_rhs(y, params)
     y = m0.m.copy()
-    t = float(m0.time)
+    t = 0.0
     out = np.empty((times.size, y.size))
     h = INITIAL_STEP
     roundoff_floor = 4e-15  # scaled step-doubling differences bottom out here

@@ -140,7 +140,6 @@ def chaos_ladder(
         series = run(
             params,
             n_replicas=n_replicas,
-            horizon=t,
             sample_times=(),
             seed=seed,
             initial=uniform,
@@ -176,21 +175,17 @@ class BoltzmannComparison:
 def compare_to_boltzmann(
     params: Params,
     initial: ProductGaussian,
-    horizon: float,
+    sample_times,
     n_values=(50, 500),
     n_replicas: int = 400,
-    sample_times=None,
     seed: int = 0,
 ) -> dict[int, BoltzmannComparison]:
     """Pooled one-particle moments of finite-N ensembles against the moment
     hierarchy started from the same initial moments."""
     if not isinstance(initial, ProductGaussian):
         raise TypeError("comparison needs chaotic (product Gaussian) initial data")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 9)
-    times = np.asarray(sample_times, dtype=float)
     m0 = MomentVector(m=gaussian_moments(8, initial.temperature, initial.mean))
-    ode = integrate_moments(m0, params, horizon=horizon, sample_times=times)
+    ode = integrate_moments(m0, params, sample_times)
     predicted = ode.values[:, 1:7]
 
     out: dict[int, BoltzmannComparison] = {}
@@ -199,8 +194,7 @@ def compare_to_boltzmann(
         series = run(
             p_n,
             n_replicas=n_replicas,
-            horizon=horizon,
-            sample_times=times,
+            sample_times=ode.times,
             seed=seed + k,
             initial=initial,
         )

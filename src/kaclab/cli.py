@@ -39,6 +39,7 @@ from .simulator import (
     SimulationError,
     TwoTemperature,
     cell_counts,
+    initial_relative_entropy,
     run,
     workspace_doubles,
 )
@@ -346,6 +347,16 @@ def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas
              f"{MAX_DOUBLES:.3g}")
 
 
+def _sample_times(config: RunConfig) -> np.ndarray:
+    """The verb's `samples` equally spaced times from 0 to `horizon`, which must be
+    distinct; called after `_require_work` has bounded `samples`."""
+    o = config.options
+    times = np.linspace(0.0, o["horizon"], o["samples"])
+    _require(np.all(np.diff(times) > 0), f"'horizon' = {o['horizon']!r} is too small to "
+             f"hold 'samples' = {o['samples']} distinct times")
+    return times
+
+
 def _run_simulate(config: RunConfig, params: Params) -> list:
     o = config.options
     hist_out = o.get("histogram_out")
@@ -361,11 +372,10 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
                  for t in [*temps, 1.0 / params.beta]),
              f"the Gaussian moments up to order {order} at the initial or bath "
              "temperature overflow")
-    times = np.linspace(0.0, o["horizon"], o["samples"])
+    times = _sample_times(config)
     series = run(
         params,
         n_replicas=o["replicas"],
-        horizon=o["horizon"],
         sample_times=times,
         seed=o["seed"],
         initial=initial,
@@ -414,9 +424,7 @@ def _run_boltzmann(config: RunConfig, params: Params) -> list:
     bath = gaussian_moments(order, 1.0 / params.beta)
     _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
              f"the initial or bath moments overflow at order {order}")
-    times = np.linspace(0.0, o["horizon"], o["samples"])
-    series = integrate_moments(MomentVector(m=m0), params, horizon=o["horizon"],
-                               sample_times=times)
+    series = integrate_moments(MomentVector(m=m0), params, _sample_times(config))
     header = ["time"] + [f"m{q}" for q in range(1, order + 1)]
     rows = [(t, *series.values[k, 1:]) for k, t in enumerate(series.times)]
     return [("out", header, rows)]
@@ -428,12 +436,14 @@ def _run_entropy(config: RunConfig, params: Params) -> list:
     _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
                   replicas=o["replicas"], time=o["horizon"],
                   step=o["horizon"] / max(o["samples"] - 1, 1), snapshots=o["samples"])
+    initial = _initial_from_options(config, params)
+    _require(math.isfinite(initial_relative_entropy(initial, params)),
+             "the initial relative entropy, the bound at t = 0, overflows")
     series = entropy_decay_experiment(
         params,
-        _initial_from_options(config, params),
-        horizon=o["horizon"],
+        initial,
+        _sample_times(config),
         n_replicas=o["replicas"],
-        sample_times=np.linspace(0.0, o["horizon"], o["samples"]),
         seed=o["seed"],
     )
     rows = [
@@ -454,6 +464,9 @@ def _run_chaos(config: RunConfig, params: Params) -> list:
     header = ["N", "t", "metric", "stderr"]
     _require_work(params, len(ladder), len(header), n_values=ladder, replicas=o["replicas"],
                   time=time, step=time, snapshots=1)
+    # chaos_ladder's uniform start has half-width sqrt(3 t0 / beta)
+    _require(math.isfinite(3.0 * o["t0"] / params.beta),
+             "the uniform start's half-width sqrt(3 t0 / beta) overflows")
     points = chaos_ladder(
         params,
         n_values=ladder,

@@ -1,4 +1,5 @@
-"""Model parameters and the exact moment functions shared by every other module.
+"""Model parameters, the rule for sample times and the exact moment functions
+shared by every other module.
 
 The angular averages, sphere moments and the collision-gap constant are all
 small factorial formulas.  They are evaluated in exact rational arithmetic
@@ -44,6 +45,19 @@ class Params:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
+
+
+def check_times(sample_times, snapshot_times) -> np.ndarray:
+    """The sample times as an array, once they and the `snapshot_times` (an
+    unordered set) hold at least one time, each finite and >= 0, and the
+    sample times are strictly increasing."""
+    times = np.asarray(sample_times, dtype=float)
+    every = np.concatenate([times, np.fromiter(snapshot_times, dtype=float)])
+    if (every.size == 0 or not np.isfinite(every).all() or every.min() < 0
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("need at least one time, each finite and >= 0, and strictly "
+                         "increasing sample times")
+    return times
 
 
 def double_factorial(n: int) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import hermite_e
 
-from .core import Params
+from .core import Params, check_times
 from .simulator import InitialCondition, cell_counts, initial_relative_entropy, run
 
 GRID_POINTS = 2048
@@ -419,8 +419,17 @@ class EntropyDecaySeries:
     estimate: np.ndarray   # one-particle proxy: N * S(pooled marginal | g)
     stderr: np.ndarray
     bound: np.ndarray      # exp(-mu t / 2) * closed-form initial entropy
-    fitted_exponent: float
     initial_entropy: float
+
+    @property
+    def fitted_exponent(self) -> float:
+        """Decay rate of a log-linear fit through the estimates well above their
+        error bars and the floor 1e-3 est[0]; NaN with fewer than three."""
+        est = self.estimate
+        usable = est > np.maximum(3.0 * self.stderr, 1e-3 * max(est[0], 1e-12))
+        if usable.sum() < 3:
+            return float("nan")
+        return -float(np.polyfit(self.times[usable], np.log(est[usable]), 1)[0])
 
 
 def _pooled_estimate_with_cluster_bootstrap(
@@ -443,9 +452,8 @@ def _pooled_estimate_with_cluster_bootstrap(
 def entropy_decay_experiment(
     params: Params,
     initial: InitialCondition,
-    horizon: float,
+    sample_times,
     n_replicas: int,
-    sample_times=None,
     seed: int = 0,
     n_bootstrap: int = 200,
 ) -> EntropyDecaySeries:
@@ -460,13 +468,10 @@ def entropy_decay_experiment(
     overflow (`simulator.cell_counts`).
     """
     s0 = initial_relative_entropy(initial, params)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 13)
-    times = np.asarray(sample_times, dtype=float)
+    times = check_times(sample_times, ())
     series = run(
         params,
         n_replicas=n_replicas,
-        horizon=horizon,
         sample_times=(),
         seed=seed,
         initial=initial,
@@ -483,18 +488,10 @@ def entropy_decay_experiment(
         est[k] = n * value
         err[k] = n * stderr
     bound = s0 * np.exp(-params.mu * times / 2.0)
-
-    usable = est > np.maximum(3.0 * err, 1e-3 * max(est[0], 1e-12))
-    if usable.sum() >= 3:
-        slope = np.polyfit(times[usable], np.log(est[usable]), 1)[0]
-        fitted = -float(slope)
-    else:
-        fitted = float("nan")
     return EntropyDecaySeries(
         times=times,
         estimate=est,
         stderr=err,
         bound=bound,
-        fitted_exponent=fitted,
         initial_entropy=s0,
     )

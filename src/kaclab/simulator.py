@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Params
+from .core import Params, check_times
 
 N_MOMENTS = 6
 BLOCK_STEPS = 64  # lock-step iterations whose events are gathered at once
@@ -315,26 +315,16 @@ class ObservableSeries:
 def run(
     params: Params,
     n_replicas: int,
-    horizon: float,
-    sample_times: Sequence[float] | None = None,
+    sample_times: Sequence[float],
     seed: int = 0,
     initial: InitialCondition | None = None,
     snapshot_times: Sequence[float] = (),
 ) -> ObservableSeries:
     """Evolve an ensemble, record observables at `sample_times` and copy the
     state at `snapshot_times`; with `sample_times=()` only the copies."""
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, horizon, 33)
-    times = np.asarray(sample_times, dtype=float)
     snap_set = {float(t) for t in snapshot_times}
+    times = check_times(sample_times, snap_set)
     stops = np.union1d(times, list(snap_set))
-    if stops.size == 0 or not (np.isfinite(stops).all() and stops[0] >= 0
-                               and stops[-1] <= horizon + 1e-12):
-        raise ValueError("need sample or snapshot times, each finite and in [0, horizon]")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
 
     ens = Ensemble.create(params, n_replicas, seed, initial)
     t_count = times.size
@@ -375,15 +365,15 @@ def run(
     )
 
 
-def fit_cooling_rate(series: ObservableSeries, params: Params) -> float:
+def fit_cooling_rate(series: ObservableSeries) -> float:
     """Log-linear fit of the kinetic-energy relaxation rate.
 
     The energy obeys dK/dt = -(mu/2)(K - N/(2 beta)) exactly, so the fitted
     rate estimates mu/2 regardless of lam.  Raises when the series starts at
     equilibrium or covers less than two e-foldings of decay.
     """
-    n = params.n_particles
-    k_inf = n / (2.0 * params.beta)
+    params = series.params
+    k_inf = params.n_particles / (2.0 * params.beta)
     resid = series.kinetic_energy - k_inf
     amp0 = resid[0]
     noise0 = max(series.kinetic_energy_stderr[0], 1e-300)

@@ -127,11 +127,11 @@ def test_05_newton_cooling():
     worst_dev, worst_rate_err = 0.0, 0.0
     for lam in (0.0, 1.0, 10.0):
         params = Params(n_particles=n, lam=lam, mu=mu)
-        series = run(params, n_replicas=10_000, horizon=4.4, sample_times=times,
+        series = run(params, n_replicas=10_000, sample_times=times,
                      seed=seed, initial=ProductGaussian(temperature=2.0))
         curve = k_inf + k_inf * np.exp(-mu * times / 2.0)
         dev = np.max(np.abs(series.kinetic_energy - curve) / series.kinetic_energy_stderr)
-        rate = fit_cooling_rate(series, params)
+        rate = fit_cooling_rate(series)
         worst_dev = max(worst_dev, float(dev))
         worst_rate_err = max(worst_rate_err, abs(rate - mu / 2.0) / (mu / 2.0))
     ok = worst_dev < 3.0 and worst_rate_err < 0.05
@@ -144,7 +144,7 @@ def test_06_moment_ode_exact_solutions():
     params = Params(n_particles=10, lam=0.7, mu=1.3)
     m0 = MomentVector(m=gaussian_moments(8, 2.0, 0.4))
     times = np.linspace(0.0, 10.0 / params.mu, 41)
-    series = integrate_moments(m0, params, horizon=times[-1], sample_times=times)
+    series = integrate_moments(m0, params, times)
     m1_exact = m0.m[1] * np.exp(-(2 * params.lam + params.mu) * times)
     m2_exact = 1.0 + (m0.m[2] - 1.0) * np.exp(-params.mu * times / 2.0)
     err1 = float(np.max(np.abs(series.component(1) - m1_exact)))
@@ -157,9 +157,8 @@ def test_07_boltzmann_consistency():
     # seed calibrated: max standardized discrepancy 2.0 at N=500, 3.5 at N=50
     params = Params(n_particles=2, lam=1.0, mu=1.0)
     reports = compare_to_boltzmann(
-        params, ProductGaussian(temperature=2.0, mean=0.5), horizon=4.0,
-        n_values=(50, 500), n_replicas=3200,
-        sample_times=np.linspace(0.0, 4.0, 9), seed=99,
+        params, ProductGaussian(temperature=2.0, mean=0.5), np.linspace(0.0, 4.0, 9),
+        n_values=(50, 500), n_replicas=3200, seed=99,
     )
     m500 = reports[500].max_standardized
     m50 = reports[50].max_standardized
@@ -283,8 +282,8 @@ def test_10_marginal_entropy_inequality():
 def test_11_entropy_decay_bound():
     params = Params(n_particles=50, lam=1.0, mu=1.0)
     series = entropy_decay_experiment(
-        params, TwoTemperature(t_hot=5.0, t_cold=0.5, n_hot=5), horizon=6.0,
-        n_replicas=4000, sample_times=np.linspace(0.0, 6.0, 13), seed=20260808,
+        params, TwoTemperature(t_hot=5.0, t_cold=0.5, n_hot=5), np.linspace(0.0, 6.0, 13),
+        n_replicas=4000, seed=20260808,
     )
     slack = series.bound + 3.0 * series.stderr - series.estimate
     ok = bool(np.all(slack >= 0.0))

@@ -41,7 +41,7 @@ def marginals(snapshot, beta=1.0):
 def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
     # reference chaos_ladder rung: its own pair counts and one multinomial draw
     # per bootstrap resample
-    series = run(params, n_replicas=n_replicas, horizon=t, sample_times=[0.0, t], seed=seed,
+    series = run(params, n_replicas=n_replicas, sample_times=[0.0, t], seed=seed,
                  initial=lambda rng, n: rng.uniform(-half, half, n), snapshot_times=[t])
     n = params.n_particles
     scale = 1.0 / math.sqrt(params.beta)
@@ -175,7 +175,7 @@ class TestChaosMetric:
         half = math.sqrt(3.0 * 2.0 / base.beta)
         for p in pts:
             series = run(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
-                         n_replicas=200, horizon=0.4, sample_times=[0.0, 0.4], seed=SEED,
+                         n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
                          initial=lambda rng, n: rng.uniform(-half, half, n),
                          snapshot_times=[0.4])
             assert chaos_metric(series.snapshots[0.4], beta=0.8) == p.metric
@@ -210,7 +210,7 @@ class TestBoltzmannComparison:
     def test_equilibrium_consistent(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0)
         reports = compare_to_boltzmann(
-            p, ProductGaussian(temperature=1.0), horizon=1.0,
+            p, ProductGaussian(temperature=1.0), np.linspace(0.0, 1.0, 9),
             n_values=(40,), n_replicas=300, seed=SEED,
         )
         assert reports[40].max_standardized < 4.5
@@ -220,7 +220,7 @@ class TestBoltzmannComparison:
         # finite N, so their standardized discrepancies are pure noise
         p = Params(n_particles=10, lam=1.0, mu=1.0)
         reports = compare_to_boltzmann(
-            p, ProductGaussian(temperature=2.0, mean=0.5), horizon=2.0,
+            p, ProductGaussian(temperature=2.0, mean=0.5), np.linspace(0.0, 2.0, 9),
             n_values=(30,), n_replicas=400, seed=SEED,
         )
         rep = reports[30]
@@ -229,7 +229,7 @@ class TestBoltzmannComparison:
     def test_rejects_non_product(self):
         with pytest.raises(TypeError):
             compare_to_boltzmann(
-                Params(n_particles=10, lam=1.0, mu=1.0), initial=None, horizon=1.0
+                Params(n_particles=10, lam=1.0, mu=1.0), initial=None, sample_times=[0.0, 1.0]
             )
 
 

@@ -55,6 +55,7 @@ VALID_ARGV = {
                 "--samples", "3"],
     "chaos": ["--n-ladder", "4,8", "--replicas", "10", "--time", "0.5"],
 }
+SIMULATE = ["simulate", *VALID_ARGV["simulate"]]
 CONTRACT_CASES = [
     (verb, key, raw)
     for verb, schema in cli._SCHEMAS.items()
@@ -358,6 +359,11 @@ class TestExitCodes:
         ["chaos", "--n-ladder", f"{10**308},{10**308}", "--replicas", "1", "--time", "1e-300"],
         ["simulate", "--n", str(10**308), "--replicas", str(10**308), "--horizon", "1e-300"],
         ["boltzmann", "--samples", str(10**308), "--kmax", str(10**308)],
+        # linspace repeats t = 0: the grid is not strictly increasing
+        ["simulate", "--n", "4", "--horizon", "5e-324", "--samples", "3", "--replicas", "5"],
+        ["boltzmann", "--horizon", "5e-324", "--samples", "3"],
+        ["entropy", "--n", "4", "--mu", "1", "--horizon", "5e-324", "--samples", "3",
+         "--replicas", "5"],
     ])
     def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
@@ -418,20 +424,29 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: mu/lambda = 1e-10: ")
 
-    @pytest.mark.parametrize("extra", [
-        ["--beta", "1e-300"],
-        ["--k0", "1e300"],
-        ["--t-hot", "1e300"],
-        ["--t-cold", "1e300"],
-        ["--k0", "2e102"],  # T = 1e102: the Gaussian m6 is finite, sample sixth powers are not
-        ["--k0", "2e50"],  # T = 1e50: every Gaussian moment up to order 12 is finite
+    @pytest.mark.parametrize("argv", [
+        [*SIMULATE, "--beta", "1e-300"],
+        [*SIMULATE, "--k0", "1e300"],
+        [*SIMULATE, "--t-hot", "1e300"],
+        [*SIMULATE, "--t-cold", "1e300"],
+        [*SIMULATE, "--k0", "2e102"],  # T = 1e102: the Gaussian m6 is finite, v^6 is not
+        [*SIMULATE, "--k0", "2e50"],  # T = 1e50: every Gaussian moment up to order 12 is finite
         # T = 2e50: run's standard errors square replica means of v^6 near 1e152
-        ["--k0", "4e50", "--replicas", "1000"],
+        [*SIMULATE, "--k0", "4e50", "--replicas", "1000"],
+        # the closed-form initial relative entropy overflows
+        ["entropy", "--n", "40", "--mu", "1", "--t-hot", "1e308", "--replicas", "10",
+         "--samples", "2"],
+        # the uniform start's half-width sqrt(3 t0 / beta) overflows
+        ["chaos", "--t0", "1e308", "--n-ladder", "4", "--replicas", "10", "--time", "0.5"],
+        # grids on which a log-linear fit of the estimates fails or overflows
+        ["entropy", "--n", "4", "--mu", "1", "--horizon", "1e-170", "--samples", "3",
+         "--replicas", "5"],
+        ["entropy", "--n", "4", "--mu", "1e-310", "--lambda", "0", "--horizon", "1e300",
+         "--samples", "13", "--replicas", "5"],
     ])
-    def test_extreme_temperatures_exit_2_or_give_finite_csv(self, extra, tmp_path, capsys):
+    def test_extreme_temperatures_exit_2_or_give_finite_csv(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        rc = main(["simulate", "--n", "4", "--replicas", "10", "--horizon", "1", "--samples", "3",
-                   *extra, "--out", str(out)])
+        rc = main([*argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert "Traceback" not in err
         if rc == EXIT_USAGE:

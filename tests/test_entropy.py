@@ -497,8 +497,8 @@ class TestDecayExperiment:
     def test_equilibrium_start_stays_small(self):
         p = Params(n_particles=20, lam=1.0, mu=1.0)
         series = entropy_decay_experiment(
-            p, ProductGaussian(temperature=1.0), horizon=1.0, n_replicas=400,
-            sample_times=np.linspace(0, 1, 3), seed=SEED,
+            p, ProductGaussian(temperature=1.0), np.linspace(0, 1, 3), n_replicas=400,
+            seed=SEED,
         )
         assert series.initial_entropy == 0.0
         assert np.all(series.estimate < 0.2)
@@ -506,8 +506,8 @@ class TestDecayExperiment:
     def test_two_temperature_below_bound(self):
         p = Params(n_particles=20, lam=1.0, mu=1.0)
         series = entropy_decay_experiment(
-            p, TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=4), horizon=3.0,
-            n_replicas=1500, sample_times=np.linspace(0, 3, 7), seed=SEED,
+            p, TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=4), np.linspace(0, 3, 7),
+            n_replicas=1500, seed=SEED,
         )
         assert np.all(series.estimate <= series.bound + 3 * series.stderr)
         assert np.isfinite(series.fitted_exponent)
@@ -518,7 +518,7 @@ class TestDecayExperiment:
 
     def test_matches_per_row_estimator_bit_for_bit(self, monkeypatch):
         p = Params(n_particles=12, lam=1.0, mu=1.0, beta=1.3)
-        kwargs = dict(initial=TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=3), horizon=2.0,
+        kwargs = dict(initial=TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=3),
                       n_replicas=300, sample_times=np.linspace(0, 2, 5), seed=SEED,
                       n_bootstrap=30)
         got = entropy_decay_experiment(p, **kwargs)
@@ -527,3 +527,11 @@ class TestDecayExperiment:
         want = entropy_decay_experiment(p, **kwargs)
         assert np.array_equal(got.estimate, want.estimate)
         assert np.array_equal(got.stderr, want.stderr)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5], [0.0, math.nan]])
+    def test_rejects_times_that_run_rejects(self, times):
+        # the sample times reach run as snapshot times, an unordered set, yet keep
+        # run's rule for sample times
+        p = Params(n_particles=4, lam=1.0, mu=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            entropy_decay_experiment(p, ProductGaussian(temperature=1.0), times, n_replicas=5)

@@ -131,9 +131,10 @@ class TestEnsemble:
 
     def test_reproducible_and_seed_sensitive(self):
         p = Params(n_particles=8, lam=1.0, mu=1.0)
-        a = run(p, n_replicas=32, horizon=1.0, seed=SEED, initial=ProductGaussian(2.0))
-        b = run(p, n_replicas=32, horizon=1.0, seed=SEED, initial=ProductGaussian(2.0))
-        c = run(p, n_replicas=32, horizon=1.0, seed=SEED + 1, initial=ProductGaussian(2.0))
+        ts = np.linspace(0.0, 1.0, 33)
+        a = run(p, n_replicas=32, sample_times=ts, seed=SEED, initial=ProductGaussian(2.0))
+        b = run(p, n_replicas=32, sample_times=ts, seed=SEED, initial=ProductGaussian(2.0))
+        c = run(p, n_replicas=32, sample_times=ts, seed=SEED + 1, initial=ProductGaussian(2.0))
         assert np.array_equal(a.kinetic_energy, b.kinetic_energy)
         assert np.array_equal(a.moments, b.moments)
         assert not np.array_equal(a.kinetic_energy, c.kinetic_energy)
@@ -201,7 +202,7 @@ class TestRotationKernel:
     @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.0)])
     def test_run_series_and_snapshots_match_lockstep(self, lam, mu, monkeypatch):
         p = Params(n_particles=9, lam=lam, mu=mu)
-        kwargs = dict(n_replicas=48, horizon=2.0, sample_times=np.linspace(0, 2, 6),
+        kwargs = dict(n_replicas=48, sample_times=np.linspace(0, 2, 6),
                       seed=SEED, initial=ProductGaussian(2.5), snapshot_times=(0.3, 1.2))
         new = run(p, **kwargs)
         monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
@@ -216,27 +217,25 @@ class TestRotationKernel:
 class TestRunObservables:
     def test_equilibrium_energy_stationary(self):
         p = Params(n_particles=20, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=600, horizon=2.0,
-                     sample_times=np.linspace(0, 2, 5), seed=SEED)
+        series = run(p, n_replicas=600, sample_times=np.linspace(0, 2, 5), seed=SEED)
         want = p.n_particles / (2 * p.beta)
         for k, t in enumerate(series.times):
             assert abs(series.kinetic_energy[k] - want) < 3.5 * series.kinetic_energy_stderr[k]
 
     def test_cooling_curve_and_fit(self):
         p = Params(n_particles=50, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=2000, horizon=4.5,
-                     sample_times=np.linspace(0, 4.5, 19), seed=SEED,
+        series = run(p, n_replicas=2000, sample_times=np.linspace(0, 4.5, 19), seed=SEED,
                      initial=ProductGaussian(temperature=2.0 / p.beta))
         k_inf = p.n_particles / (2 * p.beta)
         curve = k_inf + k_inf * np.exp(-p.mu * series.times / 2)
         assert np.all(np.abs(series.kinetic_energy - curve)
                       < 4 * series.kinetic_energy_stderr + 1e-9)
-        rate = fit_cooling_rate(series, p)
+        rate = fit_cooling_rate(series)
         assert abs(rate - p.mu / 2) < 0.1 * (p.mu / 2)
 
     def test_snapshots_recorded(self):
         p = Params(n_particles=6, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=10, horizon=1.0, sample_times=[0.0, 1.0],
+        series = run(p, n_replicas=10, sample_times=[0.0, 1.0],
                      snapshot_times=[0.5, 1.0], seed=SEED)
         assert set(series.snapshots) == {0.5, 1.0}
         assert series.snapshots[0.5].shape == (10, 6)
@@ -245,7 +244,7 @@ class TestRunObservables:
         # with no sample times the stops are the snapshot times alone; t = 0
         # draws nothing, so the states equal a run that also samples there
         p = Params(n_particles=6, lam=1.0, mu=1.0)
-        kwargs = dict(n_replicas=10, horizon=1.0, seed=SEED, snapshot_times=[0.5, 1.0])
+        kwargs = dict(n_replicas=10, seed=SEED, snapshot_times=[0.5, 1.0])
         only = run(p, sample_times=(), **kwargs)
         full = run(p, sample_times=[0.0, 0.5, 1.0], **kwargs)
         assert only.times.size == 0
@@ -256,15 +255,12 @@ class TestRunObservables:
             assert np.array_equal(only.snapshots[t], full.snapshots[t])
 
     @pytest.mark.parametrize("kwargs", [
-        dict(horizon=1.0, sample_times=[0.0, math.nan]),
-        dict(horizon=1.0, sample_times=[0.0, math.inf]),
-        dict(horizon=math.inf, sample_times=[0.0, 1.0]),
-        dict(horizon=math.inf),
-        dict(horizon=math.nan),
-        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[2.0]),
-        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[-1.0]),
-        dict(horizon=1.0, sample_times=[0.0, 1.0], snapshot_times=[math.nan]),
-        dict(horizon=1.0, sample_times=(), snapshot_times=()),
+        dict(sample_times=[0.0, math.nan]),
+        dict(sample_times=[0.0, math.inf]),
+        dict(sample_times=[0.0, 1.0], snapshot_times=[-1.0]),
+        dict(sample_times=[0.0, 1.0], snapshot_times=[math.nan]),
+        dict(sample_times=(), snapshot_times=()),
+        dict(sample_times=[0.0, 0.0]),
     ])
     def test_rejects_non_finite_times(self, kwargs):
         p = Params(n_particles=4, lam=1.0, mu=1.0)
@@ -273,21 +269,21 @@ class TestRunObservables:
 
     def test_temperature_definition(self):
         p = Params(n_particles=10, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=20, horizon=0.5, sample_times=[0.0], seed=SEED)
+        series = run(p, n_replicas=20, sample_times=[0.0], seed=SEED)
         assert np.allclose(series.temperature, 2 * series.kinetic_energy / p.n_particles)
 
     def test_fit_errors_at_equilibrium(self):
         p = Params(n_particles=20, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=200, horizon=4.5, seed=SEED)
+        series = run(p, n_replicas=200, sample_times=np.linspace(0, 4.5, 33), seed=SEED)
         with pytest.raises(IllConditionedFitError):
-            fit_cooling_rate(series, p)
+            fit_cooling_rate(series)
 
     def test_fit_errors_on_short_series(self):
         p = Params(n_particles=20, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=200, horizon=0.5, seed=SEED,
+        series = run(p, n_replicas=200, sample_times=np.linspace(0, 0.5, 33), seed=SEED,
                      initial=ProductGaussian(3.0))
         with pytest.raises(IllConditionedFitError):
-            fit_cooling_rate(series, p)
+            fit_cooling_rate(series)
 
 
 EDGE_SETS = [
