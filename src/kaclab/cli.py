@@ -58,9 +58,9 @@ HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
 MAX_EVENTS = 1e9
 # doubles a run may hold at once: 2 GiB
 MAX_DOUBLES = 2**28
-# held per replica besides its velocities: a Philox Generator (about 1.5 KiB)
-# while simulating, or the entropy estimator's cell counts and bootstrap
-# weights (916 doubles) after
+# held per replica besides its velocities: the simulator's per-window counts
+# and orderings (about 10 doubles) while simulating, or the entropy
+# estimator's cell counts and bootstrap weights (916 doubles) after
 REPLICA_DOUBLES = 1024
 
 
@@ -325,14 +325,13 @@ def _initial_from_options(config: RunConfig, params: Params):
 
 
 def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas: int = 0,
-                  time: float = 0.0, step: float = 0.0, snapshots: int = 0) -> None:
+                  time: float = 0.0, snapshots: int = 0) -> None:
     """The verb's work estimate.  A simulation of `replicas` replicas to `time` at
     each N in `n_values` needs some positive event rate, and its expected event
     count (lambda + mu) N M T, summed over `n_values`, is at most MAX_EVENTS.
     The doubles held at once are at most MAX_DOUBLES: the CSV cells, and at the
-    largest N the state and `snapshots` kept copies, REPLICA_DOUBLES per
-    replica, and the simulator's workspace for the expected events of the
-    longest interval `step`."""
+    largest N the simulator's workspace (the state and one window of events),
+    `snapshots` kept copies and REPLICA_DOUBLES per replica."""
     rate = params.lam + params.mu
     _require(not n_values or rate > 0, "lambda = mu = 0: the simulator has no events")
     # in floats, which saturate at inf; parse_config keeps every count below the largest
@@ -340,11 +339,17 @@ def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas
     events = rate * sum(map(float, n_values)) * m * time
     _require(events <= MAX_EVENTS, f"the expected event count (lambda + mu) N M T = "
              f"{events:.3g} exceeds MAX_EVENTS = {MAX_EVENTS:.3g}")
-    held = (float(rows) * columns + m * (n * (1.0 + snapshots) + REPLICA_DOUBLES)
-            + workspace_doubles(m, n, rate * n * m * step))
-    _require(held <= MAX_DOUBLES, f"the doubles held at once (state, snapshots, replica "
-             f"streams, event buffer and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
+    held = float(rows) * columns
+    if n_values:
+        held += m * (n * snapshots + REPLICA_DOUBLES) + workspace_doubles(m, n)
+    _require(held <= MAX_DOUBLES, f"the doubles held at once (state, event window, "
+             f"snapshots, per-replica arrays and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
              f"{MAX_DOUBLES:.3g}")
+
+
+def _last_time(config: RunConfig) -> float:
+    """The last of the verb's sample times: `horizon`, or 0 for one sample."""
+    return config.options["horizon"] if config.options["samples"] > 1 else 0.0
 
 
 def _sample_times(config: RunConfig) -> np.ndarray:
@@ -362,8 +367,7 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     hist_out = o.get("histogram_out")
     header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
     _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
-                  replicas=o["replicas"], time=o["horizon"],
-                  step=o["horizon"] / max(o["samples"] - 1, 1), snapshots=1 if hist_out else 0)
+                  replicas=o["replicas"], time=_last_time(config), snapshots=1 if hist_out else 0)
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
@@ -434,8 +438,7 @@ def _run_entropy(config: RunConfig, params: Params) -> list:
     o = config.options
     header = ["t", "S_estimate", "S_error", "bound"]
     _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
-                  replicas=o["replicas"], time=o["horizon"],
-                  step=o["horizon"] / max(o["samples"] - 1, 1), snapshots=o["samples"])
+                  replicas=o["replicas"], time=_last_time(config), snapshots=o["samples"])
     initial = _initial_from_options(config, params)
     _require(math.isfinite(initial_relative_entropy(initial, params)),
              "the initial relative entropy, the bound at t = 0, overflows")
@@ -463,7 +466,7 @@ def _run_chaos(config: RunConfig, params: Params) -> list:
     ladder = tuple(int(x) for x in o["n_ladder"].split(","))
     header = ["N", "t", "metric", "stderr"]
     _require_work(params, len(ladder), len(header), n_values=ladder, replicas=o["replicas"],
-                  time=time, step=time, snapshots=1)
+                  time=time, snapshots=1)
     # chaos_ladder's uniform start has half-width sqrt(3 t0 / beta)
     _require(math.isfinite(3.0 * o["t0"] / params.beta),
              "the uniform start's half-width sqrt(3 t0 / beta) overflows")

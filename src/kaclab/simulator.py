@@ -7,34 +7,52 @@ against a fresh Gaussian partner that is never seen again).
 
 `run` evolves an ensemble of independent replicas through its stops: the
 sample times, where it records the kinetic energy and the first six pooled
-moments, and the snapshot times, where it copies the state.  For each replica
-and interval between stops it draws the Poisson event count and then the
-event sequence, which is the same process read at the stops (the embedded
-chain is independent of the jump epochs).  Every replica owns a
-counter-based Philox stream keyed by (master seed, replica index); results
-are bit-reproducible for a given seed and configuration.
+moments, and the snapshot times, where it copies the state.
 
-`Ensemble.advance_to` applies one interval with one rotation kernel for both
+The random stream is laid out in time windows, not in the intervals between
+stops, so a realization does not depend on where it is observed:
+
+- Windows: window w is [w D, (w + 1) D) with D = EVENTS_PER_WINDOW /
+  ((lam + mu) N M), so that the M replicas together expect EVENTS_PER_WINDOW
+  events in each.  D depends on the parameters and M, never on the stops.
+- One stream per window: window w is read from one Philox keyed by the seed,
+  with counter (0, 0, w, 0): first every replica's Poisson count; then one
+  pair of raw 64-bit words per event, in step-major order over the replicas
+  sorted by descending count (step k holds the k-th event of every replica
+  that has one), the first words of all events before the second words; then
+  one normal per thermostat event.  The first word gives the site, the
+  partner and the type by multiply-shift (`_decode_events`), the second the
+  angle.  Initial states come from counter (0, 0, 0, 2).
+- Stops: a replica's events in a window sit at the order statistics of
+  uniform epochs, read in replica order from counter (0, 0, w, 1) only for a
+  window that holds a stop.  A stop applies the events whose epochs come
+  before it; the rest of the window is applied by the next call.  A stop
+  changes no draw, so adding one leaves the states at the others
+  bit-identical.  Replica r's path depends on M, through D and the shared
+  stream.
+
+`Ensemble.advance_to` applies the events with one rotation kernel for both
 event types:
 
-- Draws, in two passes: first every replica's Poisson count c, then each
-  replica's 4c uniforms (rows type, site, pair, angle) and c normals, written
-  straight into one buffer.  Each stream sees poisson -> uniforms -> normals.
-- Bath slots: the workspace is the M*N state followed by one slot per event
-  holding its normal over sqrt(beta).  An event rotates site I against J,
-  a' = a cos + b sin, b' = -a sin + b cos, where J is the pair partner of a
-  Kac event and the event's own bath slot for a thermostat event, so a
-  thermostat collision is a Kac rotation against a fresh bath particle.
-- Prefix lock-step: replicas are sorted by descending count, so the replicas
-  that still have an event at step k form a prefix.  For each block of
-  BLOCK_STEPS steps I, J, cos and sin are gathered once; each step then
-  applies one slice of them to all active replicas at once (two gathers, two
-  scatters), with no branch on the event type.
+- Bath slots: the workspace is the M*N state followed by one slot per
+  thermostat event of the window, holding its normal over sqrt(beta).  An
+  event rotates site I against J, a' = a cos + b sin, b' = -a sin + b cos,
+  where J is the pair partner of a Kac event and the event's own bath slot for
+  a thermostat event, so a thermostat collision is a Kac rotation against a
+  fresh bath particle.
+- Prefix lock-step: the replicas that still have an event at step k form a
+  prefix of the sorted order, and the step's events are contiguous in the
+  window, so one slice of I, J, cos and sin applies each step to all active
+  replicas at once (two gathers, two scatters), with no branch on the event
+  type.  A part of a window, up to a stop or on from one, is applied the same
+  way over its replicas sorted by their events in the part, each step
+  gathering its events from the window.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,11 +61,17 @@ import numpy as np
 from .core import Params, check_times
 
 N_MOMENTS = 6
-BLOCK_STEPS = 64  # lock-step iterations whose events are gathered at once
+EVENTS_PER_WINDOW = 1 << 16  # expected events of all replicas in one window
+# doubles held per expected event of a window: I, J, cos, sin, the epoch and
+# the bath slot, the raw words and temporaries while it is decoded, and the
+# per-step bounds when M is small (tracemalloc: 7.2 at M = 1000, 12 at M = 1)
+WINDOW_EVENT_DOUBLES = 12
 # doubles (32 MiB): glibc's malloc maps a block this large and unmaps it when it
 # is freed, and pages never touched take no memory; a smaller workspace would
-# stay in its heap after the interval, under the next interval's peak
+# stay in its heap after the ensemble is gone
 WORKSPACE_MIN = 1 << 22
+# the last word of a stream's Philox counter
+_EVENTS, _EPOCHS, _INITIAL = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -86,20 +110,30 @@ InitialCondition = ProductGaussian | TwoTemperature | Callable
 
 
 def sample_initial(initial: InitialCondition, params: Params, rng: np.random.Generator,
-                   n: int) -> np.ndarray:
+                   shape) -> np.ndarray:
+    """Velocities of `shape`, N for one replica or (M, N) for M replicas drawn
+    one after another from `rng`; a callable `initial(rng, N)` draws one replica."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    n = shape[-1]
     if isinstance(initial, ProductGaussian):
-        return initial.mean + math.sqrt(initial.temperature) * rng.standard_normal(n)
+        v = rng.standard_normal(shape)
+        v *= math.sqrt(initial.temperature)
+        v += initial.mean
+        return v
     if isinstance(initial, TwoTemperature):
         if not 0 <= initial.n_hot <= n:
             raise ValueError(f"n_hot must lie in [0, {n}], got {initial.n_hot}")
-        v = rng.standard_normal(n)
-        v[: initial.n_hot] *= math.sqrt(initial.t_hot)
-        v[initial.n_hot :] *= math.sqrt(initial.t_cold)
+        v = rng.standard_normal(shape)
+        v[..., : initial.n_hot] *= math.sqrt(initial.t_hot)
+        v[..., initial.n_hot :] *= math.sqrt(initial.t_cold)
         return v
     if callable(initial):
-        v = np.asarray(initial(rng, n), dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"sampler must return shape ({n},), got {v.shape}")
+        v = np.empty(shape)
+        for row in v.reshape(-1, n):
+            r = np.asarray(initial(rng, n), dtype=float)
+            if r.shape != (n,):
+                raise ValueError(f"sampler must return shape ({n},), got {r.shape}")
+            row[...] = r
         return v
     raise TypeError(f"unsupported initial condition {initial!r}")
 
@@ -129,29 +163,69 @@ def initial_relative_entropy(initial: InitialCondition, params: Params) -> float
 # ---------------------------------------------------------------------------
 # ensemble
 
-def _replica_rngs(seed: int, n_replicas: int) -> list[np.random.Generator]:
-    if seed < 0 or seed > 2**64 - 1:
-        raise ValueError("seed must fit in 64 bits")
-    return [
-        np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
-        for r in range(n_replicas)
-    ]
+def _stream(seed: int, window: int, kind: int) -> np.random.Generator:
+    """The Philox keyed by `seed` at counter (0, 0, window, kind)."""
+    counter = np.array([0, 0, window, kind], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def workspace_doubles(n_replicas, n_particles, n_events):
-    """Doubles in `Ensemble.advance_to`'s workspace for an interval of
-    `n_events` events: the state, then a bath slot and four uniforms per event."""
-    return n_replicas * n_particles + 5 * n_events
+def _decode_events(words: np.ndarray, n: int, kac_below: int):
+    """Site, partner and type of events from their first raw 64-bit words, by
+    multiply-shift (Lemire): the high 32 bits times N, shifted down by 32, give
+    the site in [0, N); the low 32 bits times N - 1 give the partner in
+    [0, N - 1), moved past the site, and the low 32 bits of that product, the
+    fraction left over, a Kac event when below `kac_below`."""
+    site = words >> 32
+    site *= n
+    site >>= 32
+    frac = words & 0xFFFFFFFF
+    frac *= n - 1
+    partner = frac >> 32
+    partner += partner >= site
+    frac &= 0xFFFFFFFF
+    return site.view(np.int64), partner.view(np.int64), frac < kac_below
+
+
+def workspace_doubles(n_replicas, n_particles):
+    """Doubles that `Ensemble.advance_to` holds: the state and its bath slots in
+    the workspace, and one window's events."""
+    return n_replicas * n_particles + WINDOW_EVENT_DOUBLES * EVENTS_PER_WINDOW
+
+
+@dataclass
+class _Window:
+    """One window's draws, decoded; events in step-major order."""
+
+    index: int
+    counts: np.ndarray  # events per replica
+    order: np.ndarray  # replicas by descending count
+    starts: np.ndarray  # step k's events are [starts[k], starts[k + 1])
+    i: np.ndarray  # workspace index of the rotated site
+    j: np.ndarray  # workspace index of its partner or bath slot
+    cos: np.ndarray
+    sin: np.ndarray
+    done: np.ndarray | None = None  # events applied per replica, None for none
+    epochs: np.ndarray | None = None  # in [0, 1), each replica's in turn
+
+
+def _rotate(ws, i, j, c, s) -> None:
+    a = ws.take(i)
+    b = ws.take(j)
+    ws[i] = a * c + b * s
+    ws[j] = -a * s + b * c
 
 
 @dataclass
 class Ensemble:
-    """Independent replicas of the N-particle state, one RNG stream each."""
+    """Independent replicas of the N-particle state, read from one
+    window-keyed stream."""
 
     params: Params
-    velocities: np.ndarray  # (M, N)
+    velocities: np.ndarray  # (M, N); a view of the workspace once it advanced
     time: float
-    rngs: list
+    seed: int
+    _ws: np.ndarray | None = field(default=None, repr=False)
+    _window: _Window | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, params: Params, n_replicas: int, seed: int,
@@ -162,91 +236,147 @@ class Ensemble:
             raise ValueError("pair collisions need N >= 2")
         if params.lam + params.mu == 0.0:
             raise NoEventError("lam = mu = 0 gives an infinite waiting time")
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        if params.n_particles >= 2**32:
+            raise ValueError("multiply-shift decoding needs N < 2**32")
         if initial is None:
             initial = equilibrium_start(params)
-        rngs = _replica_rngs(seed, n_replicas)
-        n = params.n_particles
-        v = np.empty((n_replicas, n))
-        for r, rng in enumerate(rngs):
-            v[r] = sample_initial(initial, params, rng, n)
-        return cls(params=params, velocities=v, time=0.0, rngs=rngs)
+        v = sample_initial(initial, params, _stream(seed, 0, _INITIAL),
+                           (n_replicas, params.n_particles))
+        return cls(params=params, velocities=v, time=0.0, seed=seed)
 
     @property
     def n_replicas(self) -> int:
         return self.velocities.shape[0]
 
+    @property
+    def window_width(self) -> float:
+        rate = (self.params.lam + self.params.mu) * self.params.n_particles
+        return min(EVENTS_PER_WINDOW / (rate * self.n_replicas), sys.float_info.max)
+
     def snapshot(self) -> np.ndarray:
         return self.velocities.copy()
 
     def advance_to(self, t: float) -> None:
-        """Apply all events up to time t with the rotation kernel described in
-        the module docstring."""
+        """Apply all events up to time t, window by window, as the module
+        docstring describes."""
         dt = t - self.time
         if dt < -1e-12:
             raise ValueError("cannot advance backwards")
         if dt <= 0.0:
             return
+        width = self.window_width
+        x = t / width
+        if not x < 2.0**63:
+            raise ValueError(f"t = {t!r} lies past the stream's last window")
+        last = math.floor(x)
+        for w in range(math.floor(self.time / width), last):
+            self._apply(w, None)
+        if x > last:
+            self._apply(last, x - last)
+        self.time = t
+
+    def _workspace(self, slots: int) -> np.ndarray:
+        """The workspace, [state | bath slots], with at least `slots` bath slots;
+        allocated at no less than WORKSPACE_MIN doubles, so that it is returned
+        to the system on free."""
+        size = self.velocities.size
+        if self._ws is None or self._ws.size < size + slots:
+            total = size + slots + 16 * math.isqrt(slots)  # room for later windows
+            ws = np.empty(max(total, WORKSPACE_MIN))[:total]
+            ws[:size] = self.velocities.reshape(-1)
+            self.velocities = ws[:size].reshape(self.velocities.shape)
+            self._ws = ws
+        return self._ws
+
+    def _draw(self, w: int) -> _Window:
+        """Window w's counts and events, and its normals in the bath slots."""
         p = self.params
         n = p.n_particles
-        rate = (p.lam + p.mu) * n
         m = self.n_replicas
         size = m * n
-        counts = np.array([rng.poisson(rate * dt) for rng in self.rngs], dtype=np.int64)
-        offsets = np.zeros(m, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        n_events = int(counts.sum())
-        # workspace: [state (M*N) | bath slot of every event (E) | uniforms (4E)],
-        # allocated at no less than WORKSPACE_MIN so that it is returned on free
-        total = workspace_doubles(m, n, n_events)
-        ws = np.empty(max(total, WORKSPACE_MIN))[:total]
-        ws[:size] = self.velocities.reshape(-1)
-        bath = ws[size : size + n_events]
-        uniforms = ws[size + n_events :]
-        for rng, off, c in zip(self.rngs, offsets.tolist(), counts.tolist()):
-            rng.random(out=uniforms[4 * off : 4 * (off + c)])
-            rng.standard_normal(out=bath[off : off + c])
-        bath /= math.sqrt(p.beta)
-
-        p_kac = p.lam / (p.lam + p.mu)
+        rng = _stream(self.seed, w, _EVENTS)
+        counts = rng.poisson((p.lam + p.mu) * n * self.window_width, m)
         order = np.argsort(-counts, kind="stable")
         s_counts = counts[order]
-        s_type = 4 * offsets[order]  # type uniform of each replica's event 0
-        s_bath = size + offsets[order]  # bath slot of each replica's event 0
-        s_base = order * n  # each replica's row in the workspace
         kmax = int(s_counts[0])
-        # replicas active at step k, and where each step starts in step-major order
+        # replicas with an event at step k, and where each step starts
         widths = np.searchsorted(-s_counts, -np.arange(kmax), side="left")
         starts = np.zeros(kmax + 1, dtype=np.int64)
         np.cumsum(widths, out=starts[1:])
-        for k0 in range(0, kmax, BLOCK_STEPS):
-            k1 = min(k0 + BLOCK_STEPS, kmax)
-            sizes = widths[k0:k1]
-            first = starts[k0:k1] - starts[k0]
-            # the block's events in step-major order: sorted position pos, step k
-            pos = np.arange(starts[k1] - starts[k0]) - np.repeat(first, sizes)
-            k = np.repeat(np.arange(k0, k1), sizes)
-            c = s_counts[pos]
-            u = s_type[pos] + k  # the event's type uniform; site, pair, angle follow c apart
-            theta = 2.0 * math.pi * uniforms[u + 3 * c]
-            cos_t = np.cos(theta)
-            sin_t = np.sin(theta)
-            site = (uniforms[u + c] * n).astype(np.int64)
-            partner = (uniforms[u + 2 * c] * (n - 1)).astype(np.int64)
-            partner += partner >= site
-            base = s_base[pos]
-            ii = base + site
-            jj = np.where(uniforms[u] < p_kac, base + partner, s_bath[pos] + k)
-            for lo, hi in zip(first.tolist(), (first + sizes).tolist()):
-                i = ii[lo:hi]
-                j = jj[lo:hi]
-                ck = cos_t[lo:hi]
-                sk = sin_t[lo:hi]
-                a = ws.take(i)
-                b = ws.take(j)
-                ws[i] = a * ck + b * sk
-                ws[j] = -a * sk + b * ck
-        self.velocities[...] = ws[:size].reshape(m, n)
-        self.time = t
+        n_events = int(starts[-1])
+        words = rng.bit_generator.random_raw(2 * n_events)
+        kac_below = round(p.lam / (p.lam + p.mu) * 2**32)
+        site, partner, kac = _decode_events(words[:n_events], n, kac_below)
+        # each event's row in the workspace: step k takes the first widths[k] sorted rows
+        base = np.broadcast_to(order * n, (kmax, m))[np.arange(m) < widths[:, None]]
+        site += base
+        partner += base
+        del base
+        # a thermostat event's partner is its own bath slot, in event order
+        thermostat = ~kac
+        slot = np.cumsum(thermostat)
+        n_bath = int(slot[-1]) if n_events else 0
+        slot += size - 1
+        np.copyto(partner, slot, where=thermostat)
+        del slot, thermostat, kac
+        # the angle in [0, 2 pi) from the top 53 bits; its sine is +-sqrt(1 - cos^2),
+        # positive below pi
+        theta = words[n_events:] >> 11
+        del words
+        theta = theta * (2.0 * math.pi / 2.0**53)
+        cos = np.cos(theta)
+        sin = 1.0 - cos
+        sin *= 1.0 + cos
+        np.sqrt(sin, out=sin)
+        np.subtract(math.pi, theta, out=theta)
+        np.copysign(sin, theta, out=sin)
+        del theta
+        ws = self._workspace(n_bath)
+        bath = ws[size : size + n_bath]
+        rng.standard_normal(out=bath)
+        bath /= math.sqrt(p.beta)
+        return _Window(index=w, counts=counts, order=order, starts=starts, i=site, j=partner,
+                       cos=cos, sin=sin)
+
+    def _apply(self, w: int, frac: float | None) -> None:
+        """Apply window w's events up to the fraction `frac` of its width, or all
+        that remain for None, from where the last call left it."""
+        win = self._window
+        if win is None or win.index != w:
+            win = self._draw(w)
+        hi = None if frac is None else self._events_before(win, frac)
+        ws = self._ws
+        if win.done is None and hi is None:
+            bounds = win.starts.tolist()
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                _rotate(ws, win.i[a:b], win.j[a:b], win.cos[a:b], win.sin[a:b])
+        else:
+            # the part's events per replica, over the replicas sorted by them
+            lo = np.zeros_like(win.counts) if win.done is None else win.done
+            part = (win.counts if hi is None else hi) - lo
+            order = win.order[np.argsort(-part[win.order], kind="stable")]
+            s_part = part[order]
+            pos = np.argsort(win.order)[order]  # their places in the window's steps
+            first = lo[order]
+            widths = np.searchsorted(-s_part, -np.arange(s_part[0]), side="left")
+            for k, width in enumerate(widths.tolist()):
+                e = win.starts.take(first[:width] + k)
+                e += pos[:width]
+                _rotate(ws, win.i.take(e), win.j.take(e), win.cos.take(e), win.sin.take(e))
+        win.done = hi
+        self._window = None if hi is None else win
+
+    def _events_before(self, win: _Window, frac: float) -> np.ndarray:
+        """Events per replica whose epochs lie below `frac` of the window."""
+        if win.epochs is None:
+            rng = _stream(self.seed, win.index, _EPOCHS)
+            win.epochs = rng.random(int(win.counts.sum()))
+        below = np.zeros(win.epochs.size + 1, dtype=np.int64)
+        np.cumsum(win.epochs < frac, out=below[1:])
+        ends = np.cumsum(win.counts)
+        return below[ends] - below[ends - win.counts]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +454,7 @@ def run(
     state at `snapshot_times`; with `sample_times=()` only the copies."""
     snap_set = {float(t) for t in snapshot_times}
     times = check_times(sample_times, snap_set)
-    stops = np.union1d(times, list(snap_set))
+    stops = sorted(snap_set.union(times.tolist()))
 
     ens = Ensemble.create(params, n_replicas, seed, initial)
     t_count = times.size
@@ -335,7 +465,7 @@ def run(
     snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}
-    for t in stops.tolist():
+    for t in stops:
         ens.advance_to(t)
         if t in snap_set:
             snaps[t] = ens.snapshot()

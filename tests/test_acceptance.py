@@ -154,7 +154,7 @@ def test_06_moment_ode_exact_solutions():
 
 
 def test_07_boltzmann_consistency():
-    # seed calibrated: max standardized discrepancy 2.0 at N=500, 3.5 at N=50
+    # seed calibrated: max standardized discrepancy 2.0 at N=500, 2.5 at N=50
     params = Params(n_particles=2, lam=1.0, mu=1.0)
     reports = compare_to_boltzmann(
         params, ProductGaussian(temperature=2.0, mean=0.5), np.linspace(0.0, 4.0, 9),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kaclab.cli as cli
+import kaclab.simulator as simulator
 from kaclab.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -19,7 +20,7 @@ from kaclab.cli import (
 )
 from kaclab.generator import AssemblyError
 from kaclab.simulator import Ensemble, TwoTemperature
-from test_simulator import lockstep_advance_to
+from test_simulator import scalar_advance_to
 
 SEED = 20260808
 
@@ -262,11 +263,11 @@ class TestHistogramOut:
         assert histogram_rows(self.ARGV, tmp_path) == histogram_rows(self.ARGV, tmp_path)
 
     @pytest.mark.parametrize("lam, mu", [("1", "1"), ("0", "2"), ("3", "0")])
-    def test_histogram_matches_lockstep(self, lam, mu, tmp_path, monkeypatch):
+    def test_histogram_matches_scalar_oracle(self, lam, mu, tmp_path, monkeypatch):
         argv = ["simulate", "--n", "9", "--lambda", lam, "--mu", mu, "--k0", "11.25",
                 "--replicas", "48", "--horizon", "2", "--samples", "6", "--seed", str(SEED)]
         new = histogram_rows(argv, tmp_path)
-        monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
+        monkeypatch.setattr(Ensemble, "advance_to", scalar_advance_to)
         assert histogram_rows(argv, tmp_path) == new
 
 
@@ -382,24 +383,35 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     # doubles held at once by each VALID_ARGV run: rows x columns of its CSV, and for the
-    # simulator M (N (2 + snapshots) + REPLICA_DOUBLES) + 5 (lambda + mu) N M dt at the
-    # largest N, dt the longest interval
+    # simulator M (N (1 + snapshots) + REPLICA_DOUBLES) at the largest N and one window
+    # of events, 12 doubles for each of the 2**16 it expects
     @pytest.mark.parametrize("verb, held", [
-        ("simulate", 3 * 9 + 10 * (4 * 2 + 1024) + 5 * 2 * 4 * 10 * 0.5),
+        ("simulate", 3 * 9 + 10 * (4 * 1 + 1024) + 12 * 2**16),
         ("boltzmann", 3 * 9),
-        ("entropy", 3 * 4 + 20 * (5 * (2 + 3) + 1024) + 5 * 2 * 5 * 20 * 0.5),
-        ("chaos", 2 * 4 + 10 * (8 * 3 + 1024) + 5 * 2 * 8 * 10 * 0.5),
+        ("entropy", 3 * 4 + 20 * (5 * (1 + 3) + 1024) + 12 * 2**16),
+        ("chaos", 2 * 4 + 10 * (8 * 2 + 1024) + 12 * 2**16),
     ])
     def test_memory_limit(self, verb, held, tmp_path, capsys, monkeypatch):
         assert cli.REPLICA_DOUBLES == 1024
+        assert simulator.WINDOW_EVENT_DOUBLES * simulator.EVENTS_PER_WINDOW == 12 * 2**16
         monkeypatch.setattr(cli, "MAX_DOUBLES", held)
         assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "ok.csv")]) == EXIT_OK
         monkeypatch.setattr(cli, "MAX_DOUBLES", held - 1)
         assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: the doubles held at once (state, snapshots, replica streams, event buffer "
+            "error: the doubles held at once (state, event window, snapshots, per-replica arrays "
             f"and CSV cells) = {held:.3g} exceed MAX_DOUBLES = {held - 1:.3g}\n")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "entropy"])
+    def test_one_sample_charges_no_horizon(self, verb, tmp_path):
+        # one sample is the grid [0]: the run draws no event whatever the horizon,
+        # though (lambda + mu) N M horizon = 8e9 is past MAX_EVENTS
+        argv = [verb, "--n", "4", "--mu", "1", "--samples", "1", "--horizon", "1e6",
+                "--replicas", "1000", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_OK
+        _, _, rows = read_csv(str(tmp_path / "x.csv"))
+        assert [float(r[0]) for r in rows] == [0.0]
 
     @pytest.mark.parametrize("verb, key", [(verb, key) for verb, schema in cli._SCHEMAS.items()
                                            for key, spec in schema.items() if spec[0] is int])
@@ -606,15 +618,15 @@ class TestFingerprint:
     @pytest.mark.parametrize("argv, want", [
         (["simulate", "--n", "6", "--lambda", "1", "--mu", "1", "--k0", "12",
           "--replicas", "40", "--horizon", "2", "--samples", "5", "--seed", "7"],
-         "5af9cb9825a9396a8f4d88a1c77b0aca8b0e7d40c7e7c300a6d2c382cd99c102"),
+         "4b882ef8244e74af73e4e0099db9548620508a6305e56af76645d4b360d57c91"),
         (["spectrum", "--n", "5", "--lambda", "0.7", "--mu", "1.3"],
          "c90febb813104bcd27dc01b5b5eddab6c2f4e5524d9f78e2d39ab8093ac9c9e1"),
         (["entropy", "--n", "6", "--lambda", "1", "--mu", "1", "--replicas", "60",
           "--horizon", "1", "--samples", "3", "--seed", "7"],
-         "55db78079d88998e25ddaa17e4c2b7ded48c98706143ad68ae086b88f9d0e1b9"),
+         "7c9e49d66a335c565a741212e83c4592a5cc720901b2074c0f4f02e7b5f75e4a"),
         (["chaos", "--lambda", "1", "--mu", "1", "--replicas", "60", "--time", "0.5",
           "--n-ladder", "4,8", "--seed", "7"],
-         "131413e2bc0342afcde240506e71a751660aa1edfe8e6b2fe3dbe107c13b900f"),
+         "40b46fd861a3f33d237e0ea0bbf53f82f2b47934e958ce26a96f92adafc251d5"),
     ])
     def test_golden_digest(self, argv, want, tmp_path):
         out = tmp_path / "f.csv"
@@ -628,4 +640,4 @@ class TestFingerprint:
                 "--histogram-out", str(hist), "--out", str(tmp_path / "f.csv")]
         assert main(argv) == EXIT_OK
         assert self.digest(hist) == (
-            "c8483ea3f22abd31642ca3c711ed7d6f9d8a8c74dc8b7b01ef754cb23f29f92f")
+            "d6d45c67e651aa89b149ed134c1793c5097c25003e9fd1cbc205b491effd6589")

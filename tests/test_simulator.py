@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kaclab.simulator as simulator
 from kaclab.core import Params
 from kaclab.simulator import (
     Ensemble,
@@ -31,65 +33,86 @@ def searchsorted_counts(values, edges):
     return np.stack([np.bincount(row, minlength=edges.size + 1) for row in idx])
 
 
-def lockstep_advance_to(ens, t):
-    """The seed's two-branch lock-step `Ensemble.advance_to`, kept as the
-    oracle: per-replica draws concatenated, masks rebuilt at every step."""
-    dt = t - ens.time
-    if dt < -1e-12:
+M32 = 0xFFFFFFFF
+
+
+def window_events(seed, w, params, m, width):
+    """Oracle: window w of the stream read one event at a time.  Returns, per
+    replica, its events in time order as (epoch, site, partner, cos, sin), the
+    partner None for a thermostat event, which carries its bath normal instead."""
+    def stream(kind):
+        counter = np.array([0, 0, w, kind], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+    n = params.n_particles
+    rng = stream(0)
+    counts = rng.poisson((params.lam + params.mu) * n * width, m).tolist()
+    # step-major: step k holds, by descending count (ties by index), every
+    # replica with more than k events
+    order = sorted(range(m), key=lambda r: -counts[r])
+    slots = [(r, k) for k in range(max(counts)) for r in order if counts[r] > k]
+    words = rng.bit_generator.random_raw(2 * len(slots)).tolist()
+    angle = np.array([y >> 11 for y in words[len(slots):]], dtype=float)
+    angle *= 2.0 * math.pi / 2.0**53
+    cosines = np.cos(angle).tolist()
+    kac_below = round(params.lam / (params.lam + params.mu) * 2**32)
+    decoded = {}
+    n_bath = 0
+    for e, (r, k) in enumerate(slots):
+        x = words[e]
+        site = (x >> 32) * n >> 32
+        low = (x & M32) * (n - 1)
+        partner = low >> 32
+        partner += partner >= site
+        c = cosines[e]
+        s = math.copysign(math.sqrt((1.0 - c) * (1.0 + c)), math.pi - angle[e])
+        if (low & M32) < kac_below:
+            decoded[r, k] = [site, partner, c, s]
+        else:
+            decoded[r, k] = [site, None, c, s, n_bath]
+            n_bath += 1
+    bath = rng.standard_normal(n_bath) / math.sqrt(params.beta)
+    # replica r's epochs follow those of the replicas before it; its k-th event
+    # sits at its k-th smallest epoch
+    epochs = stream(1).random(len(slots)).tolist()
+    out, off = [], 0
+    for r, c in enumerate(counts):
+        times = sorted(epochs[off : off + c])
+        off += c
+        events = []
+        for k in range(c):
+            ev = decoded[r, k]
+            if ev[1] is None:
+                ev = ev[:4] + [bath[ev[4]]]
+            events.append((times[k], *ev))
+        out.append(events)
+    return out
+
+
+def scalar_advance_to(ens, t):
+    """Oracle for `Ensemble.advance_to`: each replica's events applied one at a
+    time, in time order, from each window's stream read one event at a time."""
+    if t - ens.time < -1e-12:
         raise ValueError("cannot advance backwards")
-    if dt <= 0.0:
+    if t <= ens.time:
         return
     p = ens.params
-    n = p.n_particles
-    rate = (p.lam + p.mu) * n
-    m = ens.n_replicas
-    counts = np.empty(m, dtype=np.int64)
-    u_parts = []
-    w_parts = []
-    for r, rng in enumerate(ens.rngs):
-        c = int(rng.poisson(rate * dt))
-        counts[r] = c
-        u_parts.append(rng.random((4, c)))
-        w_parts.append(rng.standard_normal(c))
-    u_type = np.concatenate([a[0] for a in u_parts])
-    u_site = np.concatenate([a[1] for a in u_parts])
-    u_pair = np.concatenate([a[2] for a in u_parts])
-    u_angle = np.concatenate([a[3] for a in u_parts])
-    w_all = np.concatenate(w_parts) / math.sqrt(p.beta)
-
-    offsets = np.zeros(m, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    p_kac = p.lam / (p.lam + p.mu)
+    m, n = ens.velocities.shape
+    width = min(simulator.EVENTS_PER_WINDOW / ((p.lam + p.mu) * n * m), sys.float_info.max)
+    start, stop = ens.time / width, t / width
     v = ens.velocities
-    rows_all = np.arange(m)
-    kmax = int(counts.max()) if m else 0
-    for k in range(kmax):
-        act = rows_all[counts > k]
-        if act.size == 0:
-            break
-        e = offsets[act] + k
-        theta = 2.0 * math.pi * u_angle[e]
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
-        kac = u_type[e] < p_kac
-
-        rk = act[kac]
-        if rk.size:
-            ek = e[kac]
-            i = (u_site[ek] * n).astype(np.int64)
-            j = (u_pair[ek] * (n - 1)).astype(np.int64)
-            j += j >= i
-            a = v[rk, i]
-            b = v[rk, j]
-            ck, sk = cos_t[kac], sin_t[kac]
-            v[rk, i] = a * ck + b * sk
-            v[rk, j] = -a * sk + b * ck
-
-        rt = act[~kac]
-        if rt.size:
-            et = e[~kac]
-            j = (u_site[et] * n).astype(np.int64)
-            v[rt, j] = v[rt, j] * cos_t[~kac] + w_all[et] * sin_t[~kac]
+    for w in range(math.floor(start), math.floor(stop) + 1):
+        lo = start - w if w == math.floor(start) else 0.0
+        hi = stop - w if w == math.floor(stop) else math.inf
+        for r, events in enumerate(window_events(ens.seed, w, p, m, width)):
+            for epoch, i, j, c, s, *bath in events:
+                if not lo <= epoch < hi:
+                    continue
+                a = v[r, i]
+                b = bath[0] if j is None else v[r, j]
+                v[r, i] = a * c + b * s
+                if j is not None:
+                    v[r, j] = -a * s + b * c
     ens.time = t
 
 
@@ -139,15 +162,41 @@ class TestEnsemble:
         assert np.array_equal(a.moments, b.moments)
         assert not np.array_equal(a.kinetic_energy, c.kinetic_energy)
 
-    def test_replica_order_does_not_couple(self):
-        # replica r's trajectory depends only on (seed, r): adding replicas
-        # leaves the first ones untouched
+    def test_initial_states_prefix_stable_in_m(self):
+        # initial states are drawn replica after replica from one stream, so
+        # adding replicas leaves the first ones untouched
         p = Params(n_particles=4, lam=1.0, mu=0.5)
-        small = Ensemble.create(p, n_replicas=3, seed=SEED, initial=ProductGaussian(1.5))
-        big = Ensemble.create(p, n_replicas=7, seed=SEED, initial=ProductGaussian(1.5))
-        small.advance_to(1.0)
-        big.advance_to(1.0)
-        assert np.array_equal(small.velocities, big.velocities[:3])
+        for init in (ProductGaussian(1.5), TwoTemperature(3.0, 0.5, 1),
+                     lambda rng, n: rng.uniform(-1.0, 1.0, n)):
+            small = Ensemble.create(p, n_replicas=3, seed=SEED, initial=init)
+            big = Ensemble.create(p, n_replicas=7, seed=SEED, initial=init)
+            assert np.array_equal(small.velocities, big.velocities[:3])
+
+    def test_window_counts_prefix_stable_in_m(self, monkeypatch):
+        # every replica's Poisson count comes first in a window's stream: at the
+        # same mean per replica, the first M' of M replicas draw the counts of M'
+        p = Params(n_particles=4, lam=1.0, mu=0.5)
+        counts = {}
+        for m in (3, 7, 40):
+            monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 5 * m)  # a mean of 5
+            ens = Ensemble.create(p, n_replicas=m, seed=SEED)
+            counts[m] = [ens._draw(w).counts for w in range(3)]
+        for w in range(3):
+            assert np.array_equal(counts[7][w][:3], counts[3][w])
+            assert np.array_equal(counts[40][w][:7], counts[7][w])
+            assert not np.array_equal(counts[40][w], counts[40][(w + 1) % 3])
+
+    def test_window_width_bounds_the_buffer(self):
+        # the window holds EVENTS_PER_WINDOW expected events at any N, M and rate;
+        # at a rate whose width overflows, one finite window holds every time
+        for n, lam, mu, m in ((4, 1.0, 1.0, 10), (1250, 1.0, 1.0, 2000), (100, 0.0, 1e-3, 1)):
+            ens = Ensemble.create(Params(n_particles=n, lam=lam, mu=mu), m, SEED)
+            events = (lam + mu) * n * m * ens.window_width
+            assert math.isclose(events, simulator.EVENTS_PER_WINDOW, rel_tol=1e-12)
+        ens = Ensemble.create(Params(n_particles=4, lam=0.0, mu=1e-310), 5, SEED)
+        assert ens.window_width == sys.float_info.max
+        ens.advance_to(1e300)
+        assert np.isfinite(ens.velocities).all()
 
     def test_rejects_bad_setup(self):
         with pytest.raises(NoEventError):
@@ -157,8 +206,8 @@ class TestEnsemble:
 
 
 # (N, lam, mu, beta, replicas, stops): all bath, all Kac, N = 1, N = 2, M = 1,
-# intervals short enough that some (or, first, all) replicas draw no event, and
-# several long intervals whose counts run over many blocks of steps
+# stops close together, so that several fall in one window, or past many
+# windows, and N = 1250
 KERNEL_CASES = [
     (5, 0.0, 1.0, 1.0, 40, (0.7, 1.5)),
     (6, 1.0, 0.0, 1.0, 40, (0.4, 1.0, 2.5)),
@@ -172,46 +221,117 @@ KERNEL_CASES = [
 
 
 class TestRotationKernel:
-    """The kernel against the seed's lock-step loop: bit-identical states."""
+    """The kernel against the scalar oracle: bit-identical states."""
 
+    # expected events per window: under one per replica, so that many replicas
+    # draw none, a few per replica, and the default, one window for most cases
+    @pytest.mark.parametrize("per_window", [16, 300, simulator.EVENTS_PER_WINDOW])
     @pytest.mark.parametrize("n, lam, mu, beta, m, stops", KERNEL_CASES)
-    def test_states_match_lockstep(self, n, lam, mu, beta, m, stops):
+    def test_states_match_scalar_oracle(self, n, lam, mu, beta, m, stops, per_window,
+                                        monkeypatch):
+        monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", per_window)
         p = Params(n_particles=n, lam=lam, mu=mu, beta=beta)
         init = TwoTemperature(t_hot=3.0, t_cold=0.5, n_hot=max(1, n // 3))
         new = Ensemble.create(p, n_replicas=m, seed=SEED, initial=init)
         ref = Ensemble.create(p, n_replicas=m, seed=SEED, initial=init)
         for t in stops:
             new.advance_to(t)
-            lockstep_advance_to(ref, t)
+            scalar_advance_to(ref, t)
             assert np.array_equal(new.velocities, ref.velocities)
             assert new.time == ref.time
-        # the streams stay in step too
-        assert all(a.random() == b.random() for a, b in zip(new.rngs, ref.rngs))
 
-    def test_some_replicas_draw_no_event(self):
+    def test_some_replicas_draw_no_event(self, monkeypatch):
+        monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 64)
         p = Params(n_particles=2, lam=1.0, mu=1.0)
-        probe = Ensemble.create(p, n_replicas=64, seed=SEED)
-        counts = [rng.poisson(4 * 0.3) for rng in probe.rngs]  # rate (lam + mu) N = 4
-        assert 0 in counts and max(counts) > 1
         ens = Ensemble.create(p, n_replicas=64, seed=SEED)
+        counts = ens._draw(0).counts
+        assert 0 in counts and max(counts) > 1
         ref = Ensemble.create(p, n_replicas=64, seed=SEED)
-        ens.advance_to(0.3)
-        lockstep_advance_to(ref, 0.3)
+        ens.advance_to(0.3 * ens.window_width)
+        scalar_advance_to(ref, 0.3 * ens.window_width)
         assert np.array_equal(ens.velocities, ref.velocities)
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.0)])
-    def test_run_series_and_snapshots_match_lockstep(self, lam, mu, monkeypatch):
+    def test_run_series_and_snapshots_match_scalar_oracle(self, lam, mu, monkeypatch):
+        monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 200)
         p = Params(n_particles=9, lam=lam, mu=mu)
         kwargs = dict(n_replicas=48, sample_times=np.linspace(0, 2, 6),
                       seed=SEED, initial=ProductGaussian(2.5), snapshot_times=(0.3, 1.2))
         new = run(p, **kwargs)
-        monkeypatch.setattr(Ensemble, "advance_to", lockstep_advance_to)
+        monkeypatch.setattr(Ensemble, "advance_to", scalar_advance_to)
         ref = run(p, **kwargs)
         for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
         assert new.snapshots.keys() == ref.snapshots.keys() == {0.3, 1.2}
         for t in ref.snapshots:
             assert np.array_equal(new.snapshots[t], ref.snapshots[t])
+
+
+def decode_exhaustively(n, bits=8):
+    """`_decode_events` on every word whose two 32-bit halves have only their top
+    `bits` bits set: (site, partner, kac) for each (high, low) pair."""
+    top = np.arange(2**bits, dtype=np.uint64) << np.uint64(32 - bits)
+    words = (top[:, None] << np.uint64(32)) | top[None, :]
+    site, partner, kac = simulator._decode_events(words.ravel(), n, 2**31)
+    return site.reshape(words.shape), partner.reshape(words.shape), kac.reshape(words.shape)
+
+
+class TestGridIndependence:
+    """Adding a stop changes no draw: the states at shared stops are bit-identical."""
+
+    def test_roadmap_reproducer(self):
+        p = Params(n_particles=10, lam=1.0, mu=1.0)
+        a = run(p, n_replicas=50, sample_times=[0.0, 2.0], seed=3, snapshot_times=[2.0])
+        b = run(p, n_replicas=50, sample_times=[0.0, 1.0, 2.0], seed=3, snapshot_times=[2.0])
+        assert np.array_equal(a.snapshots[2.0], b.snapshots[2.0])
+        assert a.kinetic_energy[1] == b.kinetic_energy[2]
+        assert np.array_equal(a.moments[1], b.moments[2])
+
+    @given(
+        base=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4, unique=True),
+        extra=st.lists(st.floats(0.0, 3.0), max_size=4),
+        snaps=st.lists(st.floats(0.0, 3.0), max_size=3),
+        lam=st.sampled_from([0.0, 1.0, 5.0]),
+        per_window=st.sampled_from([20, 150, 4000]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_superset_of_stops_gives_identical_states(self, base, extra, snaps, lam,
+                                                      per_window):
+        p = Params(n_particles=5, lam=lam, mu=1.0)
+        base = sorted(base)
+        more = sorted(set(base) | set(extra))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "EVENTS_PER_WINDOW", per_window)
+            a = run(p, n_replicas=12, sample_times=base, seed=SEED, snapshot_times=base)
+            b = run(p, n_replicas=12, sample_times=more, seed=SEED,
+                    snapshot_times=[*base, *snaps])
+        for k, t in enumerate(base):
+            assert np.array_equal(a.snapshots[t], b.snapshots[t])
+            assert a.kinetic_energy[k] == b.kinetic_energy[more.index(t)]
+
+    def test_multiply_shift_decoding(self):
+        # exhaustively over 2**16 words for small N: every site lies in [0, N), every
+        # partner in [0, N) apart from the site, and the buckets of each
+        # multiply-shift hold floor(2**8 / k) or ceil(2**8 / k) of the 2**8 halves
+        # mapped onto [0, k), all equal when k divides 2**8
+        def assert_buckets(values, k):
+            sizes = np.bincount(values, minlength=k)
+            assert sizes.size == k
+            assert set(sizes.tolist()) <= {256 // k, -(-256 // k)}
+            assert 256 % k or np.all(sizes == 256 // k)
+
+        for n in range(2, 10):
+            site, partner, kac = decode_exhaustively(n)
+            assert site.min() == 0 and site.max() == n - 1
+            assert partner.min() == 0 and partner.max() == n - 1
+            assert not np.any(partner == site)
+            assert_buckets(site[:, 0], n)  # the site from the high half
+            assert_buckets(partner[0] - (partner[0] > site[0, 0]), n - 1)  # the partner's rank
+        # the type: the fraction the partner's product leaves, below the threshold
+        assert decode_exhaustively(2)[2].mean() == 0.5
+        ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert simulator._decode_events(ends, 7, 2**32)[2].all()
+        assert not simulator._decode_events(ends, 7, 0)[2].any()
 
 
 class TestRunObservables:
