@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boltzmann import IntegrationError, MomentVector, integrate_moments
+from .boltzmann import MAX_RATE_TIME, IntegrationError, MomentVector, integrate_moments
 from .chaos import chaos_ladder
 from .core import Params, gaussian_moments
 from .entropy import EntropyCheckError, entropy_decay_experiment
@@ -401,6 +401,9 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
 
 
 def _run_spectrum(config: RunConfig, params: Params) -> list:
+    _require(params.mu == 0 or np.isfinite(second_gap_matrix(params)).all(),
+             f"lambda = {params.lam:.3g}, mu = {params.mu:.3g}: the rates overflow the "
+             "degree-4 sector's entries, such as mu + 3 lambda / (2 (N - 1))")
     # the degree-4 sector lies at least mu/8 above the gap mu/2, so only a small
     # mu/lambda brings it within the gap checks' resolution
     margin, tol = first_gap_margin(params)
@@ -420,14 +423,28 @@ def _run_spectrum(config: RunConfig, params: Params) -> list:
     return [("out", ["N", "lambda", "mu", "route", "value"], rows)]
 
 
+def _top_coefficient_overflows(order: int) -> bool:
+    """Whether gaussian_moments' last integer coefficient at `order`, order! /
+    ((order - j)! j!!) with j = order or order - 1, passes the float range; it
+    then returns an inf top moment at any variance and mean."""
+    j = order - order % 2
+    log_c = (math.lgamma(order + 1) - math.lgamma(order - j + 1) - 0.5 * j * math.log(2.0)
+             - math.lgamma(0.5 * j + 1))
+    return log_c > 1024 * math.log(2.0) + 1e-6  # 2**1024, past lgamma's rounding
+
+
 def _run_boltzmann(config: RunConfig, params: Params) -> list:
     o = config.options
     order = o["kmax"]
     _require_work(params, o["samples"], order + 1)  # before the header of kmax + 1 names
+    rate_time = max(params.lam, params.mu) * _last_time(config)
+    _require(rate_time <= MAX_RATE_TIME, f"max(lambda, mu) * horizon = {rate_time:.3g} "
+             f"exceeds MAX_RATE_TIME = {MAX_RATE_TIME:.3g}")
+    overflow = f"the initial or bath moments overflow at order {order}"
+    _require(not _top_coefficient_overflows(order), overflow)  # before O(kmax^2) steps
     m0 = gaussian_moments(order, o["t0"], o["mean"])
     bath = gaussian_moments(order, 1.0 / params.beta)
-    _require(np.isfinite(m0).all() and np.isfinite(bath).all(),
-             f"the initial or bath moments overflow at order {order}")
+    _require(np.isfinite(m0).all() and np.isfinite(bath).all(), overflow)
     series = integrate_moments(MomentVector(m=m0), params, _sample_times(config))
     header = ["time"] + [f"m{q}" for q in range(1, order + 1)]
     rows = [(t, *series.values[k, 1:]) for k, t in enumerate(series.times)]

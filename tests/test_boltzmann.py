@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaclab import boltzmann
+from kaclab.cli import main
 from kaclab.core import Params, angular_moment, gaussian_moments
 from kaclab.boltzmann import (
     IntegrationError,
@@ -14,6 +16,16 @@ from kaclab.boltzmann import (
     linearized_eigenvalue,
     moment_rhs,
 )
+
+
+# rates from 0 to 1e300, the range of the CLI's float sweep
+RATES = [0.0, 1e-300, 1.0, 1e3, 1e20, 1e300]
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh if line[0] != "#"]
+    return np.array(rows[1:], dtype=float)  # below the header
 
 
 def make_moments(variance, mean=0.0, order=8):
@@ -162,20 +174,49 @@ class TestIntegration:
         with pytest.raises(IntegrationError):
             integrate_moments(MomentVector(m=bad), p, [0.0])
 
-    def test_criterion_06_rhs_evaluation_count(self, monkeypatch):
-        calls = []
-        rhs = boltzmann.moment_rhs
-
-        def counted(m, params):
-            calls.append(None)
-            return rhs(m, params)
-
-        monkeypatch.setattr(boltzmann, "moment_rhs", counted)
+    def test_criterion_06_step_counts(self):
+        # pins the solver's cost on criterion 06's grid: a change to the method,
+        # its tolerance or its controller moves these counts
         p = Params(n_particles=10, lam=0.7, mu=1.3)
         m0 = make_moments(2.0, mean=0.4)
-        ts = np.linspace(0.0, 10.0 / p.mu, 41)
-        integrate_moments(m0, p, ts)
-        assert len(calls) == 21720
+        series = integrate_moments(m0, p, np.linspace(0.0, 10.0 / p.mu, 41))
+        assert (series.accepted, series.rejected) == (455, 0)
+
+    def test_agrees_with_frozen_rk4_on_criterion_06(self, tmp_path):
+        # the CSV that the step-doubled RK4 integrator wrote on criterion 06's grid,
+        # re-run from its own configuration echo; both solvers control the error
+        # relative to max(1, |m|)
+        frozen = Path(__file__).parent / "data" / "boltzmann_criterion06_rk4.csv"
+        out = tmp_path / "b.csv"
+        assert main(["--config", str(frozen), "--out", str(out)]) == 0
+        want, got = (read_rows(path) for path in (frozen, out))
+        assert want.shape == got.shape == (41, 9)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
+
+    @pytest.mark.parametrize("lam", RATES)
+    @pytest.mark.parametrize("mu", RATES)
+    def test_closed_forms_at_every_rate(self, lam, mu):
+        p = Params(n_particles=10, lam=lam, mu=mu, beta=2.0)
+        m0 = make_moments(2.0, mean=0.4)
+        ts = np.linspace(0.0, 4.0, 33)
+        series = integrate_moments(m0, p, ts)
+        m1_exact = m0.m[1] * np.exp(-(2 * lam + mu) * ts)
+        m2_exact = 0.5 + (m0.m[2] - 0.5) * np.exp(-mu * ts / 2.0)
+        assert np.max(np.abs(series.component(1) - m1_exact)) < 1e-8
+        assert np.max(np.abs(series.component(2) - m2_exact)) < 1e-8
+
+    def test_rejects_rate_times_time_past_the_limit(self):
+        p = Params(n_particles=10, lam=1e300, mu=1.0)
+        with pytest.raises(ValueError, match="MAX_RATE_TIME"):
+            integrate_moments(make_moments(1.0), p, [0.0, 1e300])
+
+    def test_step_that_cannot_meet_the_error_test_raises(self, monkeypatch):
+        # no step above the roundoff of t meets a tolerance of 1e-300
+        monkeypatch.setattr(boltzmann, "STEP_TOL", 1e-300)
+        p = Params(n_particles=10, lam=1.0, mu=1.0)
+        with pytest.raises(IntegrationError, match="meets the error test"):
+            integrate_moments(make_moments(2.0, mean=0.4), p, [0.0, 1.0])
 
     @pytest.mark.parametrize("order", [1, 3, 7])
     def test_odd_order(self, order):

@@ -18,6 +18,7 @@ from kaclab.cli import (
     main,
     parse_config,
 )
+from kaclab.core import gaussian_moments
 from kaclab.generator import AssemblyError
 from kaclab.simulator import Ensemble, TwoTemperature
 from test_simulator import scalar_advance_to
@@ -57,6 +58,12 @@ VALID_ARGV = {
     "chaos": ["--n-ladder", "4,8", "--replicas", "10", "--time", "0.5"],
 }
 SIMULATE = ["simulate", *VALID_ARGV["simulate"]]
+FLOAT_SWEEP = [
+    (verb, key, raw)
+    for verb, schema in cli._SCHEMAS.items()
+    for key, spec in schema.items() if spec[0] is float
+    for raw in ("1e-300", "1e300")
+]
 CONTRACT_CASES = [
     (verb, key, raw)
     for verb, schema in cli._SCHEMAS.items()
@@ -365,6 +372,9 @@ class TestExitCodes:
         ["boltzmann", "--horizon", "5e-324", "--samples", "3"],
         ["entropy", "--n", "4", "--mu", "1", "--horizon", "5e-324", "--samples", "3",
          "--replicas", "5"],
+        # max(lambda, mu) * horizon past MAX_RATE_TIME
+        ["boltzmann", "--lambda", "1e300", "--horizon", "1e300"],
+        ["boltzmann", "--mu", "1e10", "--horizon", "1e300"],
     ])
     def test_cross_key_rules_exit_2(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
@@ -429,6 +439,70 @@ class TestExitCodes:
             _, header, rows = read_csv(str(out))
             numeric = [k for k, name in enumerate(header) if name != "route"]
             assert all(math.isfinite(float(row[k])) for row in rows for k in numeric)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb, key, raw", FLOAT_SWEEP)
+    def test_every_float_key_at_1e_300_and_1e300(self, verb, key, raw, tmp_path, capsys):
+        # exit 0 with a CSV free of nan, or exit 2 with a message; never an exception
+        out = tmp_path / "x.csv"
+        flag = "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")
+        rc = main([verb, *VALID_ARGV[verb], flag, raw, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_USAGE), err
+        if rc == EXIT_USAGE:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            _, _, rows = read_csv(str(out))
+            assert rows and not any(x == "nan" for row in rows for x in row)
+
+    def test_boltzmann_refuses_a_huge_kmax_before_the_moments(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the O(kmax^2) moment loop would take hours at kmax = 10**6
+        def slow(*args):
+            raise AssertionError("gaussian_moments called")
+
+        monkeypatch.setattr(cli, "gaussian_moments", slow)
+        assert main(["boltzmann", "--kmax", "1000000", "--horizon", "1",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: the initial or bath moments overflow at order 1000000\n")
+
+    def test_fast_kmax_rule_refuses_only_what_the_moments_refuse(self):
+        refused = [k for k in range(400) if cli._top_coefficient_overflows(k)]
+        assert refused == list(range(refused[0], 400))
+        # the top moment overflows at any variance and mean, the smallest included
+        for k in range(refused[0], refused[0] + 4):
+            for variance, mean in [(0.0, 0.0), (1e-300, 0.0), (1e-300, 1e-300), (1.0, 0.0)]:
+                assert gaussian_moments(k, variance, mean)[k] == math.inf
+        # below it the exact loop decides: at variance 1e-300 the top moment is finite
+        assert math.isfinite(gaussian_moments(refused[0] - 5, 1e-300)[-1])
+
+    @pytest.mark.parametrize("argv", [["--lambda", "1e300"], ["--mu", "1e300"],
+                                      ["--horizon", "1e300"], ["--lambda", "1e20"]])
+    def test_boltzmann_at_extreme_rates_and_horizons(self, argv, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["boltzmann", *argv, "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(str(out))
+        values = np.array(rows, dtype=float)
+        assert values.shape == (33, 9) and np.isfinite(values).all()
+
+    def test_boltzmann_long_horizon_ends_at_equilibrium(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["boltzmann", "--horizon", "1e300", "--out", str(out)]) == EXIT_OK
+        m = np.array(read_csv(str(out))[2][-1], dtype=float)  # time, m1..m8
+        assert m[2] == pytest.approx(1.0, rel=1e-12)
+        assert m[4] == pytest.approx(3.0 * m[2] ** 2, rel=1e-12)
+        assert m[8] == pytest.approx(105.0 * m[2] ** 4, rel=1e-12)
+
+    def test_spectrum_overflow_names_the_rates(self, tmp_path, capsys):
+        # 3 lambda / (2 (N - 1)) overflows; mu/lambda = 1 is not the cause
+        assert main(["spectrum", "--n", "4", "--lambda", "1e308", "--mu", "1e308",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: lambda = 1e+308, mu = 1e+308: the rates overflow the degree-4 sector's ")
+        # at mu = 0 only the first gap, 0, is reported, as before
+        assert main(["spectrum", "--n", "4", "--lambda", "1e308", "--mu", "0",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("argv", [["spectrum", "--n", "4", "--mu", "1e-10"],
                                       ["spectrum", "--n", "100", "--lambda", "1e10"]])
