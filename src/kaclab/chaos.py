@@ -3,7 +3,8 @@
 As the particle number grows, the two-particle marginal of the evolved law
 factorizes into the product of one-particle marginals (weakly), and the
 one-particle marginal follows the limiting kinetic equation.  This module
-estimates one- and two-particle marginals from ensemble snapshots, measures
+estimates one- and two-particle marginals from the ensemble's state at one
+time, counted where the simulator stops, measures
 the factorization defect against a fixed dictionary of bounded test-function
 pairs, and compares pooled simulator moments with the closed moment
 hierarchy.
@@ -97,17 +98,6 @@ def _defect(counts: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> float
     return _metric_from_masses(*_weighted_masses(counts, weights), edges)
 
 
-def chaos_metric(snapshot: np.ndarray, beta: float = 1.0) -> float:
-    """Worst factorization defect |<phi_i x phi_j, f2> - <phi_i, f1><phi_j, f1>|
-    over the test-function dictionary, for the one- and two-particle marginals
-    of an (M, N) snapshot counted on one GRID_BINS_2D grid (as `chaos_ladder`)."""
-    v = np.asarray(snapshot, dtype=float)
-    if v.ndim != 2 or v.shape[1] < 2:
-        raise ValueError("snapshot must be (replicas, particles) with at least 2 particles")
-    edges = _grid_edges(beta, GRID_BINS_2D)
-    return _defect(cell_counts(v, edges), np.ones(v.shape[0]), edges)
-
-
 @dataclass
 class ChaosLadderPoint:
     n_particles: int
@@ -137,16 +127,18 @@ def chaos_ladder(
     uniform = lambda rng, n: rng.uniform(-half, half, n)
     for n in n_values:
         params = replace(base_params, n_particles=n)
-        series = run(
+        edges = _grid_edges(params.beta, GRID_BINS_2D)
+        seen = []
+        run(
             params,
             n_replicas=n_replicas,
             sample_times=(),
             seed=seed,
             initial=uniform,
-            snapshot_times=[t],
+            observe_times=[t],
+            observe=lambda _, v: seen.append(cell_counts(v, edges)),
         )
-        edges = _grid_edges(params.beta, GRID_BINS_2D)
-        counts = cell_counts(series.snapshots[t], edges)
+        counts = seen[0]
         metric = _defect(counts, np.ones(n_replicas), edges)
         weights = np.random.default_rng(seed + 0xC0FFEE).multinomial(
             n_replicas, np.full(n_replicas, 1.0 / n_replicas), size=n_bootstrap)
@@ -201,37 +193,3 @@ def compare_to_boltzmann(
         stderr = np.maximum(series.moment_stderr, 1e-300)
         out[n] = BoltzmannComparison(standardized=(series.moments - predicted) / stderr)
     return out
-
-
-# ---------------------------------------------------------------------------
-# series-expansion diagnostics
-
-@dataclass(frozen=True)
-class SeriesBound:
-    """Convergence diagnostics for the correlation-expansion bound."""
-
-    radius: float        # guaranteed absolute-convergence horizon 1/(4 lam + mu)
-    growth_rate: float   # geometric factor 4 lam + 2 mu in the term bound
-    arity: int
-
-    def term_bound(self, order: int) -> float:
-        out = 1.0
-        for j in range(order):
-            out *= self.growth_rate * (self.arity + j)
-        return out
-
-    def term_ratio(self, order: int, t: float) -> float:
-        """Ratio of consecutive series terms t^l/l! * term_bound(l)."""
-        return t * self.growth_rate * (self.arity + order) / (order + 1)
-
-
-def mckean_series_radius(params: Params, arity: int) -> SeriesBound:
-    """Guaranteed convergence horizon of the correlation expansion for test
-    functions of `arity` variables, with the term-bound sequence."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    denom = 4.0 * params.lam + params.mu
-    radius = math.inf if denom == 0.0 else 1.0 / denom
-    return SeriesBound(
-        radius=radius, growth_rate=4.0 * params.lam + 2.0 * params.mu, arity=arity
-    )

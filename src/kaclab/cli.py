@@ -59,8 +59,8 @@ MAX_EVENTS = 1e9
 # doubles a run may hold at once: 2 GiB
 MAX_DOUBLES = 2**28
 # held per replica besides its velocities: the simulator's per-window counts
-# and orderings (about 10 doubles) while simulating, or the entropy
-# estimator's cell counts and bootstrap weights (916 doubles) after
+# and orderings (about 10 doubles), and at a stop the entropy estimator's cell
+# counts and bootstrap weights (474 doubles), or the chaos or histogram counts
 REPLICA_DOUBLES = 1024
 
 
@@ -325,13 +325,14 @@ def _initial_from_options(config: RunConfig, params: Params):
 
 
 def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas: int = 0,
-                  time: float = 0.0, snapshots: int = 0) -> None:
+                  time: float = 0.0) -> None:
     """The verb's work estimate.  A simulation of `replicas` replicas to `time` at
     each N in `n_values` needs some positive event rate, and its expected event
     count (lambda + mu) N M T, summed over `n_values`, is at most MAX_EVENTS.
     The doubles held at once are at most MAX_DOUBLES: the CSV cells, and at the
-    largest N the simulator's workspace (the state and one window of events),
-    `snapshots` kept copies and REPLICA_DOUBLES per replica."""
+    largest N the simulator's workspace (the state and one window of events)
+    and REPLICA_DOUBLES per replica.  The state is reduced where the simulator
+    stops, so no copy of it is charged."""
     rate = params.lam + params.mu
     _require(not n_values or rate > 0, "lambda = mu = 0: the simulator has no events")
     # in floats, which saturate at inf; parse_config keeps every count below the largest
@@ -341,9 +342,9 @@ def _require_work(params: Params, rows: int, columns: int, n_values=(), replicas
              f"{events:.3g} exceeds MAX_EVENTS = {MAX_EVENTS:.3g}")
     held = float(rows) * columns
     if n_values:
-        held += m * (n * snapshots + REPLICA_DOUBLES) + workspace_doubles(m, n)
+        held += m * REPLICA_DOUBLES + workspace_doubles(m, n)
     _require(held <= MAX_DOUBLES, f"the doubles held at once (state, event window, "
-             f"snapshots, per-replica arrays and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
+             f"per-replica arrays and CSV cells) = {held:.3g} exceed MAX_DOUBLES = "
              f"{MAX_DOUBLES:.3g}")
 
 
@@ -367,7 +368,7 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     hist_out = o.get("histogram_out")
     header = ["time", "K", "T"] + [f"m{q}" for q in range(1, 7)]
     _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
-                  replicas=o["replicas"], time=_last_time(config), snapshots=1 if hist_out else 0)
+                  replicas=o["replicas"], time=_last_time(config))
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
@@ -377,13 +378,17 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
              f"the Gaussian moments up to order {order} at the initial or bath "
              "temperature overflow")
     times = _sample_times(config)
+    width = HISTOGRAM_HALF_WIDTH * (1.0 / math.sqrt(params.beta))
+    edges = np.linspace(-width, width, HISTOGRAM_BINS + 1)
+    masses = []
     series = run(
         params,
         n_replicas=o["replicas"],
         sample_times=times,
         seed=o["seed"],
         initial=initial,
-        snapshot_times=[times[-1]] if hist_out else (),
+        observe_times=[times[-1]] if hist_out else (),
+        observe=lambda _, v: masses.append(cell_counts(v, edges).sum(axis=0) / v.size),
     )
     rows = [
         (t, series.kinetic_energy[k], series.temperature[k], *series.moments[k])
@@ -391,11 +396,7 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     ]
     files = [("out", header, rows)]
     if hist_out:
-        width = HISTOGRAM_HALF_WIDTH * (1.0 / math.sqrt(params.beta))
-        edges = np.linspace(-width, width, HISTOGRAM_BINS + 1)
-        snap = series.snapshots[times[-1]]
-        masses = cell_counts(snap, edges).sum(axis=0) / snap.size
-        hrows = [(edges[b], edges[b + 1], masses[b + 1]) for b in range(HISTOGRAM_BINS)]
+        hrows = [(edges[b], edges[b + 1], masses[0][b + 1]) for b in range(HISTOGRAM_BINS)]
         files.append(("histogram_out", ["bin_left", "bin_right", "mass"], hrows))
     return files
 
@@ -455,7 +456,7 @@ def _run_entropy(config: RunConfig, params: Params) -> list:
     o = config.options
     header = ["t", "S_estimate", "S_error", "bound"]
     _require_work(params, o["samples"], len(header), n_values=[params.n_particles],
-                  replicas=o["replicas"], time=_last_time(config), snapshots=o["samples"])
+                  replicas=o["replicas"], time=_last_time(config))
     initial = _initial_from_options(config, params)
     _require(math.isfinite(initial_relative_entropy(initial, params)),
              "the initial relative entropy, the bound at t = 0, overflows")
@@ -483,7 +484,7 @@ def _run_chaos(config: RunConfig, params: Params) -> list:
     ladder = tuple(int(x) for x in o["n_ladder"].split(","))
     header = ["N", "t", "metric", "stderr"]
     _require_work(params, len(ladder), len(header), n_values=ladder, replicas=o["replicas"],
-                  time=time, snapshots=1)
+                  time=time)
     # chaos_ladder's uniform start has half-width sqrt(3 t0 / beta)
     _require(math.isfinite(3.0 * o["t0"] / params.beta),
              "the uniform start's half-width sqrt(3 t0 / beta) overflows")

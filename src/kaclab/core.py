@@ -47,12 +47,12 @@ class Params:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
 
-def check_times(sample_times, snapshot_times) -> np.ndarray:
-    """The sample times as an array, once they and the `snapshot_times` (an
+def check_times(sample_times, observe_times) -> np.ndarray:
+    """The sample times as an array, once they and the `observe_times` (an
     unordered set) hold at least one time, each finite and >= 0, and the
     sample times are strictly increasing."""
     times = np.asarray(sample_times, dtype=float)
-    every = np.concatenate([times, np.fromiter(snapshot_times, dtype=float)])
+    every = np.concatenate([times, np.fromiter(observe_times, dtype=float)])
     if (every.size == 0 or not np.isfinite(every).all() or every.min() < 0
             or np.any(np.diff(times) <= 0)):
         raise ValueError("need at least one time, each finite and >= 0, and strictly "

@@ -41,6 +41,7 @@ GRID_HALF_WIDTH = 8.0
 THETA_NODES = 256
 GAUSS_NODES = 32
 ESTIMATOR_BINS = 256
+BOOTSTRAP_CHUNK = 16  # bootstrap resamples whose weights are drawn at once
 THERMOSTAT_CHECK_TOL = 1e-8
 MARGINAL_CHECK_TOL = 1e-10
 _STENCIL = 8
@@ -298,11 +299,6 @@ def gauss_weighted_entropy(G: DensityGrid) -> float:
     return float(np.trapezoid(g * _xlogx(G.values), G.nodes))
 
 
-def gauss_inner(a: DensityGrid, b: DensityGrid) -> float:
-    g = standard_gaussian(a.nodes)
-    return float(np.trapezoid(g * a.values * b.values, a.nodes))
-
-
 def semigroup_defect(G: DensityGrid, s: float, t: float) -> float:
     """L2(g) distance between the composed and the one-shot smoothing."""
     two = ou_apply(ou_apply(G, s), t)
@@ -433,19 +429,29 @@ class EntropyDecaySeries:
 
 
 def _pooled_estimate_with_cluster_bootstrap(
-    snapshot: np.ndarray, beta: float, n_bootstrap: int, rng: np.random.Generator
+    v: np.ndarray, beta: float, n_bootstrap: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     # every resample is a weighted sum of per-replica cell counts; the sums are
-    # integers below 2**53, so one matmul gives each resample exactly
-    m, n = snapshot.shape
+    # integers below 2**53, so one matmul gives each resample exactly.  The
+    # counts are taken a block of rows at a time, so no scaled copy of the
+    # state is made, and the integer weights are drawn BOOTSTRAP_CHUNK
+    # resamples at a time (the same draws as one call) into one float matrix
+    m, n = v.shape
     edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
     q = _gaussian_cell_masses(edges)
-    counts = cell_counts(snapshot * math.sqrt(beta), edges)
+    root = math.sqrt(beta)
+    counts = np.empty((m, edges.size + 1))
+    rows = max(1, 65536 // max(n, edges.size + 1))
+    for r in range(0, m, rows):
+        counts[r : r + rows] = cell_counts(v[r : r + rows] * root, edges)
     n_tot = m * n
     value = _plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
-    weights = rng.multinomial(m, np.full(m, 1.0 / m), size=n_bootstrap)
-    resampled = (weights.astype(float) @ counts.astype(float)) / n_tot
-    boots = [_plugin_kl(pb, q, n_tot) for pb in resampled]
+    p = np.full(m, 1.0 / m)
+    weights = np.empty((n_bootstrap, m))
+    for b in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+        weights[b : b + BOOTSTRAP_CHUNK] = rng.multinomial(
+            m, p, size=min(BOOTSTRAP_CHUNK, n_bootstrap - b))
+    boots = [_plugin_kl(pb, q, n_tot) for pb in (weights @ counts) / n_tot]
     return value, float(np.std(boots, ddof=1))
 
 
@@ -465,28 +471,29 @@ def entropy_decay_experiment(
     bound curve dominates it up to estimator noise.  Error bars come from a
     bootstrap over replicas, which respects the within-replica correlation
     that collisions introduce; cells are half-open, the top edge counting as
-    overflow (`simulator.cell_counts`).
+    overflow (`simulator.cell_counts`).  Each sample time is estimated from the
+    live state when the simulator stops there, so no copy of it is kept.
     """
     s0 = initial_relative_entropy(initial, params)
     times = check_times(sample_times, ())
-    series = run(
+    n = params.n_particles
+    rng = np.random.default_rng(seed + 0x5EED)
+    estimates = []
+
+    def estimate(_, v):
+        estimates.append(
+            _pooled_estimate_with_cluster_bootstrap(v, params.beta, n_bootstrap, rng))
+
+    run(
         params,
         n_replicas=n_replicas,
         sample_times=(),
         seed=seed,
         initial=initial,
-        snapshot_times=times,
+        observe_times=times,
+        observe=estimate,
     )
-    n = params.n_particles
-    rng = np.random.default_rng(seed + 0x5EED)
-    est = np.empty(times.size)
-    err = np.empty(times.size)
-    for k, t in enumerate(times):
-        value, stderr = _pooled_estimate_with_cluster_bootstrap(
-            series.snapshots[float(t)], params.beta, n_bootstrap, rng
-        )
-        est[k] = n * value
-        err[k] = n * stderr
+    est, err = n * np.array(estimates).T
     bound = s0 * np.exp(-params.mu * times / 2.0)
     return EntropyDecaySeries(
         times=times,

@@ -7,7 +7,8 @@ against a fresh Gaussian partner that is never seen again).
 
 `run` evolves an ensemble of independent replicas through its stops: the
 sample times, where it records the kinetic energy and the first six pooled
-moments, and the snapshot times, where it copies the state.
+moments, and the observe times, where it hands the live state to a callback
+that reduces it in place of a copy.
 
 The random stream is laid out in time windows, not in the intervals between
 stops, so a realization does not depend on where it is observed:
@@ -35,7 +36,10 @@ stops, so a realization does not depend on where it is observed:
 event types:
 
 - Bath slots: the workspace is the M*N state followed by one slot per
-  thermostat event of the window, holding its normal over sqrt(beta).  An
+  thermostat event of the window, holding its normal over sqrt(beta).
+  `Ensemble.create` allocates it, with room for the window's expected bath
+  slots and 16 standard deviations more, and draws the initial state straight
+  into its first M*N doubles; it grows only for a window that needs more.  An
   event rotates site I against J, a' = a cos + b sin, b' = -a sin + b cos,
   where J is the pair partner of a Kac event and the event's own bath slot for
   a thermostat event, so a thermostat collision is a Kac rotation against a
@@ -66,9 +70,10 @@ EVENTS_PER_WINDOW = 1 << 16  # expected events of all replicas in one window
 # the bath slot, the raw words and temporaries while it is decoded, and the
 # per-step bounds when M is small (tracemalloc: 7.2 at M = 1000, 12 at M = 1)
 WINDOW_EVENT_DOUBLES = 12
-# doubles (32 MiB): glibc's malloc maps a block this large and unmaps it when it
-# is freed, and pages never touched take no memory; a smaller workspace would
-# stay in its heap after the ensemble is gone
+# doubles (32 MiB) that `Ensemble.create` allocates for the workspace at least:
+# glibc's malloc maps a block this large and unmaps it when it is freed, and
+# pages never touched take no memory; a smaller workspace would stay in its
+# heap after the ensemble is gone
 WORKSPACE_MIN = 1 << 22
 # the last word of a stream's Philox counter
 _EVENTS, _EPOCHS, _INITIAL = 0, 1, 2
@@ -109,32 +114,31 @@ class TwoTemperature:
 InitialCondition = ProductGaussian | TwoTemperature | Callable
 
 
-def sample_initial(initial: InitialCondition, params: Params, rng: np.random.Generator,
-                   shape) -> np.ndarray:
-    """Velocities of `shape`, N for one replica or (M, N) for M replicas drawn
-    one after another from `rng`; a callable `initial(rng, N)` draws one replica."""
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    n = shape[-1]
+def sample_initial(initial: InitialCondition, rng: np.random.Generator,
+                   out: np.ndarray) -> np.ndarray:
+    """Draw velocities into the C-contiguous `out` and return it: (N,) for one
+    replica or (M, N) for M replicas drawn one after another from `rng`; a
+    callable `initial(rng, N)` draws one replica."""
+    n = out.shape[-1]
     if isinstance(initial, ProductGaussian):
-        v = rng.standard_normal(shape)
-        v *= math.sqrt(initial.temperature)
-        v += initial.mean
-        return v
+        rng.standard_normal(out=out)
+        out *= math.sqrt(initial.temperature)
+        out += initial.mean
+        return out
     if isinstance(initial, TwoTemperature):
         if not 0 <= initial.n_hot <= n:
             raise ValueError(f"n_hot must lie in [0, {n}], got {initial.n_hot}")
-        v = rng.standard_normal(shape)
-        v[..., : initial.n_hot] *= math.sqrt(initial.t_hot)
-        v[..., initial.n_hot :] *= math.sqrt(initial.t_cold)
-        return v
+        rng.standard_normal(out=out)
+        out[..., : initial.n_hot] *= math.sqrt(initial.t_hot)
+        out[..., initial.n_hot :] *= math.sqrt(initial.t_cold)
+        return out
     if callable(initial):
-        v = np.empty(shape)
-        for row in v.reshape(-1, n):
+        for row in out.reshape(-1, n):
             r = np.asarray(initial(rng, n), dtype=float)
             if r.shape != (n,):
                 raise ValueError(f"sampler must return shape ({n},), got {r.shape}")
             row[...] = r
-        return v
+        return out
     raise TypeError(f"unsupported initial condition {initial!r}")
 
 
@@ -187,9 +191,17 @@ def _decode_events(words: np.ndarray, n: int, kac_below: int):
 
 
 def workspace_doubles(n_replicas, n_particles):
-    """Doubles that `Ensemble.advance_to` holds: the state and its bath slots in
-    the workspace, and one window's events."""
+    """Doubles that an `Ensemble` holds: the state and its bath slots in the
+    workspace, and while it advances one window's events."""
     return n_replicas * n_particles + WINDOW_EVENT_DOUBLES * EVENTS_PER_WINDOW
+
+
+def _new_workspace(size: int, slots: int) -> np.ndarray:
+    """A workspace for a state of `size` doubles and `slots` bath slots, with
+    16 sqrt(slots) more for later windows; allocated at no less than
+    WORKSPACE_MIN doubles, so that it is returned to the system on free."""
+    total = size + slots + 16 * math.isqrt(slots)
+    return np.empty(max(total, WORKSPACE_MIN))[:total]
 
 
 @dataclass
@@ -221,10 +233,10 @@ class Ensemble:
     window-keyed stream."""
 
     params: Params
-    velocities: np.ndarray  # (M, N); a view of the workspace once it advanced
+    velocities: np.ndarray  # (M, N), a view of the workspace's first M N doubles
     time: float
     seed: int
-    _ws: np.ndarray | None = field(default=None, repr=False)
+    _ws: np.ndarray = field(repr=False)
     _window: _Window | None = field(default=None, repr=False)
 
     @classmethod
@@ -242,9 +254,13 @@ class Ensemble:
             raise ValueError("multiply-shift decoding needs N < 2**32")
         if initial is None:
             initial = equilibrium_start(params)
-        v = sample_initial(initial, params, _stream(seed, 0, _INITIAL),
-                           (n_replicas, params.n_particles))
-        return cls(params=params, velocities=v, time=0.0, seed=seed)
+        size = n_replicas * params.n_particles
+        # a window expects EVENTS_PER_WINDOW events or fewer, this share of them thermostat
+        ws = _new_workspace(size, math.ceil(EVENTS_PER_WINDOW * params.mu
+                                            / (params.lam + params.mu)))
+        v = ws[:size].reshape(n_replicas, params.n_particles)
+        sample_initial(initial, _stream(seed, 0, _INITIAL), v)
+        return cls(params=params, velocities=v, time=0.0, seed=seed, _ws=ws)
 
     @property
     def n_replicas(self) -> int:
@@ -254,9 +270,6 @@ class Ensemble:
     def window_width(self) -> float:
         rate = (self.params.lam + self.params.mu) * self.params.n_particles
         return min(EVENTS_PER_WINDOW / (rate * self.n_replicas), sys.float_info.max)
-
-    def snapshot(self) -> np.ndarray:
-        return self.velocities.copy()
 
     def advance_to(self, t: float) -> None:
         """Apply all events up to time t, window by window, as the module
@@ -278,13 +291,11 @@ class Ensemble:
         self.time = t
 
     def _workspace(self, slots: int) -> np.ndarray:
-        """The workspace, [state | bath slots], with at least `slots` bath slots;
-        allocated at no less than WORKSPACE_MIN doubles, so that it is returned
-        to the system on free."""
+        """The workspace, [state | bath slots], grown to hold at least `slots`
+        bath slots."""
         size = self.velocities.size
-        if self._ws is None or self._ws.size < size + slots:
-            total = size + slots + 16 * math.isqrt(slots)  # room for later windows
-            ws = np.empty(max(total, WORKSPACE_MIN))[:total]
+        if self._ws.size < size + slots:
+            ws = _new_workspace(size, slots)
             ws[:size] = self.velocities.reshape(-1)
             self.velocities = ws[:size].reshape(self.velocities.shape)
             self._ws = ws
@@ -427,7 +438,7 @@ def _mean_stderr(x: np.ndarray) -> float:
 
 @dataclass
 class ObservableSeries:
-    """Ensemble observables on a sampling grid, and state copies."""
+    """Ensemble observables on a sampling grid."""
 
     params: Params
     times: np.ndarray
@@ -435,7 +446,6 @@ class ObservableSeries:
     kinetic_energy_stderr: np.ndarray
     moments: np.ndarray                 # (T, 6) pooled one-particle raw moments
     moment_stderr: np.ndarray
-    snapshots: dict = field(default_factory=dict)  # time -> (M, N) velocities
 
     @property
     def temperature(self) -> np.ndarray:
@@ -448,13 +458,18 @@ def run(
     sample_times: Sequence[float],
     seed: int = 0,
     initial: InitialCondition | None = None,
-    snapshot_times: Sequence[float] = (),
+    observe_times: Sequence[float] = (),
+    observe: Callable[[float, np.ndarray], None] | None = None,
 ) -> ObservableSeries:
-    """Evolve an ensemble, record observables at `sample_times` and copy the
-    state at `snapshot_times`; with `sample_times=()` only the copies."""
-    snap_set = {float(t) for t in snapshot_times}
-    times = check_times(sample_times, snap_set)
-    stops = sorted(snap_set.union(times.tolist()))
+    """Evolve an ensemble and record observables at `sample_times`; at each of
+    `observe_times`, in time order, call `observe(t, v)` with the live (M, N)
+    state as a read-only view, valid until the call returns.  With
+    `sample_times=()` the series is empty and the callback sees every stop."""
+    observe_set = {float(t) for t in observe_times}
+    if observe_set and observe is None:
+        raise ValueError("observe times need an observe callback")
+    times = check_times(sample_times, observe_set)
+    stops = sorted(observe_set.union(times.tolist()))
 
     ens = Ensemble.create(params, n_replicas, seed, initial)
     t_count = times.size
@@ -462,13 +477,14 @@ def run(
     ke_err = np.empty(t_count)
     mom = np.empty((t_count, N_MOMENTS))
     mom_err = np.empty((t_count, N_MOMENTS))
-    snaps: dict[float, np.ndarray] = {}
 
     sample_pos = {float(t): k for k, t in enumerate(times)}
     for t in stops:
         ens.advance_to(t)
-        if t in snap_set:
-            snaps[t] = ens.snapshot()
+        if t in observe_set:
+            live = ens.velocities.view()
+            live.flags.writeable = False
+            observe(t, live)
         k = sample_pos.get(t)
         if k is None:
             continue
@@ -491,7 +507,6 @@ def run(
         kinetic_energy_stderr=ke_err,
         moments=mom,
         moment_stderr=mom_err,
-        snapshots=snaps,
     )
 
 

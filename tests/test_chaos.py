@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,18 +9,59 @@ from kaclab.chaos import (
     _DICTIONARY_DEGREES,
     _PHI,
     GRID_BINS_2D,
+    _defect,
     _grid_edges,
     _metric_from_masses,
     _weighted_masses,
     BoltzmannComparison,
     chaos_ladder,
-    chaos_metric,
     compare_to_boltzmann,
-    mckean_series_radius,
 )
-from kaclab.simulator import ProductGaussian, cell_counts, run
+from kaclab.simulator import ProductGaussian, cell_counts
+from test_simulator import run_keeping
 
 SEED = 20260808
+
+
+def chaos_metric(snapshot, beta=1.0):
+    # oracle: the worst factorization defect |<phi_i x phi_j, f2> - <phi_i, f1><phi_j, f1>|
+    # over the dictionary, for the marginals of an (M, N) state counted on the
+    # ladder's grid with every replica at weight 1
+    v = np.asarray(snapshot, dtype=float)
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError("snapshot must be (replicas, particles) with at least 2 particles")
+    edges = _grid_edges(beta, GRID_BINS_2D)
+    return _defect(cell_counts(v, edges), np.ones(v.shape[0]), edges)
+
+
+@dataclass(frozen=True)
+class SeriesBound:
+    """Convergence diagnostics for the correlation-expansion bound."""
+
+    radius: float        # guaranteed absolute-convergence horizon 1/(4 lam + mu)
+    growth_rate: float   # geometric factor 4 lam + 2 mu in the term bound
+    arity: int
+
+    def term_bound(self, order):
+        out = 1.0
+        for j in range(order):
+            out *= self.growth_rate * (self.arity + j)
+        return out
+
+    def term_ratio(self, order, t):
+        """Ratio of consecutive series terms t^l/l! * term_bound(l)."""
+        return t * self.growth_rate * (self.arity + order) / (order + 1)
+
+
+def mckean_series_radius(params, arity):
+    # the correlation expansion's guaranteed convergence horizon for test
+    # functions of `arity` variables, with the term-bound sequence
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    denom = 4.0 * params.lam + params.mu
+    radius = math.inf if denom == 0.0 else 1.0 / denom
+    return SeriesBound(radius=radius, growth_rate=4.0 * params.lam + 2.0 * params.mu,
+                       arity=arity)
 
 
 def add_at_pair_counts(snapshot, edges):
@@ -41,12 +83,12 @@ def marginals(snapshot, beta=1.0):
 def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
     # reference chaos_ladder rung: its own pair counts and one multinomial draw
     # per bootstrap resample
-    series = run(params, n_replicas=n_replicas, sample_times=[0.0, t], seed=seed,
-                 initial=lambda rng, n: rng.uniform(-half, half, n), snapshot_times=[t])
+    _, states = run_keeping(params, [t], n_replicas=n_replicas, sample_times=[0.0, t],
+                            seed=seed, initial=lambda rng, n: rng.uniform(-half, half, n))
     n = params.n_particles
     scale = 1.0 / math.sqrt(params.beta)
     edges = np.linspace(-10.0 * scale, 10.0 * scale, bins + 1)
-    counts = add_at_pair_counts(series.snapshots[t], edges)
+    counts = add_at_pair_counts(states[t], edges)
     c = counts.astype(float)
     cells = bins + 2
 
@@ -174,11 +216,10 @@ class TestChaosMetric:
                            n_bootstrap=2)
         half = math.sqrt(3.0 * 2.0 / base.beta)
         for p in pts:
-            series = run(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
-                         n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
-                         initial=lambda rng, n: rng.uniform(-half, half, n),
-                         snapshot_times=[0.4])
-            assert chaos_metric(series.snapshots[0.4], beta=0.8) == p.metric
+            _, states = run_keeping(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
+                                    [0.4], n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
+                                    initial=lambda rng, n: rng.uniform(-half, half, n))
+            assert chaos_metric(states[0.4], beta=0.8) == p.metric
 
 
 class TestLadder:

@@ -239,13 +239,16 @@ class TestHistogramOut:
         seen = {}
         real_run = cli.run
 
-        def spy(params, **kwargs):
-            seen["series"] = real_run(params, **kwargs)
-            return seen["series"]
+        def spy(params, observe, **kwargs):
+            def keep(t, v):
+                seen[t] = v.copy()
+                observe(t, v)
+
+            return real_run(params, observe=keep, **kwargs)
 
         monkeypatch.setattr(cli, "run", spy)
         rows = histogram_rows(self.ARGV, tmp_path)
-        snap = seen["series"].snapshots[0.5]
+        snap = seen[0.5]
         lo, hi = float(rows[0][0]), float(rows[-1][1])
         outside = np.count_nonzero((snap < lo) | (snap >= hi)) / snap.size
         assert abs(sum(float(r[2]) for r in rows) + outside - 1.0) < 1e-12
@@ -393,13 +396,13 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     # doubles held at once by each VALID_ARGV run: rows x columns of its CSV, and for the
-    # simulator M (N (1 + snapshots) + REPLICA_DOUBLES) at the largest N and one window
-    # of events, 12 doubles for each of the 2**16 it expects
+    # simulator M (N + REPLICA_DOUBLES) at the largest N and one window of events, 12
+    # doubles for each of the 2**16 it expects
     @pytest.mark.parametrize("verb, held", [
-        ("simulate", 3 * 9 + 10 * (4 * 1 + 1024) + 12 * 2**16),
+        ("simulate", 3 * 9 + 10 * (4 + 1024) + 12 * 2**16),
         ("boltzmann", 3 * 9),
-        ("entropy", 3 * 4 + 20 * (5 * (1 + 3) + 1024) + 12 * 2**16),
-        ("chaos", 2 * 4 + 10 * (8 * 2 + 1024) + 12 * 2**16),
+        ("entropy", 3 * 4 + 20 * (5 + 1024) + 12 * 2**16),
+        ("chaos", 2 * 4 + 10 * (8 + 1024) + 12 * 2**16),
     ])
     def test_memory_limit(self, verb, held, tmp_path, capsys, monkeypatch):
         assert cli.REPLICA_DOUBLES == 1024
@@ -409,8 +412,8 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "MAX_DOUBLES", held - 1)
         assert main([verb, *VALID_ARGV[verb], "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: the doubles held at once (state, event window, snapshots, per-replica arrays "
-            f"and CSV cells) = {held:.3g} exceed MAX_DOUBLES = {held - 1:.3g}\n")
+            "error: the doubles held at once (state, event window, per-replica arrays and CSV "
+            f"cells) = {held:.3g} exceed MAX_DOUBLES = {held - 1:.3g}\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("verb", ["simulate", "entropy"])

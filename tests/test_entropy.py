@@ -15,7 +15,6 @@ from kaclab.entropy import (
     check_thermostat_entropy_inequality,
     entropy_decay_experiment,
     evaluate,
-    gauss_inner,
     gauss_weighted_entropy,
     ou_apply,
     relative_entropy_grid,
@@ -54,6 +53,12 @@ def per_draw_pooled_estimate(snapshot, beta, n_bootstrap, rng):
         weights = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
         boots[b] = entropy_module._plugin_kl((weights @ counts) / n_tot, q, n_tot)
     return value, float(boots.std(ddof=1))
+
+
+def gauss_inner(a, b):
+    # the L2(g) inner product of two functions on one grid, by the trapezoid rule
+    g = standard_gaussian(a.nodes)
+    return float(np.trapezoid(g * a.values * b.values, a.nodes))
 
 
 def hermite_grid(k, half_width=8.0, n=2048):
@@ -530,7 +535,7 @@ class TestDecayExperiment:
 
     @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5], [0.0, math.nan]])
     def test_rejects_times_that_run_rejects(self, times):
-        # the sample times reach run as snapshot times, an unordered set, yet keep
+        # the sample times reach run as observe times, an unordered set, yet keep
         # run's rule for sample times
         p = Params(n_particles=4, lam=1.0, mu=1.0)
         with pytest.raises(ValueError, match="finite"):

@@ -116,18 +116,38 @@ def scalar_advance_to(ens, t):
     ens.time = t
 
 
+def run_keeping(params, observe_times, **kwargs):
+    """`run` with a copy of the state at each of `observe_times`, by time."""
+    states = {}
+    series = run(params, observe_times=observe_times,
+                 observe=lambda t, v: states.__setitem__(t, v.copy()), **kwargs)
+    return series, states
+
+
 class TestInitialConditions:
     def test_two_temperature_layout(self):
-        p = Params(n_particles=1000, lam=0.0, mu=1.0)
         rng = np.random.default_rng(SEED)
-        v = sample_initial(TwoTemperature(t_hot=9.0, t_cold=0.25, n_hot=100), p, rng, 1000)
+        v = sample_initial(TwoTemperature(t_hot=9.0, t_cold=0.25, n_hot=100), rng, np.empty(1000))
         assert 7.0 < v[:100].var() < 11.5
         assert 0.2 < v[100:].var() < 0.31
 
     def test_custom_sampler(self):
-        p = Params(n_particles=4, lam=0.0, mu=1.0)
-        v = sample_initial(lambda rng, n: np.full(n, 2.0), p, np.random.default_rng(0), 4)
+        out = np.empty(4)
+        v = sample_initial(lambda rng, n: np.full(n, 2.0), np.random.default_rng(0), out)
+        assert v is out
         assert np.array_equal(v, np.full(4, 2.0))
+
+    def test_draws_equal_a_fresh_array(self):
+        # drawing into a given array reads the stream as drawing a new one does
+        for init in (ProductGaussian(1.5, mean=0.2), TwoTemperature(3.0, 0.5, 2)):
+            got = sample_initial(init, np.random.default_rng(SEED), np.empty((3, 5)))
+            want = np.random.default_rng(SEED).standard_normal((3, 5))
+            if isinstance(init, ProductGaussian):
+                want = want * math.sqrt(1.5) + 0.2
+            else:
+                want[:, :2] *= math.sqrt(3.0)
+                want[:, 2:] *= math.sqrt(0.5)
+            assert np.array_equal(got, want)
 
     def test_initial_entropy_closed_forms(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0, beta=1.0)
@@ -198,6 +218,35 @@ class TestEnsemble:
         ens.advance_to(1e300)
         assert np.isfinite(ens.velocities).all()
 
+    def test_state_drawn_into_the_workspace(self):
+        # create draws the initial state into the workspace it allocates, so the
+        # first advance_to moves no state and the velocities stay where they were drawn
+        p = Params(n_particles=6, lam=1.0, mu=1.0)
+        ens = Ensemble.create(p, n_replicas=40, seed=SEED)
+        drawn = ens.velocities
+        start = drawn.copy()
+        assert np.shares_memory(drawn, ens._ws)
+        ens.advance_to(0.5)
+        assert np.shares_memory(ens.velocities, drawn)
+        assert not np.array_equal(drawn, start)
+
+    def test_workspace_grows_for_a_window_past_its_room(self, monkeypatch):
+        # a window with more bath slots than the workspace holds moves the state
+        # into a larger one, and the states still match the scalar oracle
+        monkeypatch.setattr(simulator, "WORKSPACE_MIN", 1)
+        monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 300)
+        p = Params(n_particles=3, lam=0.0, mu=1.0)
+        ens = Ensemble.create(p, n_replicas=5, seed=SEED)
+        ref = Ensemble.create(p, n_replicas=5, seed=SEED)
+        ens._ws = ens._ws[: ens.velocities.size + 1].copy()
+        ens.velocities = ens._ws[: ens.velocities.size].reshape(5, 3)
+        t = 0.5 * ens.window_width
+        ens.advance_to(t)
+        scalar_advance_to(ref, t)
+        assert ens._ws.size > ens.velocities.size + 1
+        assert np.shares_memory(ens.velocities, ens._ws)
+        assert np.array_equal(ens.velocities, ref.velocities)
+
     def test_rejects_bad_setup(self):
         with pytest.raises(NoEventError):
             Ensemble.create(Params(n_particles=2, lam=0.0, mu=0.0), 4, 0)
@@ -252,19 +301,19 @@ class TestRotationKernel:
         assert np.array_equal(ens.velocities, ref.velocities)
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.0)])
-    def test_run_series_and_snapshots_match_scalar_oracle(self, lam, mu, monkeypatch):
+    def test_run_series_and_observed_states_match_scalar_oracle(self, lam, mu, monkeypatch):
         monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 200)
         p = Params(n_particles=9, lam=lam, mu=mu)
         kwargs = dict(n_replicas=48, sample_times=np.linspace(0, 2, 6),
-                      seed=SEED, initial=ProductGaussian(2.5), snapshot_times=(0.3, 1.2))
-        new = run(p, **kwargs)
+                      seed=SEED, initial=ProductGaussian(2.5), observe_times=(0.3, 1.2))
+        new, new_states = run_keeping(p, **kwargs)
         monkeypatch.setattr(Ensemble, "advance_to", scalar_advance_to)
-        ref = run(p, **kwargs)
+        ref, ref_states = run_keeping(p, **kwargs)
         for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
-        assert new.snapshots.keys() == ref.snapshots.keys() == {0.3, 1.2}
-        for t in ref.snapshots:
-            assert np.array_equal(new.snapshots[t], ref.snapshots[t])
+        assert new_states.keys() == ref_states.keys() == {0.3, 1.2}
+        for t in ref_states:
+            assert np.array_equal(new_states[t], ref_states[t])
 
 
 def decode_exhaustively(n, bits=8):
@@ -281,9 +330,9 @@ class TestGridIndependence:
 
     def test_roadmap_reproducer(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0)
-        a = run(p, n_replicas=50, sample_times=[0.0, 2.0], seed=3, snapshot_times=[2.0])
-        b = run(p, n_replicas=50, sample_times=[0.0, 1.0, 2.0], seed=3, snapshot_times=[2.0])
-        assert np.array_equal(a.snapshots[2.0], b.snapshots[2.0])
+        a, a_states = run_keeping(p, [2.0], n_replicas=50, sample_times=[0.0, 2.0], seed=3)
+        b, b_states = run_keeping(p, [2.0], n_replicas=50, sample_times=[0.0, 1.0, 2.0], seed=3)
+        assert np.array_equal(a_states[2.0], b_states[2.0])
         assert a.kinetic_energy[1] == b.kinetic_energy[2]
         assert np.array_equal(a.moments[1], b.moments[2])
 
@@ -302,11 +351,11 @@ class TestGridIndependence:
         more = sorted(set(base) | set(extra))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "EVENTS_PER_WINDOW", per_window)
-            a = run(p, n_replicas=12, sample_times=base, seed=SEED, snapshot_times=base)
-            b = run(p, n_replicas=12, sample_times=more, seed=SEED,
-                    snapshot_times=[*base, *snaps])
+            a, a_states = run_keeping(p, base, n_replicas=12, sample_times=base, seed=SEED)
+            b, b_states = run_keeping(p, [*base, *snaps], n_replicas=12, sample_times=more,
+                                      seed=SEED)
         for k, t in enumerate(base):
-            assert np.array_equal(a.snapshots[t], b.snapshots[t])
+            assert np.array_equal(a_states[t], b_states[t])
             assert a.kinetic_energy[k] == b.kinetic_energy[more.index(t)]
 
     def test_multiply_shift_decoding(self):
@@ -353,33 +402,62 @@ class TestRunObservables:
         rate = fit_cooling_rate(series)
         assert abs(rate - p.mu / 2) < 0.1 * (p.mu / 2)
 
-    def test_snapshots_recorded(self):
+    def test_observed_in_time_order(self):
         p = Params(n_particles=6, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=10, sample_times=[0.0, 1.0],
-                     snapshot_times=[0.5, 1.0], seed=SEED)
-        assert set(series.snapshots) == {0.5, 1.0}
-        assert series.snapshots[0.5].shape == (10, 6)
+        seen = []
+        run(p, n_replicas=10, sample_times=[0.0, 1.0], observe_times=[1.0, 0.5, 0.25, 0.5],
+            observe=lambda t, v: seen.append((t, v.shape)), seed=SEED)
+        assert seen == [(0.25, (10, 6)), (0.5, (10, 6)), (1.0, (10, 6))]
 
-    def test_snapshots_only(self):
-        # with no sample times the stops are the snapshot times alone; t = 0
+    def test_callback_gets_the_live_state(self, monkeypatch):
+        # the callback is handed a read-only view of the ensemble's own state,
+        # not a copy of it
+        ensembles = []
+        create = Ensemble.create
+
+        def keep(*args, **kwargs):
+            ensembles.append(create(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(Ensemble, "create", keep)
+        seen = []
+
+        def observe(t, v):
+            (ens,) = ensembles
+            assert np.shares_memory(v, ens.velocities)
+            assert np.array_equal(v, ens.velocities)
+            assert not v.flags.writeable
+            seen.append(t)
+
+        run(Params(n_particles=5, lam=1.0, mu=1.0), n_replicas=8, sample_times=(),
+            observe_times=[0.5, 1.0], observe=observe, seed=SEED)
+        assert seen == [0.5, 1.0]
+
+    def test_observe_only(self):
+        # with no sample times the stops are the observe times alone; t = 0
         # draws nothing, so the states equal a run that also samples there
         p = Params(n_particles=6, lam=1.0, mu=1.0)
-        kwargs = dict(n_replicas=10, seed=SEED, snapshot_times=[0.5, 1.0])
-        only = run(p, sample_times=(), **kwargs)
-        full = run(p, sample_times=[0.0, 0.5, 1.0], **kwargs)
+        kwargs = dict(n_replicas=10, seed=SEED, observe_times=[0.5, 1.0])
+        only, only_states = run_keeping(p, sample_times=(), **kwargs)
+        full, full_states = run_keeping(p, sample_times=[0.0, 0.5, 1.0], **kwargs)
         assert only.times.size == 0
         assert only.kinetic_energy.shape == (0,)
         assert only.moments.shape == (0, 6)
-        assert only.snapshots.keys() == full.snapshots.keys() == {0.5, 1.0}
-        for t in full.snapshots:
-            assert np.array_equal(only.snapshots[t], full.snapshots[t])
+        assert only_states.keys() == full_states.keys() == {0.5, 1.0}
+        for t in full_states:
+            assert np.array_equal(only_states[t], full_states[t])
+
+    def test_observe_times_need_a_callback(self):
+        p = Params(n_particles=4, lam=1.0, mu=1.0)
+        with pytest.raises(ValueError, match="callback"):
+            run(p, n_replicas=3, sample_times=[0.0], observe_times=[1.0], seed=SEED)
 
     @pytest.mark.parametrize("kwargs", [
         dict(sample_times=[0.0, math.nan]),
         dict(sample_times=[0.0, math.inf]),
-        dict(sample_times=[0.0, 1.0], snapshot_times=[-1.0]),
-        dict(sample_times=[0.0, 1.0], snapshot_times=[math.nan]),
-        dict(sample_times=(), snapshot_times=()),
+        dict(sample_times=[0.0, 1.0], observe_times=[-1.0], observe=print),
+        dict(sample_times=[0.0, 1.0], observe_times=[math.nan], observe=print),
+        dict(sample_times=(), observe_times=()),
         dict(sample_times=[0.0, 0.0]),
     ])
     def test_rejects_non_finite_times(self, kwargs):
