@@ -109,7 +109,8 @@ class ChaosLadderPoint:
 def chaos_ladder(
     base_params: Params,
     n_values=(10, 50, 250, 1250),
-    time: float | None = None,
+    *,
+    time: float,
     n_replicas: int = 4000,
     seed: int = 0,
     initial_temperature: float = 2.0,
@@ -121,7 +122,6 @@ def chaos_ladder(
     velocities with the requested temperature.  Error bars bootstrap over
     replicas, reusing per-replica cell counts so resampling is a weighted sum.
     """
-    t = 1.0 / base_params.mu if time is None else time
     out = []
     half = math.sqrt(3.0 * initial_temperature / base_params.beta)
     uniform = lambda rng, n: rng.uniform(-half, half, n)
@@ -135,7 +135,7 @@ def chaos_ladder(
             sample_times=(),
             seed=seed,
             initial=uniform,
-            observe_times=[t],
+            observe_times=[time],
             observe=lambda _, v: seen.append(cell_counts(v, edges)),
         )
         counts = seen[0]
@@ -145,7 +145,7 @@ def chaos_ladder(
         boots = [_defect(counts, w.astype(float), edges) for w in weights]
         out.append(
             ChaosLadderPoint(
-                n_particles=n, time=t, metric=metric,
+                n_particles=n, time=time, metric=metric,
                 stderr=float(np.std(boots, ddof=1)) if n_bootstrap > 1 else float("nan"),
             )
         )

@@ -343,15 +343,6 @@ def _check_tol(*entries: np.ndarray) -> float:
     return AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries)
 
 
-def first_gap_margin(params: Params) -> tuple[float, float]:
-    """(margin, tol): how far the lowest eigenvalue of the symmetric degree-4
-    sector lies above the gap mu/2, from its closed form `second_gap_matrix`,
-    and the resolution of `first_gap`'s isolation check there.  `first_gap`
-    can tell the gap's eigenvector apart only when margin > tol."""
-    mat = second_gap_matrix(params)
-    return float(np.linalg.eigvalsh(mat)[0]) - params.mu / 2.0, _check_tol(mat)
-
-
 def first_gap(params: Params) -> float:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
@@ -428,10 +419,21 @@ def second_gap_limit(params: Params) -> float:
     return min(params.lam / 2.0 + 5.0 * params.mu / 8.0, params.mu)
 
 
-def second_gap(params: Params) -> float:
+@dataclass(frozen=True)
+class SecondGap:
+    """Each route `second_gap` checked, and the tolerance it held their spread to."""
+
+    quadratic: float
+    matrix: float
+    sector: float
+    tol: float
+
+
+def second_gap(params: Params) -> SecondGap:
     """Second spectral gap by three independent routes (quadratic formula,
     closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector), required
-    to agree to AGREEMENT_TOL times the largest |entry| of the sector."""
+    to agree to AGREEMENT_TOL times the largest |entry| of the sector.  Returns
+    every route with that tolerance; the quadratic root is the reported gap."""
     if params.n_particles < 2:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
@@ -440,13 +442,13 @@ def second_gap(params: Params) -> float:
     r_mat = float(np.linalg.eigvalsh(second_gap_matrix(params))[0])
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
-    values = (r_quad, r_mat, r_sector)
-    if not np.ptp(values) <= _check_tol(sect.entries):
+    tol = _check_tol(sect.entries)
+    if not np.ptp((r_quad, r_mat, r_sector)) <= tol:
         raise AssemblyError(
             "second-gap routes disagree: "
             f"quadratic={r_quad!r} matrix={r_mat!r} sector={r_sector!r}"
         )
-    return r_quad
+    return SecondGap(quadratic=r_quad, matrix=r_mat, sector=r_sector, tol=tol)
 
 
 def sector_gap_bound(level: int, params: Params) -> float:

@@ -298,7 +298,7 @@ def test_12_propagation_of_chaos_trend():
     params = Params(n_particles=2, lam=1.0, mu=1.0)
     metrics = []
     for seed in range(100, 105):
-        pts = chaos_ladder(params, n_values=(10, 50, 250, 1250),
+        pts = chaos_ladder(params, n_values=(10, 50, 250, 1250), time=1.0 / params.mu,
                            n_replicas=3000, seed=seed, n_bootstrap=2)
         metrics.append([p.metric for p in pts])
     med = np.median(np.asarray(metrics), axis=0)

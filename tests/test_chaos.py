@@ -224,9 +224,11 @@ class TestChaosMetric:
 
 class TestLadder:
     def test_metric_decreases_in_system_size(self):
+        params = Params(n_particles=2, lam=1.0, mu=1.0)
         pts = chaos_ladder(
-            Params(n_particles=2, lam=1.0, mu=1.0),
+            params,
             n_values=(4, 16, 64),
+            time=1.0 / params.mu,
             n_replicas=1500,
             seed=SEED,
             n_bootstrap=4,
@@ -234,6 +236,15 @@ class TestLadder:
         metrics = [p.metric for p in pts]
         assert metrics[0] > metrics[-1]
         assert all(p.stderr >= 0 or math.isnan(p.stderr) for p in pts)
+
+    def test_runs_without_thermostat_at_given_time(self):
+        # at mu = 0 there is no 1/mu default time: the caller gives it
+        pts = chaos_ladder(Params(n_particles=4, mu=0.0), n_values=(4,), time=0.5,
+                           n_replicas=5, seed=SEED, n_bootstrap=2)
+        assert [(p.n_particles, p.time) for p in pts] == [(4, 0.5)]
+        assert math.isfinite(pts[0].metric)
+        with pytest.raises(TypeError):
+            chaos_ladder(Params(n_particles=4, mu=0.0), n_values=(4,), n_replicas=5)
 
     def test_matches_per_draw_ladder_bit_for_bit(self):
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import kaclab.cli as cli
+import kaclab.generator as generator
 import kaclab.simulator as simulator
 from kaclab.cli import (
     EXIT_IO,
@@ -18,7 +21,7 @@ from kaclab.cli import (
     main,
     parse_config,
 )
-from kaclab.core import gaussian_moments
+from kaclab.core import Params, gaussian_moments
 from kaclab.generator import AssemblyError
 from kaclab.simulator import Ensemble, TwoTemperature
 from test_simulator import scalar_advance_to
@@ -92,6 +95,17 @@ class TestParseConfig:
         assert cfg.options["n"] == 6
         assert cfg.options["lam"] == 2.5
 
+    def test_config_file_is_closed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("verb = spectrum\nn = 4\n")
+        # a file closed by the collector warns from its finalizer, where an error
+        # filter could not raise: record the warnings instead
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            parse_config(["--config", str(path)])
+            gc.collect()
+        assert [w for w in seen if issubclass(w.category, ResourceWarning)] == []
+
     def test_unknown_verb_and_key(self):
         with pytest.raises(UsageError):
             parse_config(["warp", "--n", "3"])
@@ -158,6 +172,28 @@ class TestVerbs:
         assert table["first"] == 0.5
         for route in ("second_quadratic", "second_matrix", "second_sector"):
             assert abs(table[route] - 0.75) < 1e-10
+
+    def test_spectrum_computes_each_route_once(self, tmp_path, monkeypatch):
+        # first_gap assembles the degree-2 and degree-4 sectors and second_gap the
+        # degree-4 one; the closed-form 2x2 matrix is built for the overflow check
+        # and for second_gap's eigensolve
+        calls = {"build_generator": 0, "second_gap_matrix": 0}
+        for module in (generator, cli):
+            for name in calls:
+                def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--n", "5", "--lambda", "1.3", "--mu", "0.9",
+                     "--out", str(out)]) == EXIT_OK
+        assert calls == {"build_generator": 3, "second_gap_matrix": 2}
+        monkeypatch.undo()
+        gap = generator.second_gap(Params(n_particles=5, lam=1.3, mu=0.9))
+        table = {r[3]: float(r[4]) for r in read_csv(str(out))[2]}
+        routes = (table["second_quadratic"], table["second_matrix"], table["second_sector"])
+        assert routes == (gap.quadratic, gap.matrix, gap.sector)
 
     def test_simulate_cooling_asymptote(self, tmp_path):
         out = tmp_path / "cool.csv"

@@ -312,7 +312,7 @@ class TestSecondGap:
         # oracle: lower root of x^2 - 2.875 x + 1.59375
         roots = np.sort(np.roots([1.0, -2.875, 1.59375]))
         assert abs(roots[0] - 0.75) < 1e-12
-        assert abs(second_gap(Params(n_particles=3, lam=1.0, mu=1.0)) - 0.75) < 1e-12
+        assert abs(second_gap(Params(n_particles=3, lam=1.0, mu=1.0)).quadratic - 0.75) < 1e-12
 
     def test_limit_values(self):
         assert second_gap_limit(Params(n_particles=2, lam=1.0, mu=1.0)) == 1.0
@@ -325,14 +325,18 @@ class TestSecondGap:
         p = Params(n_particles=n, lam=lam, mu=mu)
         quad = sector_gap_bound(2, p)
         mat = float(np.linalg.eigvalsh(second_gap_matrix(p))[0])
-        sect = float(build_generator(sector_basis(n, 2, symmetric=True), p).eigenvalues()[0])
+        g4 = build_generator(sector_basis(n, 2, symmetric=True), p)
+        sect = float(g4.eigenvalues()[0])
         assert max(quad, mat, sect) - min(quad, mat, sect) < 1e-10
-        assert second_gap(p) == quad
+        # the record returns each route it checked, and the tolerance it checked them to
+        gap = second_gap(p)
+        assert (gap.quadratic, gap.matrix, gap.sector) == (quad, mat, sect)
+        assert gap.tol == AGREEMENT_TOL * float(np.max(np.abs(g4.entries)))
 
     def test_above_first_gap(self):
         for lam in (0.0, 0.3, 10.0):
             p = Params(n_particles=4, lam=lam, mu=1.5)
-            assert second_gap(p) > p.mu / 2.0
+            assert second_gap(p).quadratic > p.mu / 2.0
 
     def test_convergence_to_limit(self):
         p_of = lambda n: Params(n_particles=n, lam=1.0, mu=1.0)
@@ -352,7 +356,7 @@ class TestSectorGapBound:
     def test_level_two_is_second_gap(self):
         for n in (2, 3, 6, 10**9):
             p = Params(n_particles=n, lam=0.8, mu=1.7)
-            assert sector_gap_bound(2, p) == second_gap(p)
+            assert sector_gap_bound(2, p) == second_gap(p).quadratic
 
     @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
     def test_exact_under_power_of_two_rates(self, e):
