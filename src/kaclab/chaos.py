@@ -24,7 +24,7 @@ from numpy.polynomial import hermite_e
 
 from .core import Params, gaussian_moments
 from .boltzmann import MomentVector, integrate_moments
-from .simulator import ProductGaussian, cell_counts, run
+from .simulator import ProductGaussian, Uniform, bootstrap_weights, cell_counts, run
 
 GRID_BINS_2D = 64
 GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
@@ -118,13 +118,15 @@ def chaos_ladder(
 ) -> list[ChaosLadderPoint]:
     """Factorization defect at a fixed time across a ladder of system sizes.
 
-    The initial law is a chaotic (product) non-Gaussian start: uniform
+    The initial law is a chaotic (product) non-Gaussian start: `Uniform`
     velocities with the requested temperature.  Error bars bootstrap over
-    replicas, reusing per-replica cell counts so resampling is a weighted sum.
+    replicas: one design, `bootstrap_weights` at seed + 0xC0FFEE, is drawn
+    before the ladder and reused at every rung, and each resample is a
+    weighted sum of the rung's per-replica cell counts.
     """
     out = []
-    half = math.sqrt(3.0 * initial_temperature / base_params.beta)
-    uniform = lambda rng, n: rng.uniform(-half, half, n)
+    initial = Uniform(math.sqrt(3.0 * initial_temperature / base_params.beta))
+    weights = bootstrap_weights(n_replicas, n_bootstrap, seed + 0xC0FFEE)
     for n in n_values:
         params = replace(base_params, n_particles=n)
         edges = _grid_edges(params.beta, GRID_BINS_2D)
@@ -134,15 +136,13 @@ def chaos_ladder(
             n_replicas=n_replicas,
             sample_times=(),
             seed=seed,
-            initial=uniform,
+            initial=initial,
             observe_times=[time],
             observe=lambda _, v: seen.append(cell_counts(v, edges)),
         )
         counts = seen[0]
         metric = _defect(counts, np.ones(n_replicas), edges)
-        weights = np.random.default_rng(seed + 0xC0FFEE).multinomial(
-            n_replicas, np.full(n_replicas, 1.0 / n_replicas), size=n_bootstrap)
-        boots = [_defect(counts, w.astype(float), edges) for w in weights]
+        boots = [_defect(counts, w, edges) for w in weights]
         out.append(
             ChaosLadderPoint(
                 n_particles=n, time=time, metric=metric,

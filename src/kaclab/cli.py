@@ -51,8 +51,9 @@ MAX_EVENTS = 1e9
 # doubles a run may hold at once: 2 GiB
 MAX_DOUBLES = 2**28
 # held per replica besides its velocities: the simulator's per-window counts
-# and orderings (about 10 doubles), and at a stop the entropy estimator's cell
-# counts and bootstrap weights (474 doubles), or the chaos or histogram counts
+# and orderings (about 10 doubles), the estimators' bootstrap weights for the
+# whole run (200 doubles for entropy), and at a stop the entropy estimator's
+# cell counts (258 doubles), or the chaos or histogram counts
 REPLICA_DOUBLES = 1024
 
 

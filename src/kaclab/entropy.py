@@ -34,14 +34,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import hermite_e
 
 from .core import Params, check_times
-from .simulator import InitialCondition, cell_counts, initial_relative_entropy, run
+from .simulator import (InitialCondition, bootstrap_weights, cell_counts,
+                        initial_relative_entropy, run)
 
 GRID_POINTS = 2048
 GRID_HALF_WIDTH = 8.0
 THETA_NODES = 256
 GAUSS_NODES = 32
 ESTIMATOR_BINS = 256
-BOOTSTRAP_CHUNK = 16  # bootstrap resamples whose weights are drawn at once
 THERMOSTAT_CHECK_TOL = 1e-8
 MARGINAL_CHECK_TOL = 1e-10
 _STENCIL = 8
@@ -340,6 +340,17 @@ def _plugin_kl(p: np.ndarray, q: np.ndarray, n: int) -> float:
     return value - (int(occ.sum()) - 1) / (2.0 * n)  # Miller-Madow style correction
 
 
+def _plugin_kl_rows(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """`_plugin_kl` of every row of the (B, cells) p at once.  A row's sum runs
+    over its empty cells too, which add exact zeros but change the order of
+    summation, so a value can differ from `_plugin_kl`'s in its last bits."""
+    occ = p > 0
+    terms = np.divide(p, np.maximum(q, _LOG_FLOOR), out=np.ones_like(p), where=occ)
+    np.log(terms, out=terms)
+    terms *= p
+    return terms.sum(axis=1) - (occ.sum(axis=1) - 1) / (2.0 * n)
+
+
 # ---------------------------------------------------------------------------
 # inequality checks
 
@@ -429,13 +440,12 @@ class EntropyDecaySeries:
 
 
 def _pooled_estimate_with_cluster_bootstrap(
-    v: np.ndarray, beta: float, n_bootstrap: int, rng: np.random.Generator
+    v: np.ndarray, beta: float, weights: np.ndarray
 ) -> tuple[float, float]:
-    # every resample is a weighted sum of per-replica cell counts; the sums are
-    # integers below 2**53, so one matmul gives each resample exactly.  The
-    # counts are taken a block of rows at a time, so no scaled copy of the
-    # state is made, and the integer weights are drawn BOOTSTRAP_CHUNK
-    # resamples at a time (the same draws as one call) into one float matrix
+    # every resample is a weighted sum of per-replica cell counts, its weights
+    # a row of the experiment's design; the sums are integers below 2**53, so
+    # one matmul gives each resample exactly.  The counts are taken a block of
+    # rows at a time, so no scaled copy of the state is made
     m, n = v.shape
     edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
     q = _gaussian_cell_masses(edges)
@@ -446,13 +456,9 @@ def _pooled_estimate_with_cluster_bootstrap(
         counts[r : r + rows] = cell_counts(v[r : r + rows] * root, edges)
     n_tot = m * n
     value = _plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
-    p = np.full(m, 1.0 / m)
-    weights = np.empty((n_bootstrap, m))
-    for b in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
-        weights[b : b + BOOTSTRAP_CHUNK] = rng.multinomial(
-            m, p, size=min(BOOTSTRAP_CHUNK, n_bootstrap - b))
-    boots = [_plugin_kl(pb, q, n_tot) for pb in (weights @ counts) / n_tot]
-    return value, float(np.std(boots, ddof=1))
+    resampled = weights @ counts
+    resampled /= n_tot
+    return value, float(np.std(_plugin_kl_rows(resampled, q, n_tot), ddof=1))
 
 
 def entropy_decay_experiment(
@@ -469,20 +475,22 @@ def entropy_decay_experiment(
     The proxy N*S(pooled marginal | g) never exceeds the full N-body relative
     entropy (superadditivity plus convexity over the particle average), so the
     bound curve dominates it up to estimator noise.  Error bars come from a
-    bootstrap over replicas, which respects the within-replica correlation
-    that collisions introduce; cells are half-open, the top edge counting as
+    bootstrap over whole replica trajectories, which respects the
+    within-replica correlation that collisions introduce: one design of
+    `n_bootstrap` resamples is drawn before the run (`bootstrap_weights` at
+    seed + 0x5EED) and scores every sample time, so a row does not depend on
+    the other sample times.  Cells are half-open, the top edge counting as
     overflow (`simulator.cell_counts`).  Each sample time is estimated from the
     live state when the simulator stops there, so no copy of it is kept.
     """
     s0 = initial_relative_entropy(initial, params)
     times = check_times(sample_times, ())
     n = params.n_particles
-    rng = np.random.default_rng(seed + 0x5EED)
+    weights = bootstrap_weights(n_replicas, n_bootstrap, seed + 0x5EED)
     estimates = []
 
     def estimate(_, v):
-        estimates.append(
-            _pooled_estimate_with_cluster_bootstrap(v, params.beta, n_bootstrap, rng))
+        estimates.append(_pooled_estimate_with_cluster_bootstrap(v, params.beta, weights))
 
     run(
         params,

@@ -75,6 +75,7 @@ WINDOW_EVENT_DOUBLES = 12
 # pages never touched take no memory; a smaller workspace would stay in its
 # heap after the ensemble is gone
 WORKSPACE_MIN = 1 << 22
+BOOTSTRAP_CHUNK = 16  # bootstrap resamples whose weights are drawn at once
 # the last word of a stream's Philox counter
 _EVENTS, _EPOCHS, _INITIAL = 0, 1, 2
 
@@ -111,15 +112,32 @@ class TwoTemperature:
     n_hot: int
 
 
-InitialCondition = ProductGaussian | TwoTemperature | Callable
+@dataclass(frozen=True)
+class Uniform:
+    """Independent particles uniform on [-half_width, half_width]; the
+    temperature is half_width**2 / 3."""
+
+    half_width: float
+
+
+InitialCondition = ProductGaussian | TwoTemperature | Uniform | Callable
 
 
 def sample_initial(initial: InitialCondition, rng: np.random.Generator,
                    out: np.ndarray) -> np.ndarray:
     """Draw velocities into the C-contiguous `out` and return it: (N,) for one
     replica or (M, N) for M replicas drawn one after another from `rng`; a
-    callable `initial(rng, N)` draws one replica."""
+    callable `initial(rng, N)` draws one replica.  Every known law fills `out`
+    in place with one call, with no temporary of its size: `Uniform` gives
+    the bits of `rng.uniform(-h, h, N)` row after row, since that computes
+    -h + 2h U from the same uniforms U."""
     n = out.shape[-1]
+    if isinstance(initial, Uniform):
+        h = initial.half_width
+        rng.random(out=out)
+        out *= 2.0 * h
+        out += -h
+        return out
     if isinstance(initial, ProductGaussian):
         rng.standard_normal(out=out)
         out *= math.sqrt(initial.temperature)
@@ -326,12 +344,10 @@ class Ensemble:
         partner += base
         del base
         # a thermostat event's partner is its own bath slot, in event order
-        thermostat = ~kac
-        slot = np.cumsum(thermostat)
-        n_bath = int(slot[-1]) if n_events else 0
-        slot += size - 1
-        np.copyto(partner, slot, where=thermostat)
-        del slot, thermostat, kac
+        bath_events = np.flatnonzero(~kac)
+        n_bath = bath_events.size
+        partner.put(bath_events, np.arange(size, size + n_bath))
+        del bath_events, kac
         # the angle in [0, 2 pi) from the top 53 bits; its sine is +-sqrt(1 - cos^2),
         # positive below pi
         theta = words[n_events:] >> 11
@@ -424,6 +440,26 @@ def cell_counts(values, edges) -> np.ndarray:
         counts[r : r + step] = np.bincount(idx.ravel(), minlength=len(xb) * cells).reshape(
             -1, cells)
     return counts.reshape(v.shape[:-1] + (cells,))
+
+
+def bootstrap_weights(n_replicas: int, n_bootstrap: int, seed: int) -> np.ndarray:
+    """One cluster-bootstrap design over whole replicas, as an (n_bootstrap,
+    M) float matrix: row b holds how often each replica enters resample b,
+    multinomial(M, 1/M) draws from `default_rng(seed)`.  An estimator draws it
+    once per experiment and reuses it at every stop, so resample b follows
+    the same replicas along their whole trajectories.  The draws are taken
+    BOOTSTRAP_CHUNK rows at a time, the same draws as one call, so no integer
+    matrix of the full size is held."""
+    m = n_replicas
+    if m < 1:
+        raise ValueError("need at least one replica")
+    rng = np.random.default_rng(seed)
+    p = np.full(m, 1.0 / m)
+    weights = np.empty((n_bootstrap, m))
+    for b in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+        weights[b : b + BOOTSTRAP_CHUNK] = rng.multinomial(
+            m, p, size=min(BOOTSTRAP_CHUNK, n_bootstrap - b))
+    return weights
 
 
 def _mean_stderr(x: np.ndarray) -> float:

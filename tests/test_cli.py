@@ -249,6 +249,18 @@ class TestVerbs:
         assert header == ["t", "S_estimate", "S_error", "bound"]
         assert len(rows) == 3
 
+    def test_entropy_rows_do_not_depend_on_the_other_sample_times(self, tmp_path):
+        # the realization and the bootstrap design are both fixed by the seed,
+        # so the rows at t = 0, 1, 2 are the same with or without t = 0.5, 1.5
+        rows = {}
+        for k in (3, 5):
+            out = tmp_path / f"e{k}.csv"
+            assert main(["entropy", "--n", "10", "--mu", "1", "--lambda", "1",
+                         "--replicas", "200", "--horizon", "2", "--seed", "3",
+                         "--samples", str(k), "--out", str(out)]) == EXIT_OK
+            rows[k] = read_csv(str(out))[2]
+        assert rows[3] == rows[5][::2]
+
     def test_chaos_verb(self, tmp_path):
         out = tmp_path / "ch.csv"
         rc = main(["chaos", "--mu", "1", "--lambda", "1", "--replicas", "150",
@@ -734,9 +746,10 @@ class TestFingerprint:
          "4b882ef8244e74af73e4e0099db9548620508a6305e56af76645d4b360d57c91"),
         (["spectrum", "--n", "5", "--lambda", "0.7", "--mu", "1.3"],
          "c90febb813104bcd27dc01b5b5eddab6c2f4e5524d9f78e2d39ab8093ac9c9e1"),
+        # S_error bootstraps one replica design per run, drawn before it
         (["entropy", "--n", "6", "--lambda", "1", "--mu", "1", "--replicas", "60",
           "--horizon", "1", "--samples", "3", "--seed", "7"],
-         "7c9e49d66a335c565a741212e83c4592a5cc720901b2074c0f4f02e7b5f75e4a"),
+         "f516c939f7bc969be383ae96867865a865ec0062da60ef9b3ab099072d8353c6"),
         (["chaos", "--lambda", "1", "--mu", "1", "--replicas", "60", "--time", "0.5",
           "--n-ladder", "4,8", "--seed", "7"],
          "40b46fd861a3f33d237e0ea0bbf53f82f2b47934e958ce26a96f92adafc251d5"),

@@ -22,7 +22,7 @@ from kaclab.entropy import (
     standard_gaussian,
     t_apply,
 )
-from kaclab.simulator import ProductGaussian, TwoTemperature
+from kaclab.simulator import ProductGaussian, TwoTemperature, bootstrap_weights, cell_counts
 
 SEED = 20260808
 
@@ -36,9 +36,16 @@ def per_row_cell_counts(u, edges):
     return np.concatenate([[under], inner, [over]]).astype(np.int64)
 
 
-def per_draw_pooled_estimate(snapshot, beta, n_bootstrap, rng):
-    # reference replica bootstrap: per-row counts, one multinomial draw and one
-    # mat-vec per resample
+def per_draw_design(m, n_bootstrap, seed):
+    # reference bootstrap design: one multinomial resample of the m replicas
+    # per draw
+    rng = np.random.default_rng(seed)
+    return [rng.multinomial(m, np.full(m, 1.0 / m)).astype(float) for _ in range(n_bootstrap)]
+
+
+def per_row_pooled_estimate(snapshot, beta, design):
+    # reference replica bootstrap: per-row counts, and one mat-vec and one
+    # plug-in KL row per resample of the design
     m, n = snapshot.shape
     edges = np.linspace(-8.0, 8.0, 257)
     q = entropy_module._gaussian_cell_masses(edges)
@@ -48,10 +55,10 @@ def per_draw_pooled_estimate(snapshot, beta, n_bootstrap, rng):
         counts[r] = per_row_cell_counts(u[r], edges)
     n_tot = m * n
     value = entropy_module._plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
-    boots = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        weights = rng.multinomial(m, np.full(m, 1.0 / m)).astype(float)
-        boots[b] = entropy_module._plugin_kl((weights @ counts) / n_tot, q, n_tot)
+    boots = np.empty(len(design))
+    for b, weights in enumerate(design):
+        row = (weights @ counts) / n_tot
+        boots[b] = entropy_module._plugin_kl_rows(row[None], q, n_tot)[0]
     return value, float(boots.std(ddof=1))
 
 
@@ -459,8 +466,9 @@ class TestMarginalEntropyInequality:
 
 def pooled_estimate(samples, beta, n_bootstrap=200, seed=SEED):
     # the decay experiment's estimator on 2000 replicas of the samples
+    weights = bootstrap_weights(2000, n_bootstrap, seed)
     return entropy_module._pooled_estimate_with_cluster_bootstrap(
-        np.reshape(samples, (2000, -1)), beta, n_bootstrap, np.random.default_rng(seed))
+        np.reshape(samples, (2000, -1)), beta, weights)
 
 
 class TestSampleEstimator:
@@ -494,8 +502,23 @@ class TestSampleEstimator:
         q = entropy_module._gaussian_cell_masses(edges)
         p = per_row_cell_counts(u, edges) / u.size
         assert got[0] == entropy_module._plugin_kl(p, q, u.size)
-        assert got == per_draw_pooled_estimate(samples.reshape(2000, -1), beta, n_boot,
-                                               np.random.default_rng(SEED))
+        assert got == per_row_pooled_estimate(samples.reshape(2000, -1), beta,
+                                              per_draw_design(2000, n_boot, SEED))
+
+    def test_vectorized_kl_matches_one_call_per_resample(self):
+        # the rows sum their empty cells too, which reorders the sum; the
+        # estimate is well above 0, so the Miller-Madow term cancels little
+        rng = np.random.default_rng(SEED)
+        edges = np.linspace(-8.0, 8.0, 257)
+        q = entropy_module._gaussian_cell_masses(edges)
+        counts = cell_counts(1.2 * rng.standard_normal((2000, 10)), edges)
+        n_tot = counts.sum()
+        resampled = (bootstrap_weights(2000, 200, SEED) @ counts) / n_tot
+        assert np.any(resampled == 0.0)
+        got = entropy_module._plugin_kl_rows(resampled, q, n_tot)
+        want = np.array([entropy_module._plugin_kl(p, q, n_tot) for p in resampled])
+        assert np.all(want > 0.01)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestDecayExperiment:
@@ -522,13 +545,16 @@ class TestDecayExperiment:
         assert np.all(shifts <= noise)
 
     def test_matches_per_row_estimator_bit_for_bit(self, monkeypatch):
+        # the oracle ignores the design it is handed: it draws its own, once
+        # per experiment, from the experiment's bootstrap seed
         p = Params(n_particles=12, lam=1.0, mu=1.0, beta=1.3)
         kwargs = dict(initial=TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=3),
                       n_replicas=300, sample_times=np.linspace(0, 2, 5), seed=SEED,
                       n_bootstrap=30)
         got = entropy_decay_experiment(p, **kwargs)
+        design = per_draw_design(300, 30, SEED + 0x5EED)
         monkeypatch.setattr(entropy_module, "_pooled_estimate_with_cluster_bootstrap",
-                            per_draw_pooled_estimate)
+                            lambda v, beta, _: per_row_pooled_estimate(v, beta, design))
         want = entropy_decay_experiment(p, **kwargs)
         assert np.array_equal(got.estimate, want.estimate)
         assert np.array_equal(got.stderr, want.stderr)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from kaclab.simulator import (
     NoEventError,
     ProductGaussian,
     TwoTemperature,
+    Uniform,
+    bootstrap_weights,
     cell_counts,
     equilibrium_start,
     fit_cooling_rate,
@@ -136,6 +139,27 @@ class TestInitialConditions:
         v = sample_initial(lambda rng, n: np.full(n, 2.0), np.random.default_rng(0), out)
         assert v is out
         assert np.array_equal(v, np.full(4, 2.0))
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 7)])
+    def test_uniform_equals_per_row_uniform(self, shape):
+        # -h + 2h U in place gives the bits of rng.uniform(-h, h, N), row after row
+        h = 1.7320508075688772
+        got = sample_initial(Uniform(h), np.random.default_rng(SEED), np.empty(shape))
+        want = sample_initial(lambda rng, n: rng.uniform(-h, h, n),
+                              np.random.default_rng(SEED), np.empty(shape))
+        assert np.array_equal(got, want)
+
+    def test_uniform_draws_in_place(self):
+        m, n = 200, 500
+        out = np.empty((m, n))
+        tracemalloc.start()
+        try:
+            sample_initial(Uniform(2.0), np.random.default_rng(SEED), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8
+        assert -2.0 <= out.min() and out.max() < 2.0
 
     def test_draws_equal_a_fresh_array(self):
         # drawing into a given array reads the stream as drawing a new one does
@@ -538,3 +562,20 @@ class TestCellCounts:
             cell_counts(np.zeros(4), np.array([1.0, 0.5, 0.0]))
         with pytest.raises(ValueError):
             cell_counts(np.zeros(4), np.array([1.0]))
+
+
+class TestBootstrapWeights:
+    @pytest.mark.parametrize("n_bootstrap", [1, 16, 40])
+    def test_equals_one_multinomial_call(self, n_bootstrap):
+        # drawn BOOTSTRAP_CHUNK rows at a time, the same draws as one call
+        m = 37
+        got = bootstrap_weights(m, n_bootstrap, SEED)
+        want = np.random.default_rng(SEED).multinomial(m, np.full(m, 1.0 / m),
+                                                        size=n_bootstrap)
+        assert got.dtype == float
+        assert np.array_equal(got, want)
+        assert np.all(got.sum(axis=1) == m)
+
+    def test_rejects_no_replicas(self):
+        with pytest.raises(ValueError, match="replica"):
+            bootstrap_weights(0, 4, SEED)
