@@ -4,10 +4,9 @@ As the particle number grows, the two-particle marginal of the evolved law
 factorizes into the product of one-particle marginals (weakly), and the
 one-particle marginal follows the limiting kinetic equation.  This module
 estimates one- and two-particle marginals from the ensemble's state at one
-time, counted where the simulator stops, measures
-the factorization defect against a fixed dictionary of bounded test-function
-pairs, and compares pooled simulator moments with the closed moment
-hierarchy.
+time, counted where the simulator stops, measures the factorization defect
+against a fixed dictionary of bounded test-function pairs, and compares pooled
+simulator moments with the closed moment hierarchy.
 
 The dictionary is a declared relaxation of "all bounded continuous test
 functions": twelve Gaussian-damped Hermite pair products of degree <= 4,
@@ -28,6 +27,7 @@ from .simulator import ProductGaussian, Uniform, bootstrap_weights, cell_counts,
 
 GRID_BINS_2D = 64
 GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
+BOOTSTRAP_RESAMPLES = 16  # replica resamples behind each chaos error bar
 
 
 def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,25 +108,24 @@ class ChaosLadderPoint:
 
 def chaos_ladder(
     base_params: Params,
-    n_values=(10, 50, 250, 1250),
+    n_values,
     *,
     time: float,
-    n_replicas: int = 4000,
+    n_replicas: int,
     seed: int = 0,
     initial_temperature: float = 2.0,
-    n_bootstrap: int = 16,
 ) -> list[ChaosLadderPoint]:
     """Factorization defect at a fixed time across a ladder of system sizes.
 
     The initial law is a chaotic (product) non-Gaussian start: `Uniform`
     velocities with the requested temperature.  Error bars bootstrap over
-    replicas: one design, `bootstrap_weights` at seed + 0xC0FFEE, is drawn
-    before the ladder and reused at every rung, and each resample is a
-    weighted sum of the rung's per-replica cell counts.
+    replicas: one design of BOOTSTRAP_RESAMPLES resamples, `bootstrap_weights`
+    at seed + 0xC0FFEE, is drawn before the ladder and reused at every rung,
+    and each resample is a weighted sum of the rung's per-replica cell counts.
     """
     out = []
     initial = Uniform(math.sqrt(3.0 * initial_temperature / base_params.beta))
-    weights = bootstrap_weights(n_replicas, n_bootstrap, seed + 0xC0FFEE)
+    weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0xC0FFEE)
     for n in n_values:
         params = replace(base_params, n_particles=n)
         edges = _grid_edges(params.beta, GRID_BINS_2D)
@@ -143,12 +142,8 @@ def chaos_ladder(
         counts = seen[0]
         metric = _defect(counts, np.ones(n_replicas), edges)
         boots = [_defect(counts, w, edges) for w in weights]
-        out.append(
-            ChaosLadderPoint(
-                n_particles=n, time=time, metric=metric,
-                stderr=float(np.std(boots, ddof=1)) if n_bootstrap > 1 else float("nan"),
-            )
-        )
+        out.append(ChaosLadderPoint(n_particles=n, time=time, metric=metric,
+                                    stderr=float(np.std(boots, ddof=1))))
     return out
 
 

@@ -141,10 +141,6 @@ def sphere_moment_Gamma_exact(alpha, n_particles: int | None = None) -> Fraction
     return Fraction(num, den)
 
 
-def sphere_moment_Gamma(alpha) -> float:
-    return float(sphere_moment_Gamma_exact(alpha))
-
-
 def multinomial(total: int, parts) -> int:
     """total! / prod(parts_i!); parts must sum to total."""
     parts = tuple(parts)

@@ -42,6 +42,7 @@ GRID_HALF_WIDTH = 8.0
 THETA_NODES = 256
 GAUSS_NODES = 32
 ESTIMATOR_BINS = 256
+BOOTSTRAP_RESAMPLES = 200  # replica resamples behind each entropy error bar
 THERMOSTAT_CHECK_TOL = 1e-8
 MARGINAL_CHECK_TOL = 1e-10
 _STENCIL = 8
@@ -58,7 +59,8 @@ def standard_gaussian(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityGrid:
-    """Uniform velocity grid with values; represents a density f or a ratio f/g.
+    """Uniform increasing velocity grid with values; represents a density f or
+    a ratio f/g.
 
     `extension` is an optional callable giving exact values beyond the grid
     edge (set automatically by `from_function`); without it, off-grid values
@@ -78,28 +80,14 @@ class DensityGrid:
         if values.shape != nodes.shape:
             raise ValueError("nodes and values must match")
         spacing = np.diff(nodes)
-        if not np.allclose(spacing, spacing[0], rtol=1e-12, atol=0.0):
-            raise ValueError("grid must be uniform")
+        if not (spacing[0] > 0 and np.allclose(spacing, spacing[0], rtol=1e-12, atol=0.0)):
+            raise ValueError("grid must be increasing and uniform")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
     @property
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, self.nodes))
-
-    def normalized(self) -> "DensityGrid":
-        z = self.integral()
-        if z <= 0:
-            raise ValueError("cannot normalize a grid with nonpositive mass")
-        ext = self.extension
-        return DensityGrid(
-            nodes=self.nodes,
-            values=self.values / z,
-            extension=None if ext is None else (lambda v: np.asarray(ext(v)) / z),
-        )
 
     @classmethod
     def uniform_nodes(cls, n: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH) -> np.ndarray:
@@ -110,17 +98,6 @@ class DensityGrid:
                       half_width: float = GRID_HALF_WIDTH) -> "DensityGrid":
         nodes = cls.uniform_nodes(n, half_width)
         return cls(nodes=nodes, values=np.asarray(fn(nodes), dtype=float), extension=fn)
-
-    @classmethod
-    def gaussian(cls, variance: float = 1.0, mean: float = 0.0,
-                 half_width: float = GRID_HALF_WIDTH) -> "DensityGrid":
-        def fn(v):
-            v = np.asarray(v, dtype=float)
-            return np.exp(-((v - mean) ** 2) / (2 * variance)) / math.sqrt(
-                2 * math.pi * variance
-            )
-
-        return cls.from_function(fn, half_width=half_width)
 
 
 _TAIL_WINDOW = 128  # one-sided fit window, ~1 velocity unit on the default grid
@@ -307,24 +284,6 @@ def semigroup_defect(G: DensityGrid, s: float, t: float) -> float:
     return math.sqrt(float(np.trapezoid(g * (two.values - one.values) ** 2, G.nodes)))
 
 
-def relative_entropy_grid(f: DensityGrid, beta: float) -> float:
-    """Relative entropy of the gridded density f against the Gaussian with
-    variance 1/beta, with the 0 log 0 = 0 convention."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    vals = f.values
-    if np.any(vals < -1e-12 * max(1.0, float(np.max(np.abs(vals))))):
-        raise ValueError("density has negative values")
-    mass = f.integral()
-    if abs(mass - 1.0) > 1e-8:
-        raise ValueError(f"density is not normalized: integral = {mass!r}")
-    g = np.exp(-0.5 * beta * f.nodes**2) * math.sqrt(beta / (2.0 * math.pi))
-    pos = vals > 0
-    integrand = np.zeros_like(vals)
-    integrand[pos] = vals[pos] * (np.log(vals[pos]) - np.log(np.maximum(g[pos], _LOG_FLOOR)))
-    return float(np.trapezoid(integrand, f.nodes))
-
-
 # ---------------------------------------------------------------------------
 # sample estimator
 
@@ -467,7 +426,6 @@ def entropy_decay_experiment(
     sample_times,
     n_replicas: int,
     seed: int = 0,
-    n_bootstrap: int = 200,
 ) -> EntropyDecaySeries:
     """Track the one-particle relative-entropy proxy along a simulation and
     compare with the exponential bound from the closed-form initial entropy.
@@ -477,7 +435,7 @@ def entropy_decay_experiment(
     bound curve dominates it up to estimator noise.  Error bars come from a
     bootstrap over whole replica trajectories, which respects the
     within-replica correlation that collisions introduce: one design of
-    `n_bootstrap` resamples is drawn before the run (`bootstrap_weights` at
+    BOOTSTRAP_RESAMPLES resamples is drawn before the run (`bootstrap_weights` at
     seed + 0x5EED) and scores every sample time, so a row does not depend on
     the other sample times.  Cells are half-open, the top edge counting as
     overflow (`simulator.cell_counts`).  Each sample time is estimated from the
@@ -486,7 +444,7 @@ def entropy_decay_experiment(
     s0 = initial_relative_entropy(initial, params)
     times = check_times(sample_times, ())
     n = params.n_particles
-    weights = bootstrap_weights(n_replicas, n_bootstrap, seed + 0x5EED)
+    weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0x5EED)
     estimates = []
 
     def estimate(_, v):

@@ -297,11 +297,9 @@ def build_B(basis: SectorBasis) -> SectorMatrix:
     )
 
 
-def build_generator(basis: SectorBasis, params: Params, comparison: bool = False) -> SectorMatrix:
-    """mu*L_T + lam*L_K on the sector (lam*L_R instead with comparison=True)."""
-    lt = build_LT(basis)
-    lk = build_LR(basis) if comparison else build_LK(basis)
-    entries = params.mu * lt.entries + params.lam * lk.entries
+def build_generator(basis: SectorBasis, params: Params) -> SectorMatrix:
+    """mu*L_T + lam*L_K on the sector."""
+    entries = params.mu * build_LT(basis).entries + params.lam * build_LK(basis).entries
     return SectorMatrix(basis=basis, entries=entries, operator_tag="full")
 
 
@@ -404,6 +402,8 @@ def second_gap_matrix(params: Params) -> np.ndarray:
     """Closed-form 2x2 matrix of the generator on the symmetric degree-4 sector,
     basis ordered (pair H_2 H_2 combination, single H_4 sum)."""
     n = params.n_particles
+    if n < 2:
+        raise ValueError("second gap needs N >= 2")
     lam, mu = params.lam, params.mu
     off = -math.sqrt(3.0) * lam / (2.0 * math.sqrt(n - 1.0))
     return np.array(

@@ -120,18 +120,16 @@ class Uniform:
     half_width: float
 
 
-InitialCondition = ProductGaussian | TwoTemperature | Uniform | Callable
+InitialCondition = ProductGaussian | TwoTemperature | Uniform
 
 
 def sample_initial(initial: InitialCondition, rng: np.random.Generator,
                    out: np.ndarray) -> np.ndarray:
     """Draw velocities into the C-contiguous `out` and return it: (N,) for one
-    replica or (M, N) for M replicas drawn one after another from `rng`; a
-    callable `initial(rng, N)` draws one replica.  Every known law fills `out`
-    in place with one call, with no temporary of its size: `Uniform` gives
-    the bits of `rng.uniform(-h, h, N)` row after row, since that computes
-    -h + 2h U from the same uniforms U."""
-    n = out.shape[-1]
+    replica or (M, N) for M replicas drawn one after another from `rng`.
+    Every law fills `out` in place with one call, with no temporary of its
+    size: `Uniform` gives the bits of `rng.uniform(-h, h, N)` row after row,
+    since that computes -h + 2h U from the same uniforms U."""
     if isinstance(initial, Uniform):
         h = initial.half_width
         rng.random(out=out)
@@ -144,24 +142,14 @@ def sample_initial(initial: InitialCondition, rng: np.random.Generator,
         out += initial.mean
         return out
     if isinstance(initial, TwoTemperature):
+        n = out.shape[-1]
         if not 0 <= initial.n_hot <= n:
             raise ValueError(f"n_hot must lie in [0, {n}], got {initial.n_hot}")
         rng.standard_normal(out=out)
         out[..., : initial.n_hot] *= math.sqrt(initial.t_hot)
         out[..., initial.n_hot :] *= math.sqrt(initial.t_cold)
         return out
-    if callable(initial):
-        for row in out.reshape(-1, n):
-            r = np.asarray(initial(rng, n), dtype=float)
-            if r.shape != (n,):
-                raise ValueError(f"sampler must return shape ({n},), got {r.shape}")
-            row[...] = r
-        return out
     raise TypeError(f"unsupported initial condition {initial!r}")
-
-
-def equilibrium_start(params: Params) -> ProductGaussian:
-    return ProductGaussian(temperature=1.0 / params.beta)
 
 
 def initial_relative_entropy(initial: InitialCondition, params: Params) -> float:
@@ -271,7 +259,7 @@ class Ensemble:
         if params.n_particles >= 2**32:
             raise ValueError("multiply-shift decoding needs N < 2**32")
         if initial is None:
-            initial = equilibrium_start(params)
+            initial = ProductGaussian(temperature=1.0 / params.beta)
         size = n_replicas * params.n_particles
         # a window expects EVENTS_PER_WINDOW events or fewer, this share of them thermostat
         ws = _new_workspace(size, math.ceil(EVENTS_PER_WINDOW * params.mu

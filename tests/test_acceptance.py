@@ -8,10 +8,9 @@ else is exact or tolerance 1e-8..1e-10 as stated.
 import math
 
 import numpy as np
-import pytest
 
 from kaclab.core import Params, gaussian_moments, kac_gap_Lambda
-from kaclab.boltzmann import MomentVector, integrate_moments, linearized_eigenvalue
+from kaclab.boltzmann import MomentVector, integrate_moments
 from kaclab.chaos import chaos_ladder, compare_to_boltzmann
 from kaclab.cli import main
 from kaclab.entropy import (
@@ -299,7 +298,7 @@ def test_12_propagation_of_chaos_trend():
     metrics = []
     for seed in range(100, 105):
         pts = chaos_ladder(params, n_values=(10, 50, 250, 1250), time=1.0 / params.mu,
-                           n_replicas=3000, seed=seed, n_bootstrap=2)
+                           n_replicas=3000, seed=seed)
         metrics.append([p.metric for p in pts])
     med = np.median(np.asarray(metrics), axis=0)
     ok = bool(np.all(np.diff(med) < 0))

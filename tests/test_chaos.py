@@ -13,11 +13,10 @@ from kaclab.chaos import (
     _grid_edges,
     _metric_from_masses,
     _weighted_masses,
-    BoltzmannComparison,
     chaos_ladder,
     compare_to_boltzmann,
 )
-from kaclab.simulator import ProductGaussian, cell_counts
+from kaclab.simulator import ProductGaussian, Uniform, cell_counts
 from test_simulator import run_keeping
 
 SEED = 20260808
@@ -84,7 +83,7 @@ def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=6
     # reference chaos_ladder rung: its own pair counts and one multinomial draw
     # per bootstrap resample
     _, states = run_keeping(params, [t], n_replicas=n_replicas, sample_times=[0.0, t],
-                            seed=seed, initial=lambda rng, n: rng.uniform(-half, half, n))
+                            seed=seed, initial=Uniform(half))
     n = params.n_particles
     scale = 1.0 / math.sqrt(params.beta)
     edges = np.linspace(-10.0 * scale, 10.0 * scale, bins + 1)
@@ -210,20 +209,21 @@ class TestChaosMetric:
         with pytest.raises(ValueError):
             chaos_metric(np.zeros((10, 1)))
 
-    def test_equals_ladder_rung_metric(self):
+    def test_equals_ladder_rung_metric(self, monkeypatch):
+        monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 2)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
-        pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED,
-                           n_bootstrap=2)
+        pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED)
         half = math.sqrt(3.0 * 2.0 / base.beta)
         for p in pts:
             _, states = run_keeping(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
                                     [0.4], n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
-                                    initial=lambda rng, n: rng.uniform(-half, half, n))
+                                    initial=Uniform(half))
             assert chaos_metric(states[0.4], beta=0.8) == p.metric
 
 
 class TestLadder:
-    def test_metric_decreases_in_system_size(self):
+    def test_metric_decreases_in_system_size(self, monkeypatch):
+        monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 4)
         params = Params(n_particles=2, lam=1.0, mu=1.0)
         pts = chaos_ladder(
             params,
@@ -231,25 +231,26 @@ class TestLadder:
             time=1.0 / params.mu,
             n_replicas=1500,
             seed=SEED,
-            n_bootstrap=4,
         )
         metrics = [p.metric for p in pts]
         assert metrics[0] > metrics[-1]
-        assert all(p.stderr >= 0 or math.isnan(p.stderr) for p in pts)
+        assert all(p.stderr >= 0 for p in pts)
 
-    def test_runs_without_thermostat_at_given_time(self):
+    def test_runs_without_thermostat_at_given_time(self, monkeypatch):
         # at mu = 0 there is no 1/mu default time: the caller gives it
+        monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 2)
         pts = chaos_ladder(Params(n_particles=4, mu=0.0), n_values=(4,), time=0.5,
-                           n_replicas=5, seed=SEED, n_bootstrap=2)
+                           n_replicas=5, seed=SEED)
         assert [(p.n_particles, p.time) for p in pts] == [(4, 0.5)]
         assert math.isfinite(pts[0].metric)
         with pytest.raises(TypeError):
             chaos_ladder(Params(n_particles=4, mu=0.0), n_values=(4,), n_replicas=5)
 
-    def test_matches_per_draw_ladder_bit_for_bit(self):
+    def test_matches_per_draw_ladder_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 5)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
         pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED,
-                           initial_temperature=2.0, n_bootstrap=5)
+                           initial_temperature=2.0)
         half = math.sqrt(3.0 * 2.0 / base.beta)
         for p in pts:
             params = Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8)

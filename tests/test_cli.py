@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import os
 import warnings
 
 import numpy as np
@@ -23,7 +22,7 @@ from kaclab.cli import (
 )
 from kaclab.core import Params, gaussian_moments
 from kaclab.generator import AssemblyError
-from kaclab.simulator import Ensemble, TwoTemperature
+from kaclab.simulator import Ensemble, ProductGaussian, TwoTemperature
 from test_simulator import scalar_advance_to
 
 SEED = 20260808
@@ -302,14 +301,14 @@ class TestHistogramOut:
         assert abs(sum(float(r[2]) for r in rows) + outside - 1.0) < 1e-12
 
     def test_top_edge_sample_counted_once(self, tmp_path, monkeypatch):
-        def one_at_top_edge(rng, n):
-            v = rng.standard_normal(n)
-            v[0] = 8.0  # HISTOGRAM_HALF_WIDTH standard deviations at beta = 1
-            return v
+        real_sample = simulator.sample_initial
 
-        real_run = cli.run
-        monkeypatch.setattr(cli, "run", lambda params, **kwargs: real_run(
-            params, **{**kwargs, "initial": one_at_top_edge}))
+        def one_at_top_edge(initial, rng, out):
+            real_sample(ProductGaussian(temperature=1.0), rng, out)
+            out[..., 0] = 8.0  # HISTOGRAM_HALF_WIDTH standard deviations at beta = 1
+            return out
+
+        monkeypatch.setattr(simulator, "sample_initial", one_at_top_edge)
         # one sample time: the histogram is of the initial state
         rows = histogram_rows(["simulate", "--n", "5", "--replicas", "4", "--horizon", "0.1",
                                "--samples", "1", "--seed", str(SEED)], tmp_path)

@@ -20,7 +20,6 @@ from kaclab.core import (
     multinomial,
     orbit_size,
     partitions,
-    sphere_moment_Gamma,
     sphere_moment_Gamma_exact,
 )
 from kaclab.generator import build_generator, sector_basis
@@ -113,7 +112,7 @@ class TestKacGap:
 class TestSphereMoment:
     def test_pinned_values(self):
         for n in (1, 2, 5):
-            assert sphere_moment_Gamma((0,) * n) == 1.0
+            assert sphere_moment_Gamma_exact((0,) * n) == 1
         for n in (2, 3, 8):
             assert sphere_moment_Gamma_exact((1,) + (0,) * (n - 1)) == Fraction(1, n)
             assert sphere_moment_Gamma_exact((2,) + (0,) * (n - 1)) == Fraction(3, n * (n + 2))

@@ -10,14 +10,12 @@ from kaclab.core import Params, hermite_eigenvalue_s
 from kaclab.entropy import (
     GAUSS_NODES,
     DensityGrid,
-    EntropyCheckError,
     check_marginal_entropy_inequality,
     check_thermostat_entropy_inequality,
     entropy_decay_experiment,
     evaluate,
     gauss_weighted_entropy,
     ou_apply,
-    relative_entropy_grid,
     semigroup_defect,
     standard_gaussian,
     t_apply,
@@ -224,51 +222,15 @@ class TestEvaluate:
         assert evaluate(clamped, np.array([-np.inf]))[0] == nodes[0]
 
 
-class TestRelativeEntropyGrid:
-    def test_equilibrium_is_zero(self):
-        f = DensityGrid.gaussian(variance=1.0)
-        assert abs(relative_entropy_grid(f, beta=1.0)) < 1e-12
-
-    def test_gaussian_closed_form(self):
-        # the wide density needs a wide grid: the default half width holds
-        # only 5.7 of its standard deviations
-        for var, half_width in ((0.5, 8.0), (2.0, 12.0), (3.0, 15.0)):
-            f = DensityGrid.gaussian(variance=var, half_width=half_width)
-            want = 0.5 * (var - 1.0 - math.log(var))
-            assert math.isclose(relative_entropy_grid(f, 1.0), want, rel_tol=1e-8, abs_tol=1e-11)
-
-    def test_shifted_gaussian_closed_form(self):
-        for a in (0.3, 1.0):
-            f = DensityGrid.gaussian(variance=1.0, mean=a, half_width=10.0)
-            assert math.isclose(relative_entropy_grid(f, 1.0), a * a / 2, rel_tol=1e-8)
-
-    def test_general_beta(self):
-        beta = 2.0
-        f = DensityGrid.gaussian(variance=1.5 / beta, half_width=10.0 / math.sqrt(beta))
-        want = 0.5 * (1.5 - 1.0 - math.log(1.5))
-        assert math.isclose(relative_entropy_grid(f, beta), want, rel_tol=1e-8)
-
-    def test_rejects_negative_and_unnormalized(self):
-        nodes = DensityGrid.uniform_nodes()
-        with pytest.raises(ValueError):
-            relative_entropy_grid(DensityGrid(nodes, np.full(nodes.size, -1.0)), 1.0)
-        with pytest.raises(ValueError):
-            relative_entropy_grid(DensityGrid(nodes, np.ones(nodes.size)), 1.0)
-
-    def test_nonnegative_on_mixtures(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(10):
-            w = rng.random()
-            m1, m2 = rng.uniform(-2, 2, 2)
-            s1, s2 = rng.uniform(0.4, 2.5, 2)
-
-            def fn(v):
-                a = np.exp(-((v - m1) ** 2) / (2 * s1)) / math.sqrt(2 * math.pi * s1)
-                b = np.exp(-((v - m2) ** 2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-                return w * a + (1 - w) * b
-
-            f = DensityGrid.from_function(fn, half_width=14.0).normalized()
-            assert relative_entropy_grid(f, 1.0) >= -1e-12
+class TestDensityGrid:
+    def test_rejects_nodes_that_do_not_increase(self):
+        # a descending uniform grid has a negative spacing, which flips the
+        # sign of every trapezoid integral over it: this -0.192 would read +0.192
+        up = np.linspace(-8.0, 8.0, 2048)
+        assert gauss_weighted_entropy(DensityGrid(up, np.exp(-up**2))) < -0.19
+        for nodes in (up[::-1], np.zeros(2048)):
+            with pytest.raises(ValueError, match="increasing"):
+                DensityGrid(nodes, np.exp(-nodes**2))
 
 
 class TestOuSemigroup:
@@ -549,8 +511,8 @@ class TestDecayExperiment:
         # per experiment, from the experiment's bootstrap seed
         p = Params(n_particles=12, lam=1.0, mu=1.0, beta=1.3)
         kwargs = dict(initial=TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=3),
-                      n_replicas=300, sample_times=np.linspace(0, 2, 5), seed=SEED,
-                      n_bootstrap=30)
+                      n_replicas=300, sample_times=np.linspace(0, 2, 5), seed=SEED)
+        monkeypatch.setattr(entropy_module, "BOOTSTRAP_RESAMPLES", 30)
         got = entropy_decay_experiment(p, **kwargs)
         design = per_draw_design(300, 30, SEED + 0x5EED)
         monkeypatch.setattr(entropy_module, "_pooled_estimate_with_cluster_bootstrap",

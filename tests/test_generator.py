@@ -50,6 +50,11 @@ def apply_collision_polynomial(poly: dict, n: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def comparison_entries(basis, params) -> np.ndarray:
+    # mu L_T + lam L_R, the comparison operator behind the closed-form bounds
+    return params.mu * build_LT(basis).entries + params.lam * build_LR(basis).entries
+
+
 def factorial_orbit_size(index, n: int) -> int:
     """Oracle: N! over the factorial of every value's multiplicity, zeros included."""
     out = math.factorial(n)
@@ -258,7 +263,7 @@ class TestAssembledMatrices:
         basis = sector_basis(n, level)
         params = Params(n_particles=n, lam=1.3, mu=0.7)
         full = build_generator(basis, params).entries
-        comp = build_generator(basis, params, comparison=True).entries
+        comp = comparison_entries(basis, params)
         assert np.linalg.eigvalsh(comp)[0] <= np.linalg.eigvalsh(full)[0] + 1e-10
 
 
@@ -313,6 +318,11 @@ class TestSecondGap:
         roots = np.sort(np.roots([1.0, -2.875, 1.59375]))
         assert abs(roots[0] - 0.75) < 1e-12
         assert abs(second_gap(Params(n_particles=3, lam=1.0, mu=1.0)).quadratic - 0.75) < 1e-12
+
+    def test_one_particle_refused_by_every_route(self):
+        for route in (second_gap_matrix, second_gap):
+            with pytest.raises(ValueError, match="second gap needs N >= 2"):
+                route(Params(n_particles=1))
 
     def test_limit_values(self):
         assert second_gap_limit(Params(n_particles=2, lam=1.0, mu=1.0)) == 1.0
@@ -388,8 +398,7 @@ class TestSectorGapBound:
     def test_bounds_comparison_operator(self, n, level):
         p = Params(n_particles=n, lam=1.1, mu=0.9)
         basis = sector_basis(n, level)
-        comp = build_generator(basis, p, comparison=True)
-        a_l = float(comp.eigenvalues()[0])
+        a_l = float(np.linalg.eigvalsh(comparison_entries(basis, p))[0])
         assert a_l >= sector_gap_bound(level, p) - 1e-10
 
 

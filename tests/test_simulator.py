@@ -18,7 +18,6 @@ from kaclab.simulator import (
     Uniform,
     bootstrap_weights,
     cell_counts,
-    equilibrium_start,
     fit_cooling_rate,
     initial_relative_entropy,
     run,
@@ -134,20 +133,19 @@ class TestInitialConditions:
         assert 7.0 < v[:100].var() < 11.5
         assert 0.2 < v[100:].var() < 0.31
 
-    def test_custom_sampler(self):
-        out = np.empty(4)
-        v = sample_initial(lambda rng, n: np.full(n, 2.0), np.random.default_rng(0), out)
-        assert v is out
-        assert np.array_equal(v, np.full(4, 2.0))
+    def test_refuses_a_callable(self):
+        with pytest.raises(TypeError, match="unsupported initial condition"):
+            sample_initial(lambda rng, n: np.full(n, 2.0), np.random.default_rng(0),
+                           np.empty(4))
 
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 7)])
     def test_uniform_equals_per_row_uniform(self, shape):
         # -h + 2h U in place gives the bits of rng.uniform(-h, h, N), row after row
         h = 1.7320508075688772
         got = sample_initial(Uniform(h), np.random.default_rng(SEED), np.empty(shape))
-        want = sample_initial(lambda rng, n: rng.uniform(-h, h, n),
-                              np.random.default_rng(SEED), np.empty(shape))
-        assert np.array_equal(got, want)
+        rng = np.random.default_rng(SEED)
+        rows = [rng.uniform(-h, h, shape[-1]) for _ in range(math.prod(shape[:-1]))]
+        assert np.array_equal(got, np.reshape(rows, shape))
 
     def test_uniform_draws_in_place(self):
         m, n = 200, 500
@@ -175,7 +173,7 @@ class TestInitialConditions:
 
     def test_initial_entropy_closed_forms(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0, beta=1.0)
-        assert initial_relative_entropy(equilibrium_start(p), p) == 0.0
+        assert initial_relative_entropy(ProductGaussian(temperature=1.0), p) == 0.0
         got = initial_relative_entropy(ProductGaussian(temperature=2.0), p)
         assert math.isclose(got, 10 * 0.5 * (2.0 - 1.0 - math.log(2.0)), rel_tol=1e-12)
         got = initial_relative_entropy(ProductGaussian(temperature=1.0, mean=0.5), p)
@@ -210,8 +208,7 @@ class TestEnsemble:
         # initial states are drawn replica after replica from one stream, so
         # adding replicas leaves the first ones untouched
         p = Params(n_particles=4, lam=1.0, mu=0.5)
-        for init in (ProductGaussian(1.5), TwoTemperature(3.0, 0.5, 1),
-                     lambda rng, n: rng.uniform(-1.0, 1.0, n)):
+        for init in (ProductGaussian(1.5), TwoTemperature(3.0, 0.5, 1), Uniform(1.0)):
             small = Ensemble.create(p, n_replicas=3, seed=SEED, initial=init)
             big = Ensemble.create(p, n_replicas=7, seed=SEED, initial=init)
             assert np.array_equal(small.velocities, big.velocities[:3])
