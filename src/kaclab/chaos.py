@@ -123,6 +123,8 @@ def chaos_ladder(
     at seed + 0xC0FFEE, is drawn before the ladder and reused at every rung,
     and each resample is a weighted sum of the rung's per-replica cell counts.
     """
+    if any(n < 2 for n in n_values):
+        raise ValueError("a chaos rung needs N >= 2")
     out = []
     initial = Uniform(math.sqrt(3.0 * initial_temperature / base_params.beta))
     weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0xC0FFEE)

@@ -45,8 +45,9 @@ OUTDIR_ENV = "KACLAB_OUTDIR"
 
 HISTOGRAM_BINS = 256
 HISTOGRAM_HALF_WIDTH = 8.0  # in units of the equilibrium standard deviation
-# expected simulator events per run: about 20 times criterion 05's 4.8e7, and a
-# few minutes at 200-300 ns per event
+# expected simulator events per run: about 20 times criterion 05's 4.8e7, and
+# about two minutes at the 80-105 ns per event that `advance_to` takes at N = 100
+# and M = 1000 on a 2-core x86-64 host (M = 1 costs far more per event)
 MAX_EVENTS = 1e9
 # doubles a run may hold at once: 2 GiB
 MAX_DOUBLES = 2**28
@@ -118,7 +119,8 @@ _SCHEMAS: dict[str, dict] = {
         **_COMMON,
         "n": (int, None, True, _AT_LEAST_1),
         "mu": (float, None, True, _AT_LEAST_0),
-        "replicas": (int, 2000, False, _AT_LEAST_1),
+        # the cluster bootstrap's error bars need two replicas to spread
+        "replicas": (int, 2000, False, _AT_LEAST_2),
         "horizon": (float, 6.0, False, _ABOVE_0),
         "samples": (int, 13, False, _AT_LEAST_1),
         # the initial relative entropy takes log(beta * T)
@@ -128,7 +130,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "chaos": {
         **_COMMON,
-        "replicas": (int, 2000, False, _AT_LEAST_1),
+        "replicas": (int, 2000, False, _AT_LEAST_2),  # as for entropy
         "time": (float, None, False, _ABOVE_0),
         "n_ladder": (str, "10,50,250,1250", False, _LADDER),
         "t0": (float, 2.0, False, _AT_LEAST_0),

@@ -23,7 +23,9 @@ stops, so a realization does not depend on where it is observed:
   that has one), the first words of all events before the second words; then
   one normal per thermostat event.  The first word gives the site, the
   partner and the type by multiply-shift (`_decode_events`), the second the
-  angle.  Initial states come from counter (0, 0, 0, 2).
+  angle theta = 2 pi U / 2**53 from its top 53 bits U, whose cosine and sine
+  come from one tangent of (theta - pi) / 4 (`_cos_sin`).  Initial states
+  come from counter (0, 0, 0, 2).
 - Stops: a replica's events in a window sit at the order statistics of
   uniform epochs, read in replica order from counter (0, 0, w, 1) only for a
   window that holds a stop.  A stop applies the events whose epochs come
@@ -75,6 +77,8 @@ WINDOW_EVENT_DOUBLES = 12
 # pages never touched take no memory; a smaller workspace would stay in its
 # heap after the ensemble is gone
 WORKSPACE_MIN = 1 << 22
+# collision angles computed at once, so that the temporaries stay in cache
+ANGLE_CHUNK = 1 << 13
 BOOTSTRAP_CHUNK = 16  # bootstrap resamples whose weights are drawn at once
 # the last word of a stream's Philox counter
 _EVENTS, _EPOCHS, _INITIAL = 0, 1, 2
@@ -157,8 +161,10 @@ def initial_relative_entropy(initial: InitialCondition, params: Params) -> float
     equilibrium product Gaussian."""
 
     def gauss_term(temperature: float, mean: float = 0.0) -> float:
+        # log(beta T) as a sum, since beta T may underflow to 0
         x = params.beta * temperature
-        return 0.5 * (x - 1.0 - math.log(x)) + 0.5 * params.beta * mean**2
+        log_x = math.log(params.beta) + math.log(temperature)
+        return 0.5 * (x - 1.0 - log_x) + 0.5 * params.beta * mean**2
 
     n = params.n_particles
     if isinstance(initial, ProductGaussian):
@@ -194,6 +200,34 @@ def _decode_events(words: np.ndarray, n: int, kac_below: int):
     partner += partner >= site
     frac &= 0xFFFFFFFF
     return site.view(np.int64), partner.view(np.int64), frac < kac_below
+
+
+def _cos_sin(words: np.ndarray):
+    """cos and sin of the angles theta = 2 pi U / 2**53 in [0, 2 pi) that the
+    top 53 bits U of raw 64-bit words give, through one tangent: psi = (theta -
+    pi) / 4 lies in [-pi/4, pi/4), far from a pole, and with t = tan psi, c =
+    (1 - t^2) / (1 + t^2) and s = 2 t / (1 + t^2) are the cosine and sine of 2
+    psi, so cos theta = (s - c)(s + c) and sin theta = -2 s c.  Both stay within
+    1e-15 of the exact values at every angle, near 0 and pi too, where a sine
+    taken as sqrt(1 - cos^2) loses digits.  The words are taken ANGLE_CHUNK at
+    a time, so that only the results have their size."""
+    cos = np.empty(words.size)
+    sin = np.empty(words.size)
+    for a in range(0, words.size, ANGLE_CHUNK):
+        b = a + ANGLE_CHUNK
+        t = words[a:b] >> 11
+        t = t * (0.5 * math.pi / 2.0**53)
+        t -= 0.25 * math.pi
+        np.tan(t, out=t)
+        q = 1.0 + t * t
+        c = (1.0 - t) * (1.0 + t) / q
+        s = (t + t) / q
+        np.multiply(s, c, out=sin[a:b])
+        sin[a:b] *= -2.0
+        np.subtract(s, c, out=cos[a:b])
+        s += c
+        cos[a:b] *= s
+    return cos, sin
 
 
 def workspace_doubles(n_replicas, n_particles):
@@ -323,9 +357,12 @@ class Ensemble:
         starts = np.zeros(kmax + 1, dtype=np.int64)
         np.cumsum(widths, out=starts[1:])
         n_events = int(starts[-1])
-        words = rng.bit_generator.random_raw(2 * n_events)
+        # the first words; the stream reads on to the second words as if both
+        # were drawn in one call, and only one half is held at a time
+        words = rng.bit_generator.random_raw(n_events)
         kac_below = round(p.lam / (p.lam + p.mu) * 2**32)
-        site, partner, kac = _decode_events(words[:n_events], n, kac_below)
+        site, partner, kac = _decode_events(words, n, kac_below)
+        del words
         # each event's row in the workspace: step k takes the first widths[k] sorted rows
         base = np.broadcast_to(order * n, (kmax, m))[np.arange(m) < widths[:, None]]
         site += base
@@ -336,18 +373,8 @@ class Ensemble:
         n_bath = bath_events.size
         partner.put(bath_events, np.arange(size, size + n_bath))
         del bath_events, kac
-        # the angle in [0, 2 pi) from the top 53 bits; its sine is +-sqrt(1 - cos^2),
-        # positive below pi
-        theta = words[n_events:] >> 11
-        del words
-        theta = theta * (2.0 * math.pi / 2.0**53)
-        cos = np.cos(theta)
-        sin = 1.0 - cos
-        sin *= 1.0 + cos
-        np.sqrt(sin, out=sin)
-        np.subtract(math.pi, theta, out=theta)
-        np.copysign(sin, theta, out=sin)
-        del theta
+        # the second words: each event's rotation angle, as its cosine and sine
+        cos, sin = _cos_sin(rng.bit_generator.random_raw(n_events))
         ws = self._workspace(n_bath)
         bath = ws[size : size + n_bath]
         rng.standard_normal(out=bath)

@@ -246,6 +246,12 @@ class TestLadder:
         with pytest.raises(TypeError):
             chaos_ladder(Params(n_particles=4, mu=0.0), n_values=(4,), n_replicas=5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_rung_of_one_particle(self):
+        # one particle has no pairs: its pair masses would divide by N (N - 1) = 0
+        with pytest.raises(ValueError, match="a chaos rung needs N >= 2"):
+            chaos_ladder(Params(n_particles=2, lam=0.0), (4, 1), time=0.5, n_replicas=5)
+
     def test_matches_per_draw_ladder_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 5)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)

@@ -64,7 +64,8 @@ FLOAT_SWEEP = [
     (verb, key, raw)
     for verb, schema in cli._SCHEMAS.items()
     for key, spec in schema.items() if spec[0] is float
-    for raw in ("1e-300", "1e300")
+    # the smallest subnormal and normal floats, two round magnitudes, the largest float
+    for raw in ("5e-324", "2.2250738585072014e-308", "1e-300", "1e300", "1.7976931348623157e308")
 ]
 CONTRACT_CASES = [
     (verb, key, raw)
@@ -374,6 +375,9 @@ class TestExitCodes:
         ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "-1"],
         ["chaos", "--n-ladder", "4,8", "--replicas", "10", "--seed", "18446744073709551616"],
         ["chaos", "--n-ladder", "4," + "1" + "0" * 400, "--replicas", "10"],
+        # one replica: every bootstrap resample is that replica
+        ["entropy", "--n", "10", "--mu", "1", "--replicas", "1"],
+        ["chaos", "--n-ladder", "4,8", "--replicas", "1"],
     ])
     def test_invalid_values_exit_2_without_traceback(self, argv, tmp_path, capsys):
         assert_usage_error(argv, tmp_path, capsys)
@@ -412,9 +416,9 @@ class TestExitCodes:
         ["entropy", "--n", "4", "--mu", "1", "--samples", str(2**62)],
         ["simulate", "--n", str(2**62), "--replicas", "1", "--horizon", "1e-30", "--lambda", "0",
          "--mu", "1e-300"],
-        ["chaos", "--n-ladder", str(2**62), "--replicas", "1", "--time", "1e-300"],
+        ["chaos", "--n-ladder", str(2**62), "--replicas", "2", "--time", "1e-300"],
         # counts in the float range whose estimates overflow it
-        ["chaos", "--n-ladder", f"{10**308},{10**308}", "--replicas", "1", "--time", "1e-300"],
+        ["chaos", "--n-ladder", f"{10**308},{10**308}", "--replicas", "2", "--time", "1e-300"],
         ["simulate", "--n", str(10**308), "--replicas", str(10**308), "--horizon", "1e-300"],
         ["boltzmann", "--samples", str(10**308), "--kmax", str(10**308)],
         # linspace repeats t = 0: the grid is not strictly increasing
@@ -492,7 +496,7 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("verb, key, raw", FLOAT_SWEEP)
-    def test_every_float_key_at_1e_300_and_1e300(self, verb, key, raw, tmp_path, capsys):
+    def test_every_float_key_at_extreme_magnitudes(self, verb, key, raw, tmp_path, capsys):
         # exit 0 with a CSV free of nan, or exit 2 with a message; never an exception
         out = tmp_path / "x.csv"
         flag = "--" + {"lam": "lambda"}.get(key, key).replace("_", "-")

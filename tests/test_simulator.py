@@ -54,9 +54,12 @@ def window_events(seed, w, params, m, width):
     order = sorted(range(m), key=lambda r: -counts[r])
     slots = [(r, k) for k in range(max(counts)) for r in order if counts[r] > k]
     words = rng.bit_generator.random_raw(2 * len(slots)).tolist()
-    angle = np.array([y >> 11 for y in words[len(slots):]], dtype=float)
-    angle *= 2.0 * math.pi / 2.0**53
-    cosines = np.cos(angle).tolist()
+    # the angle theta = 2 pi U / 2**53 from the top 53 bits U, through
+    # t = tan((theta - pi) / 4)
+    psi = np.array([y >> 11 for y in words[len(slots):]], dtype=float)
+    psi *= 0.5 * math.pi / 2.0**53
+    psi -= 0.25 * math.pi
+    tangents = np.tan(psi).tolist()
     kac_below = round(params.lam / (params.lam + params.mu) * 2**32)
     decoded = {}
     n_bath = 0
@@ -66,8 +69,12 @@ def window_events(seed, w, params, m, width):
         low = (x & M32) * (n - 1)
         partner = low >> 32
         partner += partner >= site
-        c = cosines[e]
-        s = math.copysign(math.sqrt((1.0 - c) * (1.0 + c)), math.pi - angle[e])
+        t = tangents[e]
+        q = 1.0 + t * t
+        c2 = (1.0 - t) * (1.0 + t) / q
+        s2 = (t + t) / q
+        c = (s2 - c2) * (s2 + c2)
+        s = -2.0 * (s2 * c2)
         if (low & M32) < kac_below:
             decoded[r, k] = [site, partner, c, s]
         else:
@@ -182,6 +189,14 @@ class TestInitialConditions:
         assert math.isclose(
             initial_relative_entropy(two, p), 3 * 0.5 * (4.0 - 1.0 - math.log(4.0)), rel_tol=1e-12
         )
+
+    def test_initial_entropy_where_beta_t_underflows(self):
+        # beta T = 5e-324 * 0.5 rounds to 0, but log(beta T) is finite
+        p = Params(n_particles=2, lam=1.0, mu=1.0, beta=5e-324)
+        got = initial_relative_entropy(TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=1), p)
+        log_cold = math.log(5e-324) + math.log(0.5)
+        assert math.isclose(got, 0.5 * (-1.0 - math.log(4 * 5e-324)) + 0.5 * (-1.0 - log_cold),
+                            rel_tol=1e-12)
 
 
 class TestEnsemble:
@@ -378,6 +393,25 @@ class TestGridIndependence:
         for k, t in enumerate(base):
             assert np.array_equal(a_states[t], b_states[t])
             assert a.kinetic_energy[k] == b.kinetic_energy[more.index(t)]
+
+    def test_angle_cosine_and_sine(self):
+        # against libm at the float angle 2 pi U / 2**53 that the top 53 bits U
+        # give, for random words and for angles within 1e-4 of 0, pi/2, pi and 2 pi,
+        # where a sine taken from the cosine loses digits
+        rng = np.random.default_rng(SEED)
+        offsets = np.logspace(-15, -4, 300)
+        offsets = np.concatenate([-offsets, [0.0], offsets])
+        units = [rng.integers(0, 2**53, 2**16, dtype=np.uint64)]
+        for target in (0.0, 0.5 * math.pi, math.pi, 2.0 * math.pi):
+            u = np.round((target + offsets) * (2.0**53 / (2.0 * math.pi))).astype(np.int64)
+            units.append((u % 2**53).astype(np.uint64))
+        units = np.concatenate(units)
+        words = units << np.uint64(11) | rng.integers(0, 2**11, units.size, dtype=np.uint64)
+        cos, sin = simulator._cos_sin(words)
+        theta = (units * (2.0 * math.pi / 2.0**53)).tolist()
+        assert np.abs(cos - [math.cos(x) for x in theta]).max() <= 2e-15
+        assert np.abs(sin - [math.sin(x) for x in theta]).max() <= 2e-15
+        assert np.abs(cos * cos + sin * sin - 1.0).max() <= 2e-15
 
     def test_multiply_shift_decoding(self):
         # exhaustively over 2**16 words for small N: every site lies in [0, N), every
