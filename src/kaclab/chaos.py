@@ -3,10 +3,12 @@
 As the particle number grows, the two-particle marginal of the evolved law
 factorizes into the product of one-particle marginals (weakly), and the
 one-particle marginal follows the limiting kinetic equation.  This module
-estimates one- and two-particle marginals from the ensemble's state at one
-time, counted where the simulator stops, measures the factorization defect
-against a fixed dictionary of bounded test-function pairs, and compares pooled
-simulator moments with the closed moment hierarchy.
+counts each replica's velocities per cell where the simulator stops, measures
+the factorization defect of the pooled one- and two-particle marginals against
+a fixed dictionary of bounded test-function pairs, and compares pooled
+simulator moments with the closed moment hierarchy.  The defect of the sample
+and of every bootstrap resample comes from per-replica sums of the test
+functions, with no pair matrix.
 
 The dictionary is a declared relaxation of "all bounded continuous test
 functions": twelve Gaussian-damped Hermite pair products of degree <= 4,
@@ -28,21 +30,6 @@ from .simulator import ProductGaussian, Uniform, bootstrap_weights, cell_counts,
 GRID_BINS_2D = 64
 GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
 BOOTSTRAP_RESAMPLES = 16  # replica resamples behind each chaos error bar
-
-
-def _weighted_masses(counts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One- and two-particle cell masses from (M, cells) per-replica cell
-    counts, replica r entering with weight weights[r].  The ordered distinct
-    pairs of one replica fill c c^T less its diagonal c; every sum is of
-    integers, so the masses do not depend on the summation order."""
-    n = int(counts[0].sum())
-    c = counts.astype(float)
-    cw = c * weights[:, None]
-    singles = cw.sum(axis=0)
-    pair = cw.T @ c
-    pair[np.diag_indices(c.shape[1])] -= singles
-    total = weights.sum()
-    return singles / (total * n), pair / (total * n * (n - 1))
 
 
 def _grid_edges(beta: float, bins: int) -> np.ndarray:
@@ -76,26 +63,28 @@ def _damped_hermite(degree: int):
 _PHI = [_damped_hermite(d) for d in range(5)]
 
 
-def _phi_cells(degree: int, edges: np.ndarray) -> np.ndarray:
-    # bounded test functions are numerically zero past the binning range, so
-    # the under/overflow cells contribute nothing
-    out = np.zeros(edges.size + 1)
-    out[1:-1] = _PHI[degree](0.5 * (edges[:-1] + edges[1:]))
-    return out
+_FIRST, _SECOND = np.array(_DICTIONARY_DEGREES).T
 
 
-def _metric_from_masses(m1: np.ndarray, m2: np.ndarray, edges: np.ndarray) -> float:
-    phi = [_phi_cells(d, edges) for d in range(5)]
-    singles = [float(p @ m1) for p in phi]
-    worst = 0.0
-    for i, j in _DICTIONARY_DEGREES:
-        pair_val = float(phi[i] @ m2 @ phi[j])
-        worst = max(worst, abs(pair_val - singles[i] * singles[j]))
-    return worst
+def _defects(counts: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Factorization defect of every row of a bootstrap design, from (M, cells)
+    per-replica cell counts, replica r entering row b with weight weights[b, r].
 
-
-def _defect(counts: np.ndarray, weights: np.ndarray, edges: np.ndarray) -> float:
-    return _metric_from_masses(*_weighted_masses(counts, weights), edges)
+    With s_ri the sum of phi_i over replica r, the replica's ordered distinct
+    pairs sum phi_i x phi_j to s_ri s_rj - sum_c counts_rc phi_i phi_j, so each
+    row needs only per-replica sums.  Each row adds them over the replicas in
+    one fixed order (einsum, not BLAS), so a row's value does not depend on how
+    many rows the design has.  The test functions are numerically zero past
+    the binning range, so the under/overflow cells contribute nothing."""
+    n = counts[0].sum()
+    phi = np.zeros((edges.size + 1, len(_PHI)))
+    phi[1:-1] = np.stack([f(0.5 * (edges[:-1] + edges[1:])) for f in _PHI], axis=1)
+    sums = counts @ phi
+    pairs = sums[:, _FIRST] * sums[:, _SECOND] - counts @ (phi[:, _FIRST] * phi[:, _SECOND])
+    total = weights.sum(axis=1)[:, None]
+    singles = np.einsum("bm,mk->bk", weights, sums) / (total * n)
+    pair = np.einsum("bm,mk->bk", weights, pairs) / (total * n * (n - 1))
+    return np.max(np.abs(pair - singles[:, _FIRST] * singles[:, _SECOND]), axis=1)
 
 
 @dataclass
@@ -120,8 +109,9 @@ def chaos_ladder(
     The initial law is a chaotic (product) non-Gaussian start: `Uniform`
     velocities with the requested temperature.  Error bars bootstrap over
     replicas: one design of BOOTSTRAP_RESAMPLES resamples, `bootstrap_weights`
-    at seed + 0xC0FFEE, is drawn before the ladder and reused at every rung,
-    and each resample is a weighted sum of the rung's per-replica cell counts.
+    at seed + 0xC0FFEE, is drawn before the ladder and reused at every rung.
+    Its row 0 is the sample itself, so one `_defects` pass over the rung's
+    per-replica cell counts gives the metric and every resample.
     """
     if any(n < 2 for n in n_values):
         raise ValueError("a chaos rung needs N >= 2")
@@ -141,11 +131,9 @@ def chaos_ladder(
             observe_times=[time],
             observe=lambda _, v: seen.append(cell_counts(v, edges)),
         )
-        counts = seen[0]
-        metric = _defect(counts, np.ones(n_replicas), edges)
-        boots = [_defect(counts, w, edges) for w in weights]
-        out.append(ChaosLadderPoint(n_particles=n, time=time, metric=metric,
-                                    stderr=float(np.std(boots, ddof=1))))
+        defects = _defects(seen[0], weights, edges)
+        out.append(ChaosLadderPoint(n_particles=n, time=time, metric=float(defects[0]),
+                                    stderr=float(np.std(defects[1:], ddof=1))))
     return out
 
 

@@ -53,7 +53,7 @@ MAX_EVENTS = 1e9
 MAX_DOUBLES = 2**28
 # held per replica besides its velocities: the simulator's per-window counts
 # and orderings (about 10 doubles), the estimators' bootstrap weights for the
-# whole run (`entropy.BOOTSTRAP_RESAMPLES` doubles), and at a stop the entropy
+# whole run (`entropy.BOOTSTRAP_RESAMPLES` + 1 doubles), and at a stop the entropy
 # estimator's cell counts (258 doubles), or the chaos or histogram counts
 REPLICA_DOUBLES = 1024
 

@@ -73,17 +73,12 @@ def double_factorial(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def hermite_eigenvalue_s_exact(alpha: int) -> Fraction:
-    """Angular average of cos^alpha over a full period, as an exact rational.
-
-    Zero for odd alpha; (2a)!/(2^(2a) a!^2) for alpha = 2a.  Strictly decreasing
-    along even orders and -> 0.
-    """
+    """Angular average of cos^alpha over a full period, as an exact rational:
+    `angular_moment_exact(alpha, 0)`, zero for odd alpha and (2a)!/(2^(2a) a!^2)
+    for alpha = 2a.  Strictly decreasing along even orders and -> 0."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha % 2:
-        return Fraction(0)
-    a = alpha // 2
-    return Fraction(math.factorial(alpha), 4**a * math.factorial(a) ** 2)
+    return angular_moment_exact(alpha, 0)
 
 
 def hermite_eigenvalue_s(alpha: int) -> float:

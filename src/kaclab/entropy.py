@@ -10,8 +10,8 @@ period [0, pi/2]: the thermostat operator evaluates 65 angles instead of 256
 and needs a grid symmetric about 0 (every `uniform_nodes` grid is).  Since
 it annihilates the odd part of G, it is applied to the even part of G at the
 nodes v >= 0 only, and its output mirrored.  Ratio-type functions G = f/g live
-against the standard Gaussian weight g; physical velocities are rescaled by
-sqrt(beta) before estimation.
+against the standard Gaussian weight g; the sample estimator counts physical
+velocities against its cell edges scaled by 1/sqrt(beta).
 
 Inside the grid, values come from 8-point Lagrange interpolation, each
 stencil's polynomial held in power form and evaluated by Horner's rule.
@@ -293,16 +293,10 @@ def _gaussian_cell_masses(edges: np.ndarray) -> np.ndarray:
     return np.concatenate([[cdf[0]], inner, [1.0 - cdf[-1]]])
 
 
-def _plugin_kl(p: np.ndarray, q: np.ndarray, n: int) -> float:
-    occ = p > 0
-    value = float(np.sum(p[occ] * np.log(p[occ] / np.maximum(q[occ], _LOG_FLOOR))))
-    return value - (int(occ.sum()) - 1) / (2.0 * n)  # Miller-Madow style correction
-
-
 def _plugin_kl_rows(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """`_plugin_kl` of every row of the (B, cells) p at once.  A row's sum runs
-    over its empty cells too, which add exact zeros but change the order of
-    summation, so a value can differ from `_plugin_kl`'s in its last bits."""
+    """Plug-in relative entropy of each row of the (B, cells) masses p against
+    q, less a Miller-Madow style correction for n samples.  A row's sum runs
+    over its empty cells too, which add exact zeros."""
     occ = p > 0
     terms = np.divide(p, np.maximum(q, _LOG_FLOOR), out=np.ones_like(p), where=occ)
     np.log(terms, out=terms)
@@ -328,7 +322,7 @@ def check_thermostat_entropy_inequality(G: DensityGrid,
     `strict`, a margin below -THERMOSTAT_CHECK_TOL raises."""
     g = standard_gaussian(G.nodes)
     mass = float(np.trapezoid(g * G.values, G.nodes))
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:
         raise ValueError(f"g*G is not a normalized density: integral = {mass!r}")
     tg = t_apply(G)
     log_g_vals = np.log(np.maximum(G.values, _LOG_FLOOR))
@@ -343,7 +337,7 @@ def check_thermostat_entropy_inequality(G: DensityGrid,
         margin_smoothed=rhs - lhs_smoothed,
     )
     tol = THERMOSTAT_CHECK_TOL
-    if strict and (report.margin < -tol or report.margin_smoothed < -tol):
+    if strict and not (report.margin >= -tol and report.margin_smoothed >= -tol):
         raise EntropyCheckError(f"thermostat entropy inequality violated: {report}")
     return report
 
@@ -363,15 +357,15 @@ def check_marginal_entropy_inequality(joint) -> MarginalEntropyReport:
     n = p.ndim
     if n < 2 or n > 4:
         raise ValueError(f"joint density must have 2..4 axes, got {n}")
-    if np.any(p < 0):
-        raise ValueError("joint density has negative entries")
+    if not np.all(p >= 0):
+        raise ValueError("joint density has negative or NaN entries")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"joint density is not normalized: sum = {total!r}")
     lhs = sum(float(_xlogx(p.sum(axis=j)).sum()) for j in range(n))
     rhs = (n - 1) * float(_xlogx(p).sum())
     report = MarginalEntropyReport(lhs=lhs, rhs=rhs, margin=rhs - lhs)
-    if report.margin < -MARGINAL_CHECK_TOL:
+    if not report.margin >= -MARGINAL_CHECK_TOL:
         raise EntropyCheckError(f"marginal entropy inequality violated: {report}")
     return report
 
@@ -401,23 +395,16 @@ class EntropyDecaySeries:
 def _pooled_estimate_with_cluster_bootstrap(
     v: np.ndarray, beta: float, weights: np.ndarray
 ) -> tuple[float, float]:
-    # every resample is a weighted sum of per-replica cell counts, its weights
-    # a row of the experiment's design; the sums are integers below 2**53, so
-    # one matmul gives each resample exactly.  The counts are taken a block of
-    # rows at a time, so no scaled copy of the state is made
+    # every row of the design is a weighted sum of per-replica cell counts: row
+    # 0 the sample, rows 1.. its resamples.  The sums are integers below 2**53,
+    # so one matmul gives each row exactly
     m, n = v.shape
     edges = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, ESTIMATOR_BINS + 1)
-    q = _gaussian_cell_masses(edges)
-    root = math.sqrt(beta)
-    counts = np.empty((m, edges.size + 1))
-    rows = max(1, 65536 // max(n, edges.size + 1))
-    for r in range(0, m, rows):
-        counts[r : r + rows] = cell_counts(v[r : r + rows] * root, edges)
     n_tot = m * n
-    value = _plugin_kl(counts.sum(axis=0) / n_tot, q, n_tot)
-    resampled = weights @ counts
-    resampled /= n_tot
-    return value, float(np.std(_plugin_kl_rows(resampled, q, n_tot), ddof=1))
+    p = weights @ cell_counts(v, edges / math.sqrt(beta))
+    p /= n_tot
+    kl = _plugin_kl_rows(p, _gaussian_cell_masses(edges), n_tot)
+    return float(kl[0]), float(np.std(kl[1:], ddof=1))
 
 
 def entropy_decay_experiment(
@@ -436,8 +423,9 @@ def entropy_decay_experiment(
     bootstrap over whole replica trajectories, which respects the
     within-replica correlation that collisions introduce: one design of
     BOOTSTRAP_RESAMPLES resamples is drawn before the run (`bootstrap_weights` at
-    seed + 0x5EED) and scores every sample time, so a row does not depend on
-    the other sample times.  Cells are half-open, the top edge counting as
+    seed + 0x5EED, its row 0 the sample itself) and scores every sample time,
+    value and resamples in one pass, so a row does not depend on the other
+    sample times.  Cells are half-open, the top edge counting as
     overflow (`simulator.cell_counts`).  Each sample time is estimated from the
     live state when the simulator stops there, so no copy of it is kept.
     """

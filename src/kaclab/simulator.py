@@ -425,7 +425,8 @@ class Ensemble:
 # observables
 
 def cell_counts(values, edges) -> np.ndarray:
-    """Counts per cell along the last axis of `values`, for uniform `edges`.
+    """Counts per cell along the last axis of `values`, for uniform `edges`,
+    as float64 (exact integers, the form every caller multiplies).
 
     Cells are half-open: cell 0 is v < edges[0], cell b is edges[b-1] <= v <
     edges[b], cell bins+1 the rest (the top edge, +inf, NaN); the cell of every
@@ -440,8 +441,8 @@ def cell_counts(values, edges) -> np.ndarray:
     cells = bins + 2
     x = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
     bounds = np.concatenate([[-np.inf], edges, [np.nan]])  # cell c is [bounds[c], bounds[c+1])
-    step = max(1, 65536 // max(1, x.shape[1]))  # rows per block; keeps temporaries in cache
-    counts = np.empty((x.shape[0], cells), dtype=np.int64)
+    step = max(1, 65536 // max(x.shape[1], cells))  # rows per block; keeps temporaries in cache
+    counts = np.empty((x.shape[0], cells))
     for r in range(0, x.shape[0], step):
         xb = x[r : r + step]
         with np.errstate(over="ignore"):
@@ -458,22 +459,24 @@ def cell_counts(values, edges) -> np.ndarray:
 
 
 def bootstrap_weights(n_replicas: int, n_bootstrap: int, seed: int) -> np.ndarray:
-    """One cluster-bootstrap design over whole replicas, as an (n_bootstrap,
-    M) float matrix: row b holds how often each replica enters resample b,
+    """One cluster-bootstrap design over whole replicas, as an (n_bootstrap +
+    1, M) float matrix: row 0 counts every replica once, so it is the sample
+    itself, and row b >= 1 holds how often each replica enters resample b,
     multinomial(M, 1/M) draws from `default_rng(seed)`.  An estimator draws it
-    once per experiment and reuses it at every stop, so resample b follows
-    the same replicas along their whole trajectories.  The draws are taken
-    BOOTSTRAP_CHUNK rows at a time, the same draws as one call, so no integer
-    matrix of the full size is held."""
+    once per experiment, scores all its rows in one pass and reuses it at
+    every stop, so resample b follows the same replicas along their whole
+    trajectories.  The draws are taken BOOTSTRAP_CHUNK rows at a time, the
+    same draws as one call, so no integer matrix of the full size is held."""
     m = n_replicas
     if m < 1:
         raise ValueError("need at least one replica")
     rng = np.random.default_rng(seed)
     p = np.full(m, 1.0 / m)
-    weights = np.empty((n_bootstrap, m))
-    for b in range(0, n_bootstrap, BOOTSTRAP_CHUNK):
+    weights = np.empty((n_bootstrap + 1, m))
+    weights[0] = 1.0
+    for b in range(1, n_bootstrap + 1, BOOTSTRAP_CHUNK):
         weights[b : b + BOOTSTRAP_CHUNK] = rng.multinomial(
-            m, p, size=min(BOOTSTRAP_CHUNK, n_bootstrap - b))
+            m, p, size=min(BOOTSTRAP_CHUNK, n_bootstrap + 1 - b))
     return weights
 
 

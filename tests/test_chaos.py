@@ -9,28 +9,58 @@ from kaclab.chaos import (
     _DICTIONARY_DEGREES,
     _PHI,
     GRID_BINS_2D,
-    _defect,
+    _defects,
     _grid_edges,
-    _metric_from_masses,
-    _weighted_masses,
     chaos_ladder,
     compare_to_boltzmann,
 )
-from kaclab.simulator import ProductGaussian, Uniform, cell_counts
+from kaclab.simulator import ProductGaussian, Uniform, bootstrap_weights, cell_counts
 from test_simulator import run_keeping
 
 SEED = 20260808
 
 
+def pair_matrix_masses(counts, weights):
+    # reference one- and two-particle cell masses from (M, cells) per-replica
+    # counts, replica r entering with weight weights[r]: the ordered distinct
+    # pairs of one replica fill c c^T less its diagonal c, sums of integers
+    n = int(counts[0].sum())
+    c = counts.astype(float)
+    cw = c * weights[:, None]
+    singles = cw.sum(axis=0)
+    pair = cw.T @ c
+    pair[np.diag_indices(c.shape[1])] -= singles
+    total = weights.sum()
+    return singles / (total * n), pair / (total * n * (n - 1))
+
+
+def phi_cells(degree, edges):
+    # a test function at each cell centre, 0 in the under/overflow cells
+    out = np.zeros(edges.size + 1)
+    out[1:-1] = _PHI[degree](0.5 * (edges[:-1] + edges[1:]))
+    return out
+
+
+def metric_from_masses(m1, m2, edges):
+    # reference worst factorization defect |<phi_i x phi_j, f2> - <phi_i, f1><phi_j, f1>|
+    # over the dictionary, one pair of test functions at a time
+    phi = [phi_cells(d, edges) for d in range(5)]
+    singles = [float(p @ m1) for p in phi]
+    worst = 0.0
+    for i, j in _DICTIONARY_DEGREES:
+        pair_val = float(phi[i] @ m2 @ phi[j])
+        worst = max(worst, abs(pair_val - singles[i] * singles[j]))
+    return worst
+
+
 def chaos_metric(snapshot, beta=1.0):
-    # oracle: the worst factorization defect |<phi_i x phi_j, f2> - <phi_i, f1><phi_j, f1>|
-    # over the dictionary, for the marginals of an (M, N) state counted on the
-    # ladder's grid with every replica at weight 1
+    # oracle: the factorization defect of the marginals of an (M, N) state
+    # counted on the ladder's grid with every replica at weight 1
     v = np.asarray(snapshot, dtype=float)
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("snapshot must be (replicas, particles) with at least 2 particles")
     edges = _grid_edges(beta, GRID_BINS_2D)
-    return _defect(cell_counts(v, edges), np.ones(v.shape[0]), edges)
+    return metric_from_masses(*pair_matrix_masses(cell_counts(v, edges), np.ones(len(v))), edges)
 
 
 @dataclass(frozen=True)
@@ -76,7 +106,7 @@ def add_at_pair_counts(snapshot, edges):
 def marginals(snapshot, beta=1.0):
     # one- and two-particle masses on the ladder's grid, every replica weight 1
     edges = _grid_edges(beta, GRID_BINS_2D)
-    return _weighted_masses(cell_counts(snapshot, edges), np.ones(len(snapshot))), edges
+    return pair_matrix_masses(cell_counts(snapshot, edges), np.ones(len(snapshot))), edges
 
 
 def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
@@ -98,10 +128,10 @@ def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=6
         pair[np.diag_indices(cells)] -= (counts * weights[:, None]).sum(axis=0)
         return m1, pair / (weights.sum() * n * (n - 1))
 
-    metric = _metric_from_masses(*masses_for(np.ones(n_replicas)), edges)
+    metric = metric_from_masses(*masses_for(np.ones(n_replicas)), edges)
     rng = np.random.default_rng(seed + 0xC0FFEE)
     boots = [
-        _metric_from_masses(
+        metric_from_masses(
             *masses_for(rng.multinomial(n_replicas, np.full(n_replicas, 1.0 / n_replicas))
                         .astype(float)), edges)
         for _ in range(n_bootstrap)
@@ -152,10 +182,10 @@ class TestExtractMarginals:
         rng = np.random.default_rng(SEED)
         snap = rng.standard_normal((50, 6)) * 1.3
         perm = rng.permutation(6)
-        a, _ = marginals(snap)
-        b, _ = marginals(snap[:, perm])
-        for k in (0, 1):
-            assert np.array_equal(a[k], b[k])
+        edges = _grid_edges(1.0, GRID_BINS_2D)
+        design = bootstrap_weights(50, 4, SEED)
+        assert np.array_equal(_defects(cell_counts(snap, edges), design, edges),
+                              _defects(cell_counts(snap[:, perm], edges), design, edges))
 
     def test_product_data_factorizes(self):
         rng = np.random.default_rng(SEED)
@@ -193,6 +223,31 @@ class TestExtractMarginals:
         assert np.array_equal(one, want)
 
 
+class TestDefects:
+    @pytest.mark.parametrize("shape", [(200, 2), (120, 7), (40, 300)])
+    def test_matches_pair_matrix_oracle(self, shape):
+        rng = np.random.default_rng(SEED)
+        beta = 1.7
+        snap = rng.standard_normal(shape) * 1.4 / math.sqrt(beta)
+        edges = _grid_edges(beta, GRID_BINS_2D)
+        counts = cell_counts(snap, edges)
+        design = np.concatenate([bootstrap_weights(shape[0], 6, SEED),
+                                 rng.integers(0, 4, (3, shape[0])).astype(float)])
+        got = _defects(counts, design, edges)
+        want = [metric_from_masses(*pair_matrix_masses(counts, w), edges) for w in design]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_row_zero_does_not_depend_on_the_design_size(self):
+        rng = np.random.default_rng(SEED)
+        snap = rng.standard_normal((300, 9))
+        edges = _grid_edges(1.0, GRID_BINS_2D)
+        counts = cell_counts(snap, edges)
+        design = bootstrap_weights(300, 16, SEED)
+        rows = [_defects(counts, design[:b], edges) for b in (1, 2, 17)]
+        assert rows[0][0] == rows[1][0] == rows[2][0]
+        assert rows[1][1] == rows[2][1]
+
+
 class TestChaosMetric:
     def test_forced_collision_correlates(self):
         oracle = oracle_forced_pair_metric()
@@ -210,15 +265,19 @@ class TestChaosMetric:
             chaos_metric(np.zeros((10, 1)))
 
     def test_equals_ladder_rung_metric(self, monkeypatch):
+        # the rung scores a design of 3 rows; its row 0 is the sample alone
         monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 2)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
         pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED)
         half = math.sqrt(3.0 * 2.0 / base.beta)
+        edges = _grid_edges(0.8, GRID_BINS_2D)
         for p in pts:
             _, states = run_keeping(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
                                     [0.4], n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
                                     initial=Uniform(half))
-            assert chaos_metric(states[0.4], beta=0.8) == p.metric
+            counts = cell_counts(states[0.4], edges)
+            assert _defects(counts, np.ones((1, 200)), edges)[0] == p.metric
+            assert math.isclose(chaos_metric(states[0.4], beta=0.8), p.metric, rel_tol=1e-12)
 
 
 class TestLadder:
@@ -252,7 +311,7 @@ class TestLadder:
         with pytest.raises(ValueError, match="a chaos rung needs N >= 2"):
             chaos_ladder(Params(n_particles=2, lam=0.0), (4, 1), time=0.5, n_replicas=5)
 
-    def test_matches_per_draw_ladder_bit_for_bit(self, monkeypatch):
+    def test_matches_per_draw_ladder(self, monkeypatch):
         monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 5)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)
         pts = chaos_ladder(base, n_values=(3, 9), time=0.4, n_replicas=200, seed=SEED,
@@ -261,8 +320,8 @@ class TestLadder:
         for p in pts:
             params = Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8)
             metric, stderr = per_draw_ladder_point(params, 200, 0.4, SEED, half, 5)
-            assert p.metric == metric
-            assert p.stderr == stderr
+            assert math.isclose(p.metric, metric, rel_tol=1e-12)
+            assert math.isclose(p.stderr, stderr, rel_tol=1e-12)
 
 
 class TestBoltzmannComparison:

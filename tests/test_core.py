@@ -81,9 +81,12 @@ class TestAngularMoment:
         else:
             assert angular_moment(p, q) > 0.0
 
-    @given(st.integers(0, 8))
-    def test_consistent_with_s(self, a):
-        assert angular_moment_exact(2 * a, 0) == hermite_eigenvalue_s_exact(2 * a)
+    def test_consistent_with_s(self):
+        # oracle: cos^alpha averages to binom(alpha, alpha/2) / 2^alpha for even
+        # alpha, and to 0 for odd alpha
+        for alpha in range(400):
+            want = Fraction(math.comb(alpha, alpha // 2), 2**alpha) if alpha % 2 == 0 else 0
+            assert angular_moment_exact(alpha, 0) == hermite_eigenvalue_s_exact(alpha) == want
 
     def test_symmetric_in_arguments(self):
         for p in range(0, 9, 2):

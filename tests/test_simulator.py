@@ -581,7 +581,7 @@ class TestCellCounts:
         edges = np.linspace(-2.0, 2.0, 9)
         counts = cell_counts(values, edges)
         assert counts.shape == (3, 4, 10)
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.float64
         assert np.array_equal(counts.reshape(12, 10),
                               searchsorted_counts(values.reshape(12, 50), edges))
         assert np.array_equal(cell_counts(values[0, 0], edges), counts[0, 0])
@@ -596,16 +596,18 @@ class TestCellCounts:
 
 
 class TestBootstrapWeights:
-    @pytest.mark.parametrize("n_bootstrap", [1, 16, 40])
-    def test_equals_one_multinomial_call(self, n_bootstrap):
+    @pytest.mark.parametrize("n_bootstrap", [0, 1, 15, 16, 40])
+    def test_row_zero_is_the_sample_then_one_multinomial_call(self, n_bootstrap):
         # drawn BOOTSTRAP_CHUNK rows at a time, the same draws as one call
         m = 37
         got = bootstrap_weights(m, n_bootstrap, SEED)
         want = np.random.default_rng(SEED).multinomial(m, np.full(m, 1.0 / m),
                                                         size=n_bootstrap)
         assert got.dtype == float
-        assert np.array_equal(got, want)
-        assert np.all(got.sum(axis=1) == m)
+        assert got.shape == (n_bootstrap + 1, m)
+        assert np.array_equal(got[0], np.ones(m))
+        assert np.array_equal(got[1:], want)
+        assert np.all(got[1:].sum(axis=1) == m)
 
     def test_rejects_no_replicas(self):
         with pytest.raises(ValueError, match="replica"):
