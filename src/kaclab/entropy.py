@@ -19,7 +19,13 @@ Off-grid evaluation (the quadratures reach past the grid edge) uses the exact
 extension when the grid has one; otherwise it extrapolates log G by a
 least-squares parabola over the edge window, which is exact for
 Gaussian-family ratios, and falls back to edge clamping when the edge values
-are not positive.
+are not positive.  The tail parabolas are fitted once per grid.
+
+The thermostat and OU operators share one stencil kernel (`_gauss_average`),
+which builds one power-form table and one set of scratch arrays per call.  It
+tells off-grid points by comparing them with the end nodes and, unlike
+`evaluate`, does not snap positions within 5e-9 of a node onto it, so the
+operators agree with `evaluate` at their quadrature points to roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,6 +95,11 @@ class DensityGrid:
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
+    @cached_property
+    def _tails(self) -> tuple:
+        """The left and right `_tail_model`s, fitted on first use."""
+        return tuple(_tail_model(self.nodes, self.values, left) for left in (True, False))
+
     @classmethod
     def uniform_nodes(cls, n: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH) -> np.ndarray:
         return np.linspace(-half_width, half_width, n)
@@ -130,12 +141,11 @@ def _off_grid(grid: DensityGrid, pts: np.ndarray) -> np.ndarray:
     one, else the nearer edge's tail model (fitted curve or clamped edge)."""
     if grid.extension is not None:
         return np.asarray(grid.extension(pts), dtype=float)
-    nodes, values = grid.nodes, grid.values
+    nodes = grid.nodes
     out = np.empty_like(pts)
     left = pts < 0.5 * (nodes[0] + nodes[-1])
-    for is_left, mask in ((True, left), (False, ~left)):
+    for (coef, edge), mask in zip(grid._tails, (left, ~left)):
         if np.any(mask):
-            coef, edge = _tail_model(nodes, values, left=is_left)
             out[mask] = edge if coef is None else _tail_values(coef, pts[mask])
     return out
 
@@ -159,37 +169,53 @@ def _power_form_matrix() -> np.ndarray:
 _POWER_FORM = _power_form_matrix()
 
 
+def _stencil_table(values: np.ndarray) -> np.ndarray:
+    """The (8, n - 7) power-form table: column b holds the coefficients of
+    u^0 .. u^7 of the interpolant on nodes b .. b + 7, with u = t - 3.5."""
+    return _POWER_FORM.T @ sliding_window_view(values, _STENCIL).T
+
+
+def _interpolate(table: np.ndarray, pos: np.ndarray, out: np.ndarray,
+                 base: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+    """The stencil interpolant at grid positions pos (node spacings from
+    nodes[0], in [0, n - 1] up to roundoff), written into out and returned.
+
+    Each point takes the stencil whose middle holds it, clipped at the two
+    edges, and Horner's rule with one `take` per table row; away from the
+    clipped stencils |u| <= 1/2.  pos is overwritten with u; base (intp) and
+    gathered are scratch arrays of its shape."""
+    np.floor(pos, out=base, casting="unsafe")
+    base -= _STENCIL // 2 - 1
+    np.clip(base, 0, table.shape[1] - 1, out=base)
+    pos -= base
+    pos -= 0.5 * (_STENCIL - 1)
+    table[-1].take(base, out=out, mode="clip")
+    for row in table[-2::-1]:
+        out *= pos
+        out += row.take(base, out=gathered, mode="clip")
+    return out
+
+
 def evaluate(grid: DensityGrid, points: np.ndarray) -> np.ndarray:
     """Evaluate the gridded function at arbitrary points: 8-point Lagrange
     interpolation inside the grid, `_off_grid` (the exact extension or the
     tail model, whose limit it takes at +-inf) outside, NaN at NaN points.
 
-    Inside, each stencil's interpolant is held in power form in u = t - 3.5
-    (t the position within the stencil): one (8, n - 7) coefficient table per
-    call, then one Horner pass per point with one gather per coefficient row.
-    Away from the two clipped edge stencils |u| <= 1/2."""
+    Inside, positions within 5e-9 spacings of a node are snapped onto it, and
+    `_interpolate` evaluates `_stencil_table`'s interpolants there."""
     nodes, values = grid.nodes, grid.values
     pts = np.asarray(points, dtype=float)
     flat = pts.ravel()
     out = np.full_like(flat, np.nan)
-    h = grid.spacing
     x0 = nodes[0]
-    n = nodes.size
 
     inside = (flat >= x0) & (flat <= nodes[-1])
     if np.any(inside):
-        pos = (flat[inside] - x0) / h
+        pos = (flat[inside] - x0) / grid.spacing
         snapped = np.round(pos)
         np.copyto(pos, snapped, where=np.abs(pos - snapped) < 5e-9)
-        base = np.clip(np.floor(pos).astype(np.int64) - (_STENCIL // 2 - 1), 0, n - _STENCIL)
-        u = pos - base
-        u -= 0.5 * (_STENCIL - 1)
-        table = _POWER_FORM.T @ sliding_window_view(values, _STENCIL).T
-        acc = table[-1][base]
-        for row in table[-2::-1]:
-            acc *= u
-            acc += row[base]
-        out[inside] = acc
+        out[inside] = _interpolate(_stencil_table(values), pos, np.empty_like(pos),
+                                   np.empty(pos.shape, np.intp), np.empty_like(pos))
 
     outside = (flat < x0) | (flat > nodes[-1])  # a NaN point is neither, and stays NaN
     if np.any(outside):
@@ -207,11 +233,36 @@ def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_average(G: DensityGrid, v: np.ndarray, c: float, s: float) -> np.ndarray:
-    """sum_j w_j G(c v + s x_j) at each v: the Gaussian average of
-    G(c v + s .) by the GAUSS_NODES-point Gauss-Hermite rule."""
+def _gauss_average(G: DensityGrid, v: np.ndarray, terms) -> np.ndarray:
+    """sum over (a, c, s) in terms of a * sum_j w_j G(c v + s x_j) at each v,
+    by the GAUSS_NODES-point Gauss-Hermite rule: the operators' stencil kernel.
+    Points past nodes[0] or nodes[-1] are interpolated at a position clipped
+    into the grid, then overwritten with their `_off_grid` values."""
     x, w = _gauss_nodes()
-    return evaluate(G, c * v[:, None] + s * x[None, :]) @ w
+    nodes = G.nodes
+    lo, hi = nodes[0], nodes[-1]
+    h = G.spacing
+    table = _stencil_table(G.values)
+    shape = (v.size, x.size)
+    pts, pos, vals, gathered = (np.empty(shape) for _ in range(4))
+    base = np.empty(shape, np.intp)
+    off, above = np.empty(shape, bool), np.empty(shape, bool)
+    shift, col, acc = np.empty_like(x), np.empty_like(v), np.zeros_like(v)
+    for a, c, s in terms:
+        np.multiply(c, v[:, None], out=pts)
+        pts += np.multiply(s, x, out=shift)
+        np.less(pts, lo, out=off)
+        off |= np.greater(pts, hi, out=above)
+        np.subtract(pts, lo, out=pos)
+        pos /= h
+        np.clip(pos, 0.0, nodes.size - 1, out=pos)
+        _interpolate(table, pos, vals, base, gathered)
+        if off.any():
+            vals[off] = _off_grid(G, pts[off])
+        np.dot(vals, w, out=col)
+        col *= a
+        acc += col
+    return acc
 
 
 def ou_apply(G: DensityGrid, s: float) -> DensityGrid:
@@ -224,7 +275,7 @@ def ou_apply(G: DensityGrid, s: float) -> DensityGrid:
         return DensityGrid(nodes=G.nodes, values=G.values.copy(), extension=G.extension)
     c = math.exp(-s)
     spread = math.sqrt(max(0.0, 1.0 - c * c))
-    return DensityGrid(nodes=G.nodes, values=_gauss_average(G, G.nodes, c, spread))
+    return DensityGrid(nodes=G.nodes, values=_gauss_average(G, G.nodes, [(1.0, c, spread)]))
 
 
 def t_apply(G: DensityGrid) -> DensityGrid:
@@ -243,7 +294,8 @@ def t_apply(G: DensityGrid) -> DensityGrid:
     the even part G_e = (G + G(-.))/2, and T[G] is evaluated only at the nodes
     v >= 0 and mirrored.  On the grid G_e is the mean of the values and their
     reversal; off it, the mean of G's own `_off_grid` values at +-q.  The grid
-    must be symmetric about 0.
+    must be symmetric about 0.  All 65 angles go through one `_gauss_average`
+    call, so the even part's stencil table is built once.
     """
     nodes = G.nodes
     if np.max(np.abs(nodes + nodes[::-1])) > 1e-9 * G.spacing:
@@ -251,13 +303,12 @@ def t_apply(G: DensityGrid) -> DensityGrid:
     even = DensityGrid(nodes=nodes, values=0.5 * (G.values + G.values[::-1]),
                        extension=lambda q: 0.5 * (_off_grid(G, q) + _off_grid(G, -q)))
     below = nodes.size // 2
-    half = nodes[below:]
     quarter = THETA_NODES // 4
-    acc = np.zeros_like(half)
+    terms = []
     for k in range(quarter + 1):
         th = 2.0 * math.pi * k / THETA_NODES
-        weight = 1.0 if k in (0, quarter) else 2.0
-        acc += weight * _gauss_average(even, half, math.cos(th), math.sin(th))
+        terms.append((1.0 if k in (0, quarter) else 2.0, math.cos(th), math.sin(th)))
+    acc = _gauss_average(even, nodes[below:], terms)
     acc *= 2.0 / THETA_NODES
     return DensityGrid(nodes=nodes, values=np.concatenate([acc[::-1][:below], acc]))
 

@@ -1,8 +1,10 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import hermite_e
 
 import kaclab.entropy as entropy_module
@@ -21,6 +23,7 @@ from kaclab.entropy import (
     t_apply,
 )
 from kaclab.simulator import ProductGaussian, TwoTemperature, bootstrap_weights, cell_counts
+from test_acceptance import _thermostat_density_suite
 
 SEED = 20260808
 
@@ -112,6 +115,24 @@ def product_form_evaluate(grid, points):
     return acc
 
 
+def one_call_table_evaluate(grid, points):
+    # evaluate's interior as one expression per step, with fresh arrays: the
+    # reference that evaluate's arithmetic must match bit for bit
+    nodes = grid.nodes
+    pos = (np.asarray(points, dtype=float) - nodes[0]) / grid.spacing
+    snapped = np.round(pos)
+    np.copyto(pos, snapped, where=np.abs(pos - snapped) < 5e-9)
+    base = np.clip(np.floor(pos).astype(np.int64) - 3, 0, nodes.size - 8)
+    u = pos - base
+    u -= 3.5
+    table = entropy_module._POWER_FORM.T @ sliding_window_view(grid.values, 8).T
+    acc = table[-1][base]
+    for row in table[-2::-1]:
+        acc *= u
+        acc += row[base]
+    return acc
+
+
 def _gauss_hermite(n=GAUSS_NODES):
     x, w = hermite_e.hermegauss(n)
     return x, w / math.sqrt(2.0 * math.pi)
@@ -146,6 +167,27 @@ FOLD_CASES = pytest.mark.parametrize("fn", [
 ], ids=["even", "hermite1", "hermite3", "mixture"])
 
 
+ORACLE_GRIDS = pytest.mark.parametrize("grid", [
+    ratio_of_gaussian(2.0),
+    hermite_grid(6),
+    DensityGrid(DensityGrid.uniform_nodes(),
+                np.random.default_rng(SEED).standard_normal(2048)),
+], ids=["ratio", "hermite6", "rough"])
+
+
+def oracle_points(grid):
+    rng = np.random.default_rng(SEED)
+    nodes, h = grid.nodes, grid.spacing
+    return np.concatenate([
+        rng.uniform(nodes[0], nodes[-1], 20_000),
+        nodes,                                                    # node hits
+        nodes[1:-1] + rng.uniform(-4.9e-9, 4.9e-9, nodes.size - 2) * h,  # snapped
+        rng.uniform(nodes[0], nodes[4], 500),                     # clipped left stencil
+        rng.uniform(nodes[-5], nodes[-1], 500),                   # clipped right stencil
+        nodes[[0, -1]],
+    ])
+
+
 class TestEvaluate:
     def test_near_exact_at_nodes(self):
         g = hermite_grid(4)
@@ -173,26 +215,17 @@ class TestEvaluate:
         want = np.exp(pts**2 / 4) / math.sqrt(2.0)
         assert np.max(np.abs(evaluate(g, pts) / want - 1.0)) < 1e-14
 
-    @pytest.mark.parametrize("grid", [
-        ratio_of_gaussian(2.0),
-        hermite_grid(6),
-        DensityGrid(DensityGrid.uniform_nodes(),
-                    np.random.default_rng(SEED).standard_normal(2048)),
-    ], ids=["ratio", "hermite6", "rough"])
+    @ORACLE_GRIDS
     def test_matches_product_form_oracle(self, grid):
-        rng = np.random.default_rng(SEED)
-        nodes, h = grid.nodes, grid.spacing
-        pts = np.concatenate([
-            rng.uniform(nodes[0], nodes[-1], 20_000),
-            nodes,                                                    # node hits
-            nodes[1:-1] + rng.uniform(-4.9e-9, 4.9e-9, nodes.size - 2) * h,  # snapped
-            rng.uniform(nodes[0], nodes[4], 500),                     # clipped left stencil
-            rng.uniform(nodes[-5], nodes[-1], 500),                   # clipped right stencil
-            nodes[[0, -1]],
-        ])
+        pts = oracle_points(grid)
         want = product_form_evaluate(grid, pts)
         got = evaluate(grid, pts)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @ORACLE_GRIDS
+    def test_bit_identical_to_one_call_table(self, grid):
+        pts = oracle_points(grid)
+        assert np.array_equal(evaluate(grid, pts), one_call_table_evaluate(grid, pts))
 
     def test_nan_points_give_nan(self):
         nodes = DensityGrid.uniform_nodes()
@@ -364,6 +397,99 @@ class TestThermostatOperator:
         shifted = nodes + 0.5 * (nodes[1] - nodes[0])
         with pytest.raises(ValueError, match="symmetric"):
             t_apply(DensityGrid(shifted, np.ones_like(shifted)))
+
+
+def mixture_grid(n, half_width=8.0, extension=True):
+    # a two-component Gaussian mixture over the standard Gaussian, times
+    # 1 + v^2/10 so that its log is not a parabola in the tails, where the
+    # tail model then differs from the grid's interpolant
+    def fn(v):
+        v = np.asarray(v, dtype=float)
+        f = (0.6 * np.exp(-((v + 0.7) ** 2)) / math.sqrt(math.pi)
+             + 0.4 * np.exp(-((v - 1.1) ** 2) / 2.4) / math.sqrt(2.4 * math.pi))
+        return (1.0 + 0.1 * v**2) * f / standard_gaussian(v)
+
+    g = DensityGrid.from_function(fn, n=n, half_width=half_width)
+    return g if extension else DensityGrid(g.nodes, g.values)
+
+
+def even_part(G):
+    # the even part of G as t_apply folds it, as a grid for evaluate
+    off = entropy_module._off_grid
+    return DensityGrid(G.nodes, 0.5 * (G.values + G.values[::-1]),
+                       extension=lambda q: 0.5 * (off(G, q) + off(G, -q)))
+
+
+class TestStencilKernel:
+    """The operators against the sums of `evaluate(G, pts) @ w` over their
+    quadrature points.  evaluate snaps positions within 5e-9 spacings of a node
+    onto it and the operators do not.  That matters at angle 0 alone, where
+    every point is a node: there single values move by about 2e-12 relative at
+    the edge of a 2048-node grid, and the angle's weight 1/128 scales that
+    down."""
+
+    @pytest.mark.parametrize("grid", [
+        mixture_grid(2048),
+        mixture_grid(2047),
+        # the last node's position computes to n - 1 + 1.2e-10 (2048 nodes) and
+        # n - 1 + 1.8e-12 (2047): operators that told off-grid points by their
+        # position, not by comparing them with the end nodes, would take that
+        # node's value at angle 0 from the tail model
+        mixture_grid(2048, extension=False),
+        mixture_grid(2047, extension=False),
+        # on a narrow grid the points just past either edge carry weight, so
+        # operators that told them by rounded position would fail far above
+        # roundoff
+        mixture_grid(512, half_width=4.0, extension=False),
+    ], ids=["extension-even", "extension-odd", "tail-even", "tail-odd", "tail-narrow"])
+    def test_operators_match_evaluate(self, grid):
+        x, w = _gauss_hermite()
+        even = even_part(grid)
+        below = grid.nodes.size // 2
+        half = grid.nodes[below:]
+        want = np.zeros_like(half)
+        for k in range(65):
+            th = 2.0 * math.pi * k / 256
+            pts = math.cos(th) * half[:, None] + math.sin(th) * x[None, :]
+            want += (1.0 if k in (0, 64) else 2.0) * (evaluate(even, pts) @ w)
+        want *= 2.0 / 256
+        np.testing.assert_allclose(t_apply(grid).values,
+                                   np.concatenate([want[::-1][:below], want]),
+                                   rtol=1e-13, atol=0.0)
+        for s in (0.1, 1.0, math.inf):
+            c = math.exp(-s)
+            spread = math.sqrt(1.0 - c * c)
+            want = evaluate(grid, c * grid.nodes[:, None] + spread * x[None, :]) @ w
+            np.testing.assert_allclose(ou_apply(grid, s).values, want, rtol=1e-13, atol=0.0)
+
+    def test_tail_fit_once_per_grid(self, monkeypatch):
+        # the tail parabolas are fitted on a grid's first off-grid value and
+        # reused; every value stays what a fresh fit gives
+        g = mixture_grid(1024, extension=False)
+        fit = entropy_module._tail_model
+        sides = []
+        monkeypatch.setattr(entropy_module, "_tail_model",
+                            lambda nodes, values, left: sides.append(left) or fit(nodes, values, left))
+        pts = np.array([-np.inf, -11.0, -8.01, 8.01, 9.5, np.inf])
+        first = evaluate(g, pts)
+        t_apply(g)
+        ou_apply(g, 0.5)
+        again = evaluate(g, pts)
+        assert sides == [True, False]
+        want = [entropy_module._tail_values(fit(g.nodes, g.values, left)[0], pts[mask])
+                for left, mask in ((True, pts < 0), (False, pts > 0))]
+        assert np.array_equal(first, np.concatenate(want))
+        assert np.array_equal(again, first)
+
+    def test_criterion_09_margins_match_frozen(self):
+        # the margins as they were when t_apply interpolated through evaluate
+        frozen = Path(__file__).parent / "data" / "criterion09_margins.csv"
+        want = np.loadtxt(frozen, delimiter=",", skiprows=3)
+        reports = [check_thermostat_entropy_inequality(g, strict=False)
+                   for g in _thermostat_density_suite()]
+        got = np.array([(rep.margin, rep.margin_smoothed) for rep in reports])
+        assert want.shape == (10, 3)
+        assert np.max(np.abs(got - want[:, 1:])) <= 1e-14
 
 
 class TestThermostatEntropyInequality:
