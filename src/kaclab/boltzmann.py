@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -45,7 +45,15 @@ _RADAU_A = np.array([
 # the real eigenvalue gamma0 of _RADAU_A and the weights e of the embedded error
 # estimate (I - h gamma0 J)^-1 (h gamma0 f(y) + sum_i e_i (Y_i - y)), ibid. Sec. IV.8
 _GAMMA0 = (6.0 + 81.0 ** (1.0 / 3.0) - 9.0 ** (1.0 / 3.0)) / 30.0
-_ERROR_WEIGHTS = _GAMMA0 * np.array([-13.0 - 7.0 * _S6, -13.0 + 7.0 * _S6, -1.0]) / 3.0
+_ERROR_WEIGHTS = tuple(_GAMMA0 * e / 3.0 for e in (-13.0 - 7.0 * _S6, -13.0 + 7.0 * _S6, -1.0))
+# det(x I + A) = x^3 + c1 x^2 + c2 x + c3, from the denominator 1 - 3z/5 + 3z^2/20 - z^3/60
+# of the method's stability function (ibid. Sec. IV.5).  By Cayley-Hamilton,
+# adj(I + zA) = I + z (c1 I - A) + z^2 adj(A) with adj(A) = c2 I - P, P = c1 A - A^2,
+# and adj(A) A = c3 I: _stage_solve's tables u = c1 - A 1, v = adj(A) 1, A and P
+_C1, _C2, _C3 = 3.0 / 5.0, 3.0 / 20.0, 1.0 / 60.0
+_P = _C1 * _RADAU_A - _RADAU_A @ _RADAU_A
+_ROW_TERMS = (*(_C1 - _RADAU_A.sum(axis=1)).tolist(), *(_C2 - _P.sum(axis=1)).tolist())
+_A_ENTRIES, _P_ENTRIES = _RADAU_A.ravel().tolist(), _P.ravel().tolist()
 
 
 class IntegrationError(RuntimeError):
@@ -106,6 +114,17 @@ def moment_rhs(m: np.ndarray, params: Params) -> np.ndarray:
     return 2.0 * params.lam * coll + params.mu * ther
 
 
+def _decay_rates(order: int, params: Params) -> np.ndarray:
+    """The diagonal a_0..a_order of the hierarchy, dm_n/dt = -a_n m_n + F_n(m_0..m_{n-1}),
+    with F_n the collision and thermostat terms in m_k, k < n.  a_0 = 0, and at
+    n >= 1, a_n is the degree-n mode's linearized_eigenvalue: w[n, 0] = w[n, n] = s_n."""
+    w = _rhs_tables(order, params.beta)[0]
+    diag = np.diagonal(w)
+    rate = 2.0 * params.lam * (1.0 - w[:, 0] - diag) + params.mu * (1.0 - diag)
+    rate[0] = 0.0  # m_0 = 1 does not move
+    return rate
+
+
 def linearized_eigenvalue(n: int, params: Params) -> float:
     """Decay rate of the degree-n Hermite mode of the linearized equation."""
     if n < 1:
@@ -128,62 +147,111 @@ def _hankel_min_eig(m: np.ndarray) -> float:
 
 
 def _even_rows(table: np.ndarray, first: int) -> list:
-    """Row n of `table` at the columns first, first + 2, .., n - 2, as lists; empty
-    at odd n.  The odd angular moments vanish, so w[n, k] is zero unless k and
-    n - k are both even: F_n vanishes at odd n and takes even moments alone."""
-    return [table[n, first : n - 1 : 2].tolist() if n % 2 == 0 else []
-            for n in range(table.shape[0])]
+    """Row j of `table`, which holds the even orders n = 2j at the columns first,
+    first + 2, .., as the list of its entries below the diagonal, at k <= n - 2.
+    The odd angular moments vanish, so w[n, k] is zero unless k and n - k are both
+    even: F_n vanishes at odd n and takes even moments alone."""
+    skip = first // 2  # rows n = 2j < first have no such entries
+    return [[]] * skip + [row[:j] for j, row in enumerate(table.tolist()[skip:])]
 
 
-def _stages(y: np.ndarray, h: float, rate: np.ndarray, coll: list, ther: list) -> np.ndarray:
-    """The (order + 1, 3) Radau IIA stage values of a step of length h from y,
-    solved order by order: (I + h a_n A) Y_n = y_n 1 + h A F_n(Y_0..Y_{n-1}),
-    with F_n's collision and thermostat rows coll[n] and ther[n] over the even
-    orders.  The few terms of each order are summed in Python floats, which is
-    faster than numpy calls on such short vectors."""
-    inv = np.linalg.inv(np.eye(3) + (h * rate)[:, None, None] * _RADAU_A)
-    cols = (y[:, None] * inv.sum(axis=2)).T.tolist()  # final at odd n, where F_n = 0
-    # inv @ (h A) stays bounded by 1/a_n however large h is
-    coupling = (inv @ (h * _RADAU_A)).tolist()
-    for n in range(2, y.size, 2):
-        cn, tn = coll[n], ther[n]
-        f0, f1, f2 = [sum(map(mul, cn, map(mul, c[2 : n - 1 : 2], c[n - 2 : 1 : -2])))
-                      + sum(map(mul, tn, c[0 : n - 1 : 2])) for c in cols]
-        for c, (a0, a1, a2) in zip(cols, coupling[n]):
-            c[n] += a0 * f0 + a1 * f1 + a2 * f2
-    return np.array(cols).T
+def _stage_solve(z: float, h: float) -> tuple[tuple, tuple]:
+    """The row sums of (I + zA)^-1 and the coupling (I + zA)^-1 hA, A = _RADAU_A,
+    the latter flat in row-major order, from the adjugate over the determinant:
+
+        rows_i = (1 + z u_i + z^2 v_i) / d,   coupling = h (A + z P + z^2 c3 I) / d,
+
+    with d = 1 + c1 z + c2 z^2 + c3 z^3.  Written homogeneous in (p, q) = (1, z),
+    or (1/z, 1) past z = 1, so no power of z overflows; the coupling stays bounded
+    by 1/a_n however large z = h a_n is.  Unrolled, since it runs once per even
+    order and step."""
+    p = 1.0 / max(z, 1.0)
+    q = min(z, 1.0)
+    pp, pq, qq = p * p, p * q, q * q
+    s = p / (p * (pp + _C1 * pq + _C2 * qq) + _C3 * q * qq)
+    g, d = h * s, _C3 * qq
+    u0, u1, u2, v0, v1, v2 = _ROW_TERMS
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = _A_ENTRIES
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = _P_ENTRIES
+    return ((s * (pp + pq * u0 + qq * v0), s * (pp + pq * u1 + qq * v1),
+             s * (pp + pq * u2 + qq * v2)),
+            (g * (pp * a00 + pq * b00 + d), g * (pp * a01 + pq * b01), g * (pp * a02 + pq * b02),
+             g * (pp * a10 + pq * b10), g * (pp * a11 + pq * b11 + d), g * (pp * a12 + pq * b12),
+             g * (pp * a20 + pq * b20), g * (pp * a21 + pq * b21), g * (pp * a22 + pq * b22 + d)))
 
 
-def _rms(x: np.ndarray) -> float:
+def _stages(y: list, h: float, rate: list, coll: list, ther: list) -> tuple:
+    """The three Radau IIA stage vectors, each over the orders, of a step of length
+    h from y, solved order by order: (I + h a_n A) Y_n = y_n 1 + h A F_n(Y_0..Y_{n-1}).
+    F_n vanishes at odd n, where every a_n is 2 lam + mu, so one stage solve serves
+    all odd orders.  At even n, F_n is the sum over the even k < n of
+    Y_k (ther[n/2][k/2] + coll[n/2][k/2] Y_{n-k}).  Everything is summed in Python
+    floats, which is faster than numpy calls on such short vectors."""
+    size = len(y)
+    c0, c1, c2 = [0.0] * size, [0.0] * size, [0.0] * size
+    if size > 1:
+        (r0, r1, r2), _ = _stage_solve(h * rate[1], h)
+        odd = y[1::2]
+        c0[1::2] = [r0 * yn for yn in odd]
+        c1[1::2] = [r1 * yn for yn in odd]
+        c2[1::2] = [r2 * yn for yn in odd]
+    # per stage, Y_0, Y_2, .., Y_{n-2} and 0, Y_{n-2}, .., Y_2, Y_0: zipped, entry k/2
+    # pairs Y_k with Y_{n-k}, and with 0 at k = 0, whose term is part of a_n
+    up0, up1, up2 = [y[0]], [y[0]], [y[0]]  # m_0 does not move
+    down0, down1, down2 = [0.0, y[0]], [0.0, y[0]], [0.0, y[0]]
+    for n in range(2, size, 2):
+        (r0, r1, r2), (a00, a01, a02, a10, a11, a12, a20, a21, a22) = _stage_solve(h * rate[n], h)
+        cn, tn = coll[n // 2], ther[n // 2]
+        if n == 2:  # F_2 = Y_0 ther[1][0] = y_0 mu wg[2, 0] at every stage
+            f0 = f1 = f2 = y[0] * tn[0]
+        else:
+            f0 = sum(map(mul, up0, map(add, tn, map(mul, cn, down0))))
+            f1 = sum(map(mul, up1, map(add, tn, map(mul, cn, down1))))
+            f2 = sum(map(mul, up2, map(add, tn, map(mul, cn, down2))))
+        yn = y[n]
+        v0 = yn * r0 + (a00 * f0 + a01 * f1 + a02 * f2)
+        v1 = yn * r1 + (a10 * f0 + a11 * f1 + a12 * f2)
+        v2 = yn * r2 + (a20 * f0 + a21 * f1 + a22 * f2)
+        up0.append(v0)
+        up1.append(v1)
+        up2.append(v2)
+        down0.insert(1, v0)
+        down1.insert(1, v1)
+        down2.insert(1, v2)
+    c0[0::2], c1[0::2], c2[0::2] = up0, up1, up2
+    return c0, c1, c2
+
+
+def _rms(x: list) -> float:
     """Root mean square, without overflow at any finite entries."""
-    return math.hypot(*x.tolist()) / math.sqrt(x.size)
+    return math.hypot(*x) / math.sqrt(len(x))
 
 
-def _error_solve(f: np.ndarray, slope: np.ndarray, lower: list, hg: float,
-                 rate: np.ndarray) -> np.ndarray:
+def _error_solve(f: list, slope: list, lower: list, hg: float, rate: list) -> list:
     """(I - hg J)^-1 (hg f + slope) by forward substitution over the orders,
-    where J has the diagonal -rate and, below it, the rows lower[n] at the even
+    where J has the diagonal -rate and, below it, the rows lower[n/2] at the even
     orders 2..n-2.  Written with hg / (1 + hg a_n) <= 1/a_n, which stays finite
     however large hg is."""
-    denom = 1.0 + hg * rate
-    gains = hg / denom
-    x = (slope / denom + gains * f).tolist()
-    gains = gains.tolist()
+    denom = [1.0 + hg * a for a in rate]
+    x = [s / d + hg / d * fn for s, fn, d in zip(slope, f, denom)]
+    done = x[2:3]  # x at the even orders 2..n-2
     for n in range(4, len(x), 2):
-        x[n] += gains[n] * sum(map(mul, lower[n], x[2 : n - 1 : 2]))
-    return np.array(x)
+        x[n] += hg / denom[n] * sum(map(mul, lower[n // 2], done))
+        done.append(x[n])
+    return x
 
 
 def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentSeries:
     """Integrate the hierarchy from t = 0 by 3-stage Radau IIA.
 
-    Each step's stages are solved order by order, with no Newton iteration, in
-    time scaled by the power of two 2**e just above max(lam, mu), so every rate
-    a_n is below 3.  Hairer's embedded estimate of the local error, relative to
-    max(1, |m|) and in the root-mean-square over the orders, is kept below
-    STEP_TOL by the standard step-size controller; a step that cannot meet it raises
-    IntegrationError.  Steps end on every sample time, where moment-matrix
-    positivity is checked to HANKEL_TOL.
+    Each step's stages are solved order by order in closed form, with no Newton
+    iteration, in time scaled by the power of two 2**e just above max(lam, mu),
+    so every rate a_n is below 3.  A step runs on Python floats; numpy forms only
+    moment_rhs and the Jacobian rows, once per accepted step.  Hairer's embedded
+    estimate of the local error, relative to max(1, |m|) and in the root-mean-square
+    over the orders, is kept below STEP_TOL by the standard step-size controller; a
+    step that cannot meet it raises IntegrationError.  Steps end on every sample
+    time, where moment-matrix positivity is checked to HANKEL_TOL.
     """
     times = check_times(sample_times, ())
     top = max(params.lam, params.mu)
@@ -195,12 +263,15 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     scaled = replace(params, lam=math.ldexp(params.lam, -e), mu=math.ldexp(params.mu, -e))
     w, rev, wg = _rhs_tables(m0.order, params.beta)
     lam2, mu = 2.0 * scaled.lam, scaled.mu
-    diag = np.diagonal(w)
-    rate = lam2 * (1.0 - w[:, 0] - diag) + mu * (1.0 - diag)  # a_n; w[n, 0] = w[n, n]
-    rate[0] = 0.0  # m_0 = 1 does not move
-    coll, ther = _even_rows(lam2 * w, 2), _even_rows(mu * wg, 0)
-    y = m0.m.copy()
-    out = np.empty((times.size, y.size))
+    rate = _decay_rates(m0.order, scaled).tolist()
+    coll, ther = _even_rows((lam2 * w)[::2, ::2], 0), _even_rows((mu * wg)[::2, ::2], 0)
+    # the Jacobian's even rows at the even columns k >= 2: 2 lam2 w[n, k] m_{n-k} + mu wg[n, k]
+    # (contiguous: numpy indexes and multiplies strided views several times slower)
+    jac_w, jac_rev, jac_wg = (t[::2, 2::2].copy() for t in (w, rev, mu * wg))
+    e0, e1, e2 = _ERROR_WEIGHTS
+    tol = STEP_TOL
+    y = m0.m.tolist()
+    out = np.empty((times.size, len(y)))
     tau, h = 0.0, INITIAL_STEP
     accepted = rejected = 0
     reject = False
@@ -209,16 +280,18 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     for row, target in enumerate(math.ldexp(t, e) for t in times):
         while tau < target:
             if f is None:
-                f = moment_rhs(y, scaled)
-                lower = _even_rows(2.0 * lam2 * (w * y[rev]) + mu * wg, 2)  # the Jacobian
+                m = np.array(y)
+                f = moment_rhs(m, scaled).tolist()
+                lower = _even_rows(2.0 * lam2 * (jac_w * m[jac_rev]) + jac_wg, 2)
             last = tau + 1.0001 * h >= target
             step = target - tau if last else h
             stages = _stages(y, step, rate, coll, ther)
-            y_new = stages[:, 2]
-            hg = step * _GAMMA0
-            slope = (stages - y[:, None]) @ _ERROR_WEIGHTS
-            scale = STEP_TOL * np.maximum(1.0, np.maximum(np.abs(y), np.abs(y_new)))
-            err = _rms(_error_solve(f, slope, lower, hg, rate) / scale)
+            y_new = stages[2]
+            slope = [e0 * (s0 - yn) + e1 * (s1 - yn) + e2 * (s2 - yn)
+                     for yn, s0, s1, s2 in zip(y, *stages)]
+            x = _error_solve(f, slope, lower, step * _GAMMA0, rate)
+            err = _rms([xn / (tol * max(1.0, abs(yn), abs(zn)))
+                        for xn, yn, zn in zip(x, y, y_new)])
             # the next step is step / quot, quot in [1/8, 5]; a nan err gives 5
             quot = max(0.125, min(5.0, err**0.25 / SAFETY))
             if err <= 1.0:
@@ -235,7 +308,7 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
                     raise IntegrationError(f"no step above {h:.3g} meets the error test at "
                                            f"t={math.ldexp(tau, -e):g}")
         out[row] = y
-        if _hankel_min_eig(y) < -HANKEL_TOL:
+        if _hankel_min_eig(out[row]) < -HANKEL_TOL:
             raise IntegrationError(
                 f"moment matrix lost positivity at t={times[row]:g} "
                 "(increase the order)"

@@ -264,7 +264,7 @@ def _rotate(ws, i, j, c, s) -> None:
     a = ws.take(i)
     b = ws.take(j)
     ws[i] = a * c + b * s
-    ws[j] = -a * s + b * c
+    ws[j] = b * c - a * s
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestMomentRhs:
 
 
 class TestLinearizedSpectrum:
+    @pytest.mark.parametrize("lam, mu", [(0.7, 1.3), (1.0, 1.0), (0.0, 2.5), (3.0, 0.0),
+                                         (1e-300, 1e300), (0.75, 1.0)])
+    def test_equals_the_solver_diagonal(self, lam, mu):
+        # the decay rates are written twice: as 2 lam (1 - 2 s_n) + mu (1 - s_n) and as the
+        # hierarchy's diagonal from the mixing weights; the solver's one stage solve for
+        # every odd order needs all odd rates equal
+        p = Params(n_particles=10, lam=lam, mu=mu)
+        rates = boltzmann._decay_rates(12, p)
+        assert rates[0] == 0.0
+        for n in range(1, 13):
+            assert rates[n] == linearized_eigenvalue(n, p)
+        assert np.all(rates[1::2] == rates[1])
+
     def test_pinned(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0)
         assert linearized_eigenvalue(2, p) == 0.5  # the gap
@@ -182,6 +196,49 @@ class TestIntegration:
         series = integrate_moments(m0, p, np.linspace(0.0, 10.0 / p.mu, 41))
         assert (series.accepted, series.rejected) == (455, 0)
 
+    def test_error_estimate_matches_dense_solve(self, monkeypatch):
+        # the first step's embedded error estimate (I - h gamma0 J)^-1 (h gamma0 f + slope),
+        # from the solver's Jacobian rows and forward substitution, against a dense solve
+        # with the Jacobian of moment_rhs by central differences, exact for a quadratic
+        calls = []
+        solve = boltzmann._error_solve
+        monkeypatch.setattr(boltzmann, "_error_solve",
+                            lambda *args: calls.append(args) or solve(*args))
+        p = Params(n_particles=10, lam=0.7, mu=1.3)
+        m0 = make_moments(2.0, mean=0.4, order=10)
+        integrate_moments(m0, p, [0.0, 0.5])
+        f, slope, lower, hg, rate = calls[0]
+        e = math.frexp(max(p.lam, p.mu))[1]  # the solver's time scaling
+        scaled = replace(p, lam=math.ldexp(p.lam, -e), mu=math.ldexp(p.mu, -e))
+        size = m0.m.size
+        jac = np.empty((size, size))
+        for k, step in enumerate(1e-3 * np.maximum(1.0, np.abs(m0.m))):
+            d = np.zeros(size)
+            d[k] = step
+            jac[:, k] = (moment_rhs(m0.m + d, scaled) - moment_rhs(m0.m - d, scaled)) / (2 * step)
+        assert np.allclose(rate[1:], -np.diagonal(jac)[1:], rtol=1e-9, atol=0.0)
+        for n in range(4, size, 2):
+            assert np.allclose(lower[n // 2], jac[n, 2 : n - 1 : 2], rtol=1e-9, atol=0.0)
+        terms = hg * np.array(f) + np.array(slope)
+        want = np.linalg.solve(np.eye(size) - hg * jac, terms)
+        got = np.array(solve(f, slope, lower, hg, rate))
+        # the estimate is about 1e-8 of its terms, so bound the roundoff by their size;
+        # dropping the Jacobian's rows moves it by about 1e-12 of that
+        scale = np.max(np.abs(hg * np.array(f)) + np.abs(slope))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_agrees_with_frozen_radau_on_criterion_06(self, tmp_path):
+        # the CSV that the Radau IIA solver wrote on criterion 06's grid when it formed
+        # each step's stage solves with np.linalg.inv, re-run from its configuration
+        # echo: the same steps, with stage solves and sums rounded differently
+        frozen = Path(__file__).parent / "data" / "boltzmann_criterion06_radau.csv"
+        out = tmp_path / "b.csv"
+        assert main(["--config", str(frozen), "--out", str(out)]) == 0
+        want, got = (read_rows(path) for path in (frozen, out))
+        assert want.shape == got.shape == (41, 9)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
     def test_agrees_with_frozen_rk4_on_criterion_06(self, tmp_path):
         # the CSV that the step-doubled RK4 integrator wrote on criterion 06's grid,
         # re-run from its own configuration echo; both solvers control the error
@@ -228,6 +285,20 @@ class TestIntegration:
         assert series.values.shape == (9, order + 1)
         m1_exact = m0.m[1] * np.exp(-(2 * p.lam + p.mu) * ts)
         assert np.max(np.abs(series.component(1) - m1_exact)) < 1e-8
+
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-8, 0.5, 1.0, 1.0 + 2.0**-52, 3.0, 1e8,
+                                   1e300, 2.0**1003])
+    def test_stage_solve_matches_inverse(self, z):
+        # the closed form against LU, on both sides of its z = 1 switch and up to the
+        # largest z a step can take; LU is accurate only normwise, so the tiny
+        # off-diagonal couplings at large z are compared against the largest entry
+        h = 0.7 if z == 0.0 else z / 1.5
+        inv = np.linalg.inv(np.eye(3) + z * boltzmann._RADAU_A)
+        rows, coupling = boltzmann._stage_solve(z, h)
+        for got, want in [(rows, inv.sum(axis=1)),
+                          (coupling, (inv @ (h * boltzmann._RADAU_A)).ravel())]:
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_hankel_matrix_of_even_order_unchanged(self):
         m = make_moments(1.5, mean=0.2).m
