@@ -114,23 +114,16 @@ def moment_rhs(m: np.ndarray, params: Params) -> np.ndarray:
     return 2.0 * params.lam * coll + params.mu * ther
 
 
-def _decay_rates(order: int, params: Params) -> np.ndarray:
-    """The diagonal a_0..a_order of the hierarchy, dm_n/dt = -a_n m_n + F_n(m_0..m_{n-1}),
-    with F_n the collision and thermostat terms in m_k, k < n.  a_0 = 0, and at
-    n >= 1, a_n is the degree-n mode's linearized_eigenvalue: w[n, 0] = w[n, n] = s_n."""
-    w = _rhs_tables(order, params.beta)[0]
-    diag = np.diagonal(w)
-    rate = 2.0 * params.lam * (1.0 - w[:, 0] - diag) + params.mu * (1.0 - diag)
-    rate[0] = 0.0  # m_0 = 1 does not move
-    return rate
-
-
 def linearized_eigenvalue(n: int, params: Params) -> float:
-    """Decay rate of the degree-n Hermite mode of the linearized equation."""
+    """Decay rate of the degree-n Hermite mode of the linearized equation, which is
+    also a_n in the hierarchy's dm_n/dt = -a_n m_n + F_n(m_0..m_{n-1}), F_n the
+    terms in m_k, k < n.  It is formed as the mixing weights give it, 2 lam (1 -
+    w[n, 0] - w[n, n]) + mu (1 - w[n, n]) with w[n, 0] = w[n, n] = s_n, so the
+    solver's diagonal is this value to the bit."""
     if n < 1:
         raise ValueError("mode index must be >= 1")
     s = hermite_eigenvalue_s(n)
-    return 2.0 * params.lam * (1.0 - 2.0 * s) + params.mu * (1.0 - s)
+    return 2.0 * params.lam * (1.0 - s - s) + params.mu * (1.0 - s)
 
 
 def _hankel_min_eig(m: np.ndarray) -> float:
@@ -263,7 +256,8 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     scaled = replace(params, lam=math.ldexp(params.lam, -e), mu=math.ldexp(params.mu, -e))
     w, rev, wg = _rhs_tables(m0.order, params.beta)
     lam2, mu = 2.0 * scaled.lam, scaled.mu
-    rate = _decay_rates(m0.order, scaled).tolist()
+    # m_0 = 1 does not move
+    rate = [0.0] + [linearized_eigenvalue(n, scaled) for n in range(1, m0.order + 1)]
     coll, ther = _even_rows((lam2 * w)[::2, ::2], 0), _even_rows((mu * wg)[::2, ::2], 0)
     # the Jacobian's even rows at the even columns k >= 2: 2 lam2 w[n, k] m_{n-k} + mu wg[n, k]
     # (contiguous: numpy indexes and multiplies strided views several times slower)

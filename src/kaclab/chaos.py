@@ -115,8 +115,11 @@ def chaos_ladder(
     """
     if any(n < 2 for n in n_values):
         raise ValueError("a chaos rung needs N >= 2")
+    half_width_sq = 3.0 * initial_temperature / base_params.beta
+    if not math.isfinite(half_width_sq):
+        raise ValueError("the uniform start's half-width sqrt(3 t0 / beta) overflows")
     out = []
-    initial = Uniform(math.sqrt(3.0 * initial_temperature / base_params.beta))
+    initial = Uniform(math.sqrt(half_width_sq))
     weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0xC0FFEE)
     for n in n_values:
         params = replace(base_params, n_particles=n)

@@ -481,6 +481,8 @@ def entropy_decay_experiment(
     live state when the simulator stops there, so no copy of it is kept.
     """
     s0 = initial_relative_entropy(initial, params)
+    if not math.isfinite(s0):
+        raise ValueError("the initial relative entropy, the bound at t = 0, overflows")
     times = check_times(sample_times, ())
     n = params.n_particles
     weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0x5EED)

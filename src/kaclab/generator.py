@@ -75,13 +75,9 @@ class SectorBasis:
     """
 
     n_particles: int
-    degree: int
+    level: int
     indices: tuple[tuple[int, ...], ...]
     symmetric: bool
-
-    @property
-    def level(self) -> int:
-        return self.degree // 2
 
     @property
     def dim(self) -> int:
@@ -107,7 +103,7 @@ def sector_basis(n_particles: int, level: int, symmetric: bool = False) -> Secto
     idx = partitions(level, n_particles) if symmetric else compositions(level, n_particles)
     return SectorBasis(
         n_particles=n_particles,
-        degree=2 * level,
+        level=level,
         indices=idx,
         symmetric=symmetric,
     )
@@ -176,16 +172,6 @@ def _q_columns(alpha: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     return {tuple(x // 2 for x in k): v for k, v in raw.items()}
 
 
-def _b_columns(alpha: tuple[int, ...], level: int) -> dict[tuple[int, ...], Fraction]:
-    # radial projection on monomials: B[v^(2 alpha)] = Gamma(alpha) * r^(2l)
-    gamma = sphere_moment_Gamma_exact(alpha)
-    n = len(alpha)
-    return {
-        beta: gamma * multinomial(level, beta)
-        for beta in compositions(level, n)
-    }
-
-
 def _q_columns_symmetric(p: tuple[int, ...], n: int) -> dict[tuple[int, ...], Fraction]:
     """Q on the representative monomial with nonzero half-exponents p, its
     coefficients summed over each orbit of results and keyed by partition
@@ -204,14 +190,6 @@ def _q_columns_symmetric(p: tuple[int, ...], n: int) -> dict[tuple[int, ...], Fr
             q = tuple(sorted((x for x in rest + (bi, bj) if x), reverse=True))
             acc[q] = acc.get(q, Fraction(0)) + weight * count * c
     return acc
-
-
-def _b_columns_symmetric(p: tuple[int, ...], parts, level: int,
-                         n: int) -> dict[tuple[int, ...], Fraction]:
-    # B on the representative monomial, summed over each orbit of compositions:
-    # orbit(q) equal terms
-    gamma = sphere_moment_Gamma_exact(p, n)
-    return {q: gamma * multinomial(level, q) * orbit_size(q, n) for q in parts}
 
 
 def _assemble(basis: SectorBasis, columns, scale: int | Fraction, subtract_from_identity: bool,
@@ -267,10 +245,18 @@ def build_LK(basis: SectorBasis) -> SectorMatrix:
 
 
 def _radial_columns(basis: SectorBasis):
+    """The radial projection on monomials, B[v^(2 alpha)] = Gamma(alpha) r^(2l), as
+    `_assemble`'s columns: r^(2l) = sum_q multinomial(l, q) v^(2q) over the
+    compositions q, summed over each orbit on a symmetric basis (orbit(q) equal
+    terms) and with orbit weight 1 on the full basis."""
     level, n = basis.level, basis.n_particles
-    if basis.symmetric:
-        return lambda p: _b_columns_symmetric(p, basis.indices, level, n)
-    return lambda a: _b_columns(a, level)
+    orbit = {q: orbit_size(q, n) if basis.symmetric else 1 for q in basis.indices}
+
+    def columns(alpha):
+        gamma = sphere_moment_Gamma_exact(alpha, n)
+        return {q: gamma * multinomial(level, q) * orbit[q] for q in basis.indices}
+
+    return columns
 
 
 def build_LR(basis: SectorBasis) -> SectorMatrix:
@@ -298,8 +284,12 @@ def build_B(basis: SectorBasis) -> SectorMatrix:
 
 
 def build_generator(basis: SectorBasis, params: Params) -> SectorMatrix:
-    """mu*L_T + lam*L_K on the sector."""
-    entries = params.mu * build_LT(basis).entries + params.lam * build_LK(basis).entries
+    """mu*L_T + lam*L_K on the sector, once no entry overflows."""
+    with np.errstate(over="ignore"):
+        entries = params.mu * build_LT(basis).entries + params.lam * build_LK(basis).entries
+    if np.isinf(entries).any():
+        raise ValueError(f"lambda = {params.lam:.3g}, mu = {params.mu:.3g}: the rates overflow "
+                         f"the degree-{2 * basis.level} sector's entries")
     return SectorMatrix(basis=basis, entries=entries, operator_tag="full")
 
 
@@ -337,8 +327,10 @@ def energy_square_direction(basis: SectorBasis) -> np.ndarray:
 
 def _check_tol(*entries: np.ndarray) -> float:
     # eigenvalues carry roundoff relative to the entries: AGREEMENT_TOL times
-    # the largest entry; every check is written `not x <= tol` so a NaN fails
-    return AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries)
+    # the largest entry; every check is written `not x <= tol` so a NaN fails.
+    # Below the normal range roundoff is absolute, half a step of 2**-1074 per
+    # operation, so the tolerance is at least 64 such steps
+    return max(AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries), 2.0**-1068)
 
 
 def first_gap(params: Params) -> float:
@@ -438,8 +430,12 @@ def second_gap(params: Params) -> SecondGap:
         raise ValueError("second gap needs N >= 2")
     if not params.mu > 0:
         raise ValueError("second gap needs mu > 0")
+    mat = second_gap_matrix(params)
+    if np.isinf(mat).any():  # before any route's eigensolve
+        raise ValueError(f"lambda = {params.lam:.3g}, mu = {params.mu:.3g}: the rates overflow the "
+                         "degree-4 sector's entries, such as mu + 3 lambda / (2 (N - 1))")
     r_quad = sector_gap_bound(2, params)
-    r_mat = float(np.linalg.eigvalsh(second_gap_matrix(params))[0])
+    r_mat = float(np.linalg.eigvalsh(mat)[0])
     sect = build_generator(sector_basis(params.n_particles, 2, symmetric=True), params)
     r_sector = float(sect.eigenvalues()[0])
     tol = _check_tol(sect.entries)

@@ -311,6 +311,13 @@ class TestLadder:
         with pytest.raises(ValueError, match="a chaos rung needs N >= 2"):
             chaos_ladder(Params(n_particles=2, lam=0.0), (4, 1), time=0.5, n_replicas=5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_start_whose_half_width_overflows(self):
+        # sqrt(3 * 1e308) is inf: the uniform start would be NaN velocities, whose
+        # cells give a metric and stderr of 0
+        with pytest.raises(ValueError, match="overflows"):
+            chaos_ladder(Params(2), (4,), time=0.5, n_replicas=10, initial_temperature=1e308)
+
     def test_matches_per_draw_ladder(self, monkeypatch):
         monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 5)
         base = Params(n_particles=2, lam=1.0, mu=1.3, beta=0.8)

@@ -1,10 +1,17 @@
+import contextlib
 import gc
 import hashlib
+import io
 import math
+import os
+import tempfile
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import kaclab.cli as cli
 import kaclab.generator as generator
@@ -175,20 +182,20 @@ class TestVerbs:
 
     def test_spectrum_computes_each_route_once(self, tmp_path, monkeypatch):
         # first_gap assembles the degree-2 and degree-4 sectors and second_gap the
-        # degree-4 one; the closed-form 2x2 matrix is built for the overflow check
-        # and for second_gap's eigensolve
+        # degree-4 one; second_gap builds the closed-form 2x2 matrix once, for its
+        # overflow check and its eigensolve
         calls = {"build_generator": 0, "second_gap_matrix": 0}
-        for module in (generator, cli):
-            for name in calls:
-                def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-                    calls[_name] += 1
-                    return _real(*args, **kwargs)
+        for module, name in [(generator, "build_generator"), (cli, "build_generator"),
+                             (generator, "second_gap_matrix")]:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--n", "5", "--lambda", "1.3", "--mu", "0.9",
                      "--out", str(out)]) == EXIT_OK
-        assert calls == {"build_generator": 3, "second_gap_matrix": 2}
+        assert calls == {"build_generator": 3, "second_gap_matrix": 1}
         monkeypatch.undo()
         gap = generator.second_gap(Params(n_particles=5, lam=1.3, mu=0.9))
         table = {r[3]: float(r[4]) for r in read_csv(str(out))[2]}
@@ -410,6 +417,13 @@ class TestExitCodes:
         # the degree-4 sector lies within the gap checks' resolution above mu/2
         ["spectrum", "--n", "4", "--mu", "1e-10"],
         ["spectrum", "--n", "100", "--lambda", "1e10"],
+        # subnormal sector entries: the routes agree to a few steps of 2**-1074, and the
+        # degree-4 sector does not lie above the gap by more than that
+        ["spectrum", "--n", "4", "--lambda", "5e-324", "--mu", "5e-324"],
+        ["spectrum", "--n", "4", "--lambda", "5e-324", "--mu", "1e-322"],
+        ["spectrum", "--n", "4", "--lambda", "1e-322", "--mu", "1e-322"],
+        # at mu = 0 too, lambda must not overflow the sector entries, 3 lambda / 2 at N = 2
+        ["spectrum", "--n", "2", "--lambda", "1.7976931348623157e308", "--mu", "0"],
         # counts at 2**62: the doubles held at once exceed MAX_DOUBLES
         ["simulate", "--n", "4", "--samples", str(2**62), "--replicas", "1"],
         ["boltzmann", "--samples", str(2**62)],
@@ -659,7 +673,7 @@ class TestExitCodes:
         np.testing.assert_allclose(values(repr(scale)), scale * values("1"), rtol=1e-12, atol=0)
 
     def test_params_rejects_n_zero(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="n_particles must be an integer >= 1"):
             RunConfig("simulate", {"n": 0, "lam": 1.0, "mu": 1.0, "beta": 1.0}).params()
         no_n = RunConfig("boltzmann", {"n": None, "lam": 1.0, "mu": 1.0, "beta": 1.0})
         assert no_n.params().n_particles == 1
@@ -689,6 +703,63 @@ class TestExitCodes:
         rc = main(["spectrum", "--n", "3", "--mu", "1"])
         assert rc == EXIT_OK
         assert (tmp_path / "spectrum.csv").exists()
+
+
+# the edge pool every key draws from, as text: zeros, the smallest subnormal and
+# normal floats, two round magnitudes, the largest float, non-finite values, a
+# negative one and integers at 2**63 and 2**64
+EDGE_POOL = ("0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e-300", "1e300",
+             "1.7976931348623157e308", "nan", "inf", "-1", str(2**63), str(2**64))
+# what some keys draw besides: the largest kmax the defaults allow and two past it,
+# a count whose CSV alone passes MAX_DOUBLES, and malformed or out-of-range ladders
+KEY_POOLS = {
+    "kmax": ("265", "300", "301"),
+    "samples": (str(2**62),),
+    "n_ladder": ("", ",", "4,,8", "4;8", "4,8,", "2.5,4", "0x10", "4,1", " 4 , 8 ",
+                 "4," + "1" + "0" * 400),
+}
+
+
+class TestContractProperty:
+    """Any draw of the schema's keys, each at its VALID_ARGV value or default or
+    at a value from the edge pools, exits 0 with a CSV free of nan and inf, or
+    exits 2 with one `error:` line and no CSV; never with a traceback, a numpy
+    warning (an error under the suite's filter) or another exit code.  The
+    sizes are VALID_ARGV's, so a run that is not refused stays small."""
+
+    @pytest.mark.parametrize("verb", sorted(cli._SCHEMAS))
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=timedelta(seconds=5))
+    @given(data=st.data())
+    def test_every_draw_exits_0_or_2(self, verb, data):
+        schema = cli._SCHEMAS[verb]
+        keys = sorted(k for k, spec in schema.items() if spec[0] is not str or k == "n_ladder")
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+        base = VALID_ARGV[verb]
+        options = {flag.lstrip("-").replace("-", "_"): raw
+                   for flag, raw in zip(base[::2], base[1::2])}
+        for key in chosen:
+            options[key] = data.draw(st.sampled_from(EDGE_POOL + KEY_POOLS.get(key, ())),
+                                     label=key)
+        argv = [verb]
+        for key, raw in options.items():
+            argv += ["--" + {"lam": "lambda"}.get(key, key).replace("_", "-"), raw]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = f"{tmp}/x.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([*argv, "--out", out])
+            err = err.getvalue()
+            event(f"exit {rc}")
+            if rc == EXIT_USAGE:
+                lines = err.splitlines()
+                assert lines[0].startswith("error: "), err
+                assert sum(line.startswith("error:") for line in lines) == 1, err
+                assert not os.path.exists(out)
+            else:
+                assert rc == EXIT_OK, err
+                _, _, rows = read_csv(out)
+                assert rows and not any(x in ("nan", "inf", "-inf") for row in rows for x in row)
 
 
 class TestDeterminism:

@@ -673,6 +673,12 @@ class TestDecayExperiment:
         np.testing.assert_allclose(got.estimate, want.estimate, rtol=1e-14, atol=0.0)
         assert np.array_equal(got.stderr, want.stderr)
 
+    def test_refuses_an_initial_entropy_that_overflows(self):
+        # the closed-form S(0) of a start at T = 1e308 is inf, and so is the bound
+        with pytest.raises(ValueError, match="overflows"):
+            entropy_decay_experiment(Params(40), TwoTemperature(1e308, 0.5, 4), [0.0, 1.0],
+                                     n_replicas=10)
+
     @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5], [0.0, math.nan]])
     def test_rejects_times_that_run_rejects(self, times):
         # the sample times reach run as observe times, an unordered set, yet keep

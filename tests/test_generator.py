@@ -343,6 +343,16 @@ class TestSecondGap:
         assert (gap.quadratic, gap.matrix, gap.sector) == (quad, mat, sect)
         assert gap.tol == AGREEMENT_TOL * float(np.max(np.abs(g4.entries)))
 
+    @pytest.mark.parametrize("n, lam, mu", [(4, 5e-324, 5e-324), (2, 1e-322, 5e-324),
+                                            (4, 1e-322, 1e-322), (10**9, 5e-324, 1e-322)])
+    def test_routes_agree_at_subnormal_rates(self, n, lam, mu):
+        # the entries are subnormal, so the routes differ by a few steps of 2**-1074
+        # where AGREEMENT_TOL times the entries rounds to 0
+        p = Params(n_particles=n, lam=lam, mu=mu)
+        gap = second_gap(p)
+        spread = np.ptp((gap.quadratic, gap.matrix, gap.sector))
+        assert 0.0 < spread <= gap.tol == 2.0**-1068
+
     def test_above_first_gap(self):
         for lam in (0.0, 0.3, 10.0):
             p = Params(n_particles=4, lam=lam, mu=1.5)
@@ -403,6 +413,14 @@ class TestSectorGapBound:
 
 
 class TestAssemblyErrors:
+    @pytest.mark.filterwarnings("error")
+    def test_rates_that_overflow_the_entries_are_refused(self):
+        # an overflowing entry is an input out of range, not an assembly bug
+        with pytest.raises(ValueError, match="the rates overflow the degree-4 sector's entries"):
+            second_gap(Params(n_particles=4, lam=1e308, mu=1e308))
+        with pytest.raises(ValueError, match="the rates overflow the degree-4 sector's entries"):
+            first_gap(Params(n_particles=2, lam=1.7976931348623157e308, mu=0.0))
+
     def test_nan_route_fails(self, monkeypatch):
         # a NaN compares false with any tolerance, so every check must fail on it
         monkeypatch.setattr(generator, "second_gap_matrix", lambda p: np.full((2, 2), np.nan))

@@ -12,7 +12,6 @@ from kaclab.core import Params
 from kaclab.simulator import (
     Ensemble,
     IllConditionedFitError,
-    NoEventError,
     ProductGaussian,
     TwoTemperature,
     Uniform,
@@ -190,6 +189,16 @@ class TestInitialConditions:
             initial_relative_entropy(two, p), 3 * 0.5 * (4.0 - 1.0 - math.log(4.0)), rel_tol=1e-12
         )
 
+    @pytest.mark.parametrize("n_hot", [-1, 11, 10**300], ids=["negative", "past_n", "huge"])
+    def test_n_hot_outside_the_particles_is_refused(self, n_hot):
+        # by the closed-form entropy as by the draw, which it would otherwise mismatch
+        p = Params(n_particles=10)
+        two = TwoTemperature(t_hot=4.0, t_cold=0.5, n_hot=n_hot)
+        with pytest.raises(ValueError, match=r"n_hot must lie in \[0, 10\]"):
+            initial_relative_entropy(two, p)
+        with pytest.raises(ValueError, match=r"n_hot must lie in \[0, 10\]"):
+            sample_initial(two, np.random.default_rng(SEED), np.empty((2, 10)))
+
     def test_initial_entropy_where_beta_t_underflows(self):
         # beta T = 5e-324 * 0.5 rounds to 0, but log(beta T) is finite
         p = Params(n_particles=2, lam=1.0, mu=1.0, beta=5e-324)
@@ -284,7 +293,7 @@ class TestEnsemble:
         assert np.array_equal(ens.velocities, ref.velocities)
 
     def test_rejects_bad_setup(self):
-        with pytest.raises(NoEventError):
+        with pytest.raises(ValueError, match="infinite waiting time"):
             Ensemble.create(Params(n_particles=2, lam=0.0, mu=0.0), 4, 0)
         with pytest.raises(ValueError):
             Ensemble.create(Params(n_particles=1, lam=1.0, mu=1.0), 4, 0)
