@@ -70,6 +70,9 @@ class MomentVector:
         self.m = np.asarray(self.m, dtype=float)
         if self.m.ndim != 1 or self.m.size < 1:
             raise ValueError("moments must be a 1-d array")
+        bad = np.flatnonzero(~np.isfinite(self.m))
+        if bad.size:
+            raise ValueError(f"moments must be finite, got m_{bad[0]} = {float(self.m[bad[0]])}")
         if abs(self.m[0] - 1.0) > 1e-12:
             raise ValueError(f"m_0 must be 1 (mass), got {self.m[0]!r}")
 

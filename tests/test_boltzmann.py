@@ -312,3 +312,15 @@ class TestIntegration:
     def test_moment_vector_validation(self):
         with pytest.raises(ValueError):
             MomentVector(m=np.array([0.5, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("m", [
+        [1.0, 0.0, 1.0, math.inf],
+        [1.0, 0.0, -math.inf],
+        [1.0, math.nan],
+        gaussian_moments(8, 2e300),  # overflows from m_4 on
+    ], ids=["inf", "-inf", "nan", "overflowed"])
+    def test_moment_vector_rejects_non_finite(self, m):
+        # refused here, not after the solver has warned and failed in an
+        # eigenvalue routine
+        with pytest.raises(ValueError, match="finite"):
+            MomentVector(m=np.array(m))
