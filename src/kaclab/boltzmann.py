@@ -9,7 +9,9 @@ so no closure approximation is needed.
 
 with A the full-period angular moment and g the Gaussian(0, 1/beta) moments.
 Linearizing about the Gaussian, the degree-n Hermite mode decays at rate
-2*lam*(1 - 2 s_n) + mu*(1 - s_n).
+2*lam*(1 - 2 s_n) + mu*(1 - s_n).  A vanishes unless both its orders are even,
+so an odd moment is driven by no other: m_n(t) = m_n(0) exp(-(2 lam + mu) t).
+The solver steps the even orders alone.
 """
 
 from __future__ import annotations
@@ -142,13 +144,13 @@ def _hankel_min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def _even_rows(table: np.ndarray, first: int) -> list:
-    """Row j of `table`, which holds the even orders n = 2j at the columns first,
-    first + 2, .., as the list of its entries below the diagonal, at k <= n - 2.
-    The odd angular moments vanish, so w[n, k] is zero unless k and n - k are both
-    even: F_n vanishes at odd n and takes even moments alone."""
-    skip = first // 2  # rows n = 2j < first have no such entries
-    return [[]] * skip + [row[:j] for j, row in enumerate(table.tolist()[skip:])]
+def _lower_rows(table: np.ndarray) -> list:
+    """Row i of `table` as the list of its first i entries.  Its rows hold the even
+    orders and its columns the even orders from the first one below the row's, so
+    these are the entries below the diagonal.  The odd angular moments vanish, so
+    w[n, k] is zero unless k and n - k are both even: F_n vanishes at odd n and
+    takes even moments alone."""
+    return [row[:i] for i, row in enumerate(table.tolist())]
 
 
 def _stage_solve(z: float, h: float) -> tuple[tuple, tuple]:
@@ -176,35 +178,26 @@ def _stage_solve(z: float, h: float) -> tuple[tuple, tuple]:
              g * (pp * a20 + pq * b20), g * (pp * a21 + pq * b21), g * (pp * a22 + pq * b22 + d)))
 
 
-def _stages(y: list, h: float, rate: list, coll: list, ther: list) -> tuple:
-    """The three Radau IIA stage vectors, each over the orders, of a step of length
-    h from y, solved order by order: (I + h a_n A) Y_n = y_n 1 + h A F_n(Y_0..Y_{n-1}).
-    F_n vanishes at odd n, where every a_n is 2 lam + mu, so one stage solve serves
-    all odd orders.  At even n, F_n is the sum over the even k < n of
-    Y_k (ther[n/2][k/2] + coll[n/2][k/2] Y_{n-k}).  Everything is summed in Python
-    floats, which is faster than numpy calls on such short vectors."""
-    size = len(y)
-    c0, c1, c2 = [0.0] * size, [0.0] * size, [0.0] * size
-    if size > 1:
-        (r0, r1, r2), _ = _stage_solve(h * rate[1], h)
-        odd = y[1::2]
-        c0[1::2] = [r0 * yn for yn in odd]
-        c1[1::2] = [r1 * yn for yn in odd]
-        c2[1::2] = [r2 * yn for yn in odd]
+def _stages(m_0: float, y: list, h: float, rate: list, coll: list, ther: list) -> tuple:
+    """The three Radau IIA stage vectors, each over the even orders 2, 4, .., of a
+    step of length h from y, solved order by order: (I + h a_n A) Y_n = y_n 1 +
+    h A F_n(Y_0..Y_{n-2}), with Y_0 = m_0 and a_n = rate[n/2 - 1].  F_n is the sum
+    over the even k < n of Y_k (ther[n/2][k/2] + coll[n/2][k/2] Y_{n-k}).
+    Everything is summed in Python floats, which is faster than numpy calls on such
+    short vectors."""
     # per stage, Y_0, Y_2, .., Y_{n-2} and 0, Y_{n-2}, .., Y_2, Y_0: zipped, entry k/2
     # pairs Y_k with Y_{n-k}, and with 0 at k = 0, whose term is part of a_n
-    up0, up1, up2 = [y[0]], [y[0]], [y[0]]  # m_0 does not move
-    down0, down1, down2 = [0.0, y[0]], [0.0, y[0]], [0.0, y[0]]
-    for n in range(2, size, 2):
-        (r0, r1, r2), (a00, a01, a02, a10, a11, a12, a20, a21, a22) = _stage_solve(h * rate[n], h)
-        cn, tn = coll[n // 2], ther[n // 2]
-        if n == 2:  # F_2 = Y_0 ther[1][0] = y_0 mu wg[2, 0] at every stage
-            f0 = f1 = f2 = y[0] * tn[0]
+    up0, up1, up2 = [m_0], [m_0], [m_0]
+    down0, down1, down2 = [0.0, m_0], [0.0, m_0], [0.0, m_0]
+    for j, (a, yn) in enumerate(zip(rate, y), 1):
+        (r0, r1, r2), (a00, a01, a02, a10, a11, a12, a20, a21, a22) = _stage_solve(h * a, h)
+        cn, tn = coll[j], ther[j]
+        if j == 1:  # F_2 = Y_0 ther[1][0] = m_0 mu wg[2, 0] at every stage
+            f0 = f1 = f2 = m_0 * tn[0]
         else:
             f0 = sum(map(mul, up0, map(add, tn, map(mul, cn, down0))))
             f1 = sum(map(mul, up1, map(add, tn, map(mul, cn, down1))))
             f2 = sum(map(mul, up2, map(add, tn, map(mul, cn, down2))))
-        yn = y[n]
         v0 = yn * r0 + (a00 * f0 + a01 * f1 + a02 * f2)
         v1 = yn * r1 + (a10 * f0 + a11 * f1 + a12 * f2)
         v2 = yn * r2 + (a20 * f0 + a21 * f1 + a22 * f2)
@@ -214,40 +207,42 @@ def _stages(y: list, h: float, rate: list, coll: list, ther: list) -> tuple:
         down0.insert(1, v0)
         down1.insert(1, v1)
         down2.insert(1, v2)
-    c0[0::2], c1[0::2], c2[0::2] = up0, up1, up2
-    return c0, c1, c2
+    return up0[1:], up1[1:], up2[1:]
 
 
-def _rms(x: list) -> float:
-    """Root mean square, without overflow at any finite entries."""
-    return math.hypot(*x) / math.sqrt(len(x))
+def _rms(x: list, size: int) -> float:
+    """Root mean square over `size` entries, those past x zero, without overflow at
+    any finite entries."""
+    return math.hypot(*x) / math.sqrt(size)
 
 
 def _error_solve(f: list, slope: list, lower: list, hg: float, rate: list) -> list:
-    """(I - hg J)^-1 (hg f + slope) by forward substitution over the orders,
-    where J has the diagonal -rate and, below it, the rows lower[n/2] at the even
-    orders 2..n-2.  Written with hg / (1 + hg a_n) <= 1/a_n, which stays finite
-    however large hg is."""
-    denom = [1.0 + hg * a for a in rate]
-    x = [s / d + hg / d * fn for s, fn, d in zip(slope, f, denom)]
-    done = x[2:3]  # x at the even orders 2..n-2
-    for n in range(4, len(x), 2):
-        x[n] += hg / denom[n] * sum(map(mul, lower[n // 2], done))
-        done.append(x[n])
+    """(I - hg J)^-1 (hg f + slope) by forward substitution over the even orders
+    2, 4, .., where J has the diagonal -rate and, below it, the rows lower[i] at
+    the orders before the i-th.  Written with hg / (1 + hg a_n) <= 1/a_n, which
+    stays finite however large hg is."""
+    x = []
+    for fn, s, a, row in zip(f, slope, rate, lower):
+        d = 1.0 + hg * a
+        x.append(s / d + hg / d * (fn + sum(map(mul, row, x))))
     return x
 
 
 def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentSeries:
-    """Integrate the hierarchy from t = 0 by 3-stage Radau IIA.
+    """Integrate the hierarchy from t = 0: the odd orders in closed form, the even
+    orders by 3-stage Radau IIA.
 
-    Each step's stages are solved order by order in closed form, with no Newton
-    iteration, in time scaled by the power of two 2**e just above max(lam, mu),
-    so every rate a_n is below 3.  A step runs on Python floats; numpy forms only
-    moment_rhs and the Jacobian rows, once per accepted step.  Hairer's embedded
-    estimate of the local error, relative to max(1, |m|) and in the root-mean-square
-    over the orders, is kept below STEP_TOL by the standard step-size controller; a
-    step that cannot meet it raises IntegrationError.  Steps end on every sample
-    time, where moment-matrix positivity is checked to HANKEL_TOL.
+    F_n vanishes at odd n, where every a_n is 2 lam + mu, so each odd moment is
+    m_n(0) exp(-(2 lam + mu) t) exactly; m_0 does not move.  The other even orders
+    are stepped, each step's stages solved order by order in closed form, with no
+    Newton iteration, in time scaled by the power of two 2**e just above max(lam,
+    mu), so every rate a_n is below 3 and every product a_n t is finite.  A step
+    runs on Python floats; numpy forms only moment_rhs and the Jacobian rows, once
+    per accepted step.  Hairer's embedded estimate of the local error, relative to
+    max(1, |m|) and in the root-mean-square over the orders 0..order, where the
+    exact ones add none, is kept below STEP_TOL by the standard step-size
+    controller; a step that cannot meet it raises IntegrationError.  Steps end on
+    every sample time, where moment-matrix positivity is checked to HANKEL_TOL.
     """
     times = check_times(sample_times, ())
     top = max(params.lam, params.mu)
@@ -259,36 +254,39 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     scaled = replace(params, lam=math.ldexp(params.lam, -e), mu=math.ldexp(params.mu, -e))
     w, rev, wg = _rhs_tables(m0.order, params.beta)
     lam2, mu = 2.0 * scaled.lam, scaled.mu
-    # m_0 = 1 does not move
-    rate = [0.0] + [linearized_eigenvalue(n, scaled) for n in range(1, m0.order + 1)]
-    coll, ther = _even_rows((lam2 * w)[::2, ::2], 0), _even_rows((mu * wg)[::2, ::2], 0)
+    rate = [linearized_eigenvalue(n, scaled) for n in range(2, m0.order + 1, 2)]
+    odd_rate = linearized_eigenvalue(1, scaled)
+    coll, ther = _lower_rows((lam2 * w)[::2, ::2]), _lower_rows((mu * wg)[::2, ::2])
     # the Jacobian's even rows at the even columns k >= 2: 2 lam2 w[n, k] m_{n-k} + mu wg[n, k]
     # (contiguous: numpy indexes and multiplies strided views several times slower)
-    jac_w, jac_rev, jac_wg = (t[::2, 2::2].copy() for t in (w, rev, mu * wg))
+    jac_w, jac_rev, jac_wg = (t[2::2, 2::2].copy() for t in (w, rev, mu * wg))
     e0, e1, e2 = _ERROR_WEIGHTS
     tol = STEP_TOL
-    y = m0.m.tolist()
-    out = np.empty((times.size, len(y)))
+    m = m0.m.copy()  # the full vector at tau, the odd orders in closed form
+    m_0, odd = float(m[0]), m[1::2].copy()
+    y = m[2::2].tolist()  # the stepped orders; orders 0 and 1 leave nothing to step
+    out = np.empty((times.size, m.size))
     tau, h = 0.0, INITIAL_STEP
     accepted = rejected = 0
     reject = False
     f = None  # moment_rhs at y, once y has moved
 
     for row, target in enumerate(math.ldexp(t, e) for t in times):
-        while tau < target:
+        while y and tau < target:
             if f is None:
-                m = np.array(y)
-                f = moment_rhs(m, scaled).tolist()
-                lower = _even_rows(2.0 * lam2 * (jac_w * m[jac_rev]) + jac_wg, 2)
+                m[2::2], m[1::2] = y, odd * math.exp(-odd_rate * tau)
+                f = moment_rhs(m, scaled)[2::2].tolist()
+                lower = _lower_rows(2.0 * lam2 * (jac_w * m[jac_rev]) + jac_wg)
             last = tau + 1.0001 * h >= target
             step = target - tau if last else h
-            stages = _stages(y, step, rate, coll, ther)
+            stages = _stages(m_0, y, step, rate, coll, ther)
             y_new = stages[2]
             slope = [e0 * (s0 - yn) + e1 * (s1 - yn) + e2 * (s2 - yn)
                      for yn, s0, s1, s2 in zip(y, *stages)]
             x = _error_solve(f, slope, lower, step * _GAMMA0, rate)
+            # over all the orders: m_0 and the odd orders, exact, add no error
             err = _rms([xn / (tol * max(1.0, abs(yn), abs(zn)))
-                        for xn, yn, zn in zip(x, y, y_new)])
+                        for xn, yn, zn in zip(x, y, y_new)], m.size)
             # the next step is step / quot, quot in [1/8, 5]; a nan err gives 5
             quot = max(0.125, min(5.0, err**0.25 / SAFETY))
             if err <= 1.0:
@@ -304,7 +302,7 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
                 if h < 16.0 * _EPS * max(1.0, tau):
                     raise IntegrationError(f"no step above {h:.3g} meets the error test at "
                                            f"t={math.ldexp(tau, -e):g}")
-        out[row] = y
+        out[row, 0], out[row, 2::2], out[row, 1::2] = m_0, y, odd * math.exp(-odd_rate * target)
         if _hankel_min_eig(out[row]) < -HANKEL_TOL:
             raise IntegrationError(
                 f"moment matrix lost positivity at t={times[row]:g} "

@@ -24,7 +24,8 @@ from .boltzmann import IntegrationError, MomentVector, integrate_moments
 from .chaos import chaos_ladder
 from .core import Params, gaussian_moments
 from .entropy import EntropyCheckError, entropy_decay_experiment
-from .generator import AssemblyError, first_gap, second_gap, second_gap_limit
+from .generator import (AssemblyError, first_gap, require_isolated_gap, second_gap,
+                        second_gap_limit)
 # not called here: perfbench/spans.py wraps them where kaclab.cli looks them up
 from .generator import build_generator, sector_basis  # noqa: F401
 from .simulator import (
@@ -390,17 +391,12 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
 
 def _run_spectrum(config: RunConfig, params: Params) -> list:
     """The first gap and, at mu > 0, each route `second_gap` checked and the
-    large-N limit, each computed once; the margin rule reads `second_gap`'s record."""
+    large-N limit, each computed once; `require_isolated_gap`, which `first_gap`
+    applies to its own sector, is applied first to `second_gap`'s record."""
     values = []
     if params.mu > 0:
         gap = second_gap(params)
-        # the degree-4 sector lies at least mu/8 above the gap mu/2, so only a small
-        # mu/lambda, or a subnormal mu, brings it within the gap checks' resolution
-        margin = gap.matrix - params.mu / 2.0
-        ratio = params.mu / params.lam if params.lam else math.inf
-        _require(margin > gap.tol,
-                 f"mu/lambda = {ratio:.3g}: the degree-4 sector lies {margin:.3g} above the "
-                 f"gap mu/2, not above the gap checks' resolution {gap.tol:.3g}")
+        require_isolated_gap(gap.matrix, params, gap.tol)
         values = [("second_quadratic", gap.quadratic), ("second_matrix", gap.matrix),
                   ("second_sector", gap.sector), ("second_limit", second_gap_limit(params))]
     rows = [(params.n_particles, params.lam, params.mu, route, x)

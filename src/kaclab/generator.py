@@ -333,11 +333,24 @@ def _check_tol(*entries: np.ndarray) -> float:
     return max(AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries), 2.0**-1068)
 
 
+def require_isolated_gap(sector_min: float, params: Params, tol: float) -> None:
+    """Refuse rates at which `sector_min`, the degree-4 sector's smallest eigenvalue,
+    lies within the gap checks' resolution `tol` above the gap mu/2.  It lies at
+    least mu/8 above it, so only a small mu/lambda, or a subnormal mu, brings it
+    there: an input out of range, not an assembly fault."""
+    margin = sector_min - params.mu / 2.0
+    if not margin > tol:
+        ratio = params.mu / params.lam if params.lam else math.inf
+        raise ValueError(f"mu/lambda = {ratio:.3g}: the degree-4 sector lies {margin:.3g} above "
+                         f"the gap mu/2, not above the gap checks' resolution {tol:.3g}")
+
+
 def first_gap(params: Params) -> float:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
     assembled operator on the symmetric degree-2 and degree-4 sectors, to
-    AGREEMENT_TOL times the largest |entry| of those sectors."""
+    AGREEMENT_TOL times the largest |entry| of those sectors; rates at which the
+    degree-4 sector cannot be told from the gap raise ValueError."""
     n = params.n_particles
     if n < 2:
         raise ValueError("gap computation needs N >= 2")
@@ -353,8 +366,7 @@ def first_gap(params: Params) -> float:
             raise AssemblyError(
                 f"eigensolve gap {allev[0]!r} disagrees with closed form {closed!r}"
             )
-        if not ev4.min() > closed + tol:
-            raise AssemblyError("first-gap eigenvector not isolated in the degree-2 sector")
+        require_isolated_gap(float(ev4.min()), params, tol)
     else:
         # thermostat off: the radial kernel is degenerate across sectors
         if not (abs(allev[0]) <= tol and abs(allev[1]) <= tol):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,12 +197,13 @@ class TestIntegration:
         p = Params(n_particles=10, lam=0.7, mu=1.3)
         m0 = make_moments(2.0, mean=0.4)
         series = integrate_moments(m0, p, np.linspace(0.0, 10.0 / p.mu, 41))
-        assert (series.accepted, series.rejected) == (455, 0)
+        assert (series.accepted, series.rejected) == (225, 0)
 
     def test_error_estimate_matches_dense_solve(self, monkeypatch):
-        # the first step's embedded error estimate (I - h gamma0 J)^-1 (h gamma0 f + slope),
-        # from the solver's Jacobian rows and forward substitution, against a dense solve
-        # with the Jacobian of moment_rhs by central differences, exact for a quadratic
+        # the first step's embedded error estimate (I - h gamma0 J)^-1 (h gamma0 f + slope)
+        # over the stepped orders 2, 4, .., from the solver's Jacobian rows and forward
+        # substitution, against a dense solve with the even-row, even-column block of the
+        # Jacobian of moment_rhs by central differences, exact for a quadratic
         calls = []
         solve = boltzmann._error_solve
         monkeypatch.setattr(boltzmann, "_error_solve",
@@ -218,11 +220,13 @@ class TestIntegration:
             d = np.zeros(size)
             d[k] = step
             jac[:, k] = (moment_rhs(m0.m + d, scaled) - moment_rhs(m0.m - d, scaled)) / (2 * step)
-        assert np.allclose(rate[1:], -np.diagonal(jac)[1:], rtol=1e-9, atol=0.0)
-        for n in range(4, size, 2):
-            assert np.allclose(lower[n // 2], jac[n, 2 : n - 1 : 2], rtol=1e-9, atol=0.0)
+        block = jac[2::2, 2::2]
+        assert len(f) == len(slope) == len(lower) == len(rate) == block.shape[0] == 5
+        assert np.allclose(rate, -np.diagonal(block), rtol=1e-9, atol=0.0)
+        for i, row in enumerate(lower):
+            assert np.allclose(row, block[i, :i], rtol=1e-9, atol=0.0)
         terms = hg * np.array(f) + np.array(slope)
-        want = np.linalg.solve(np.eye(size) - hg * jac, terms)
+        want = np.linalg.solve(np.eye(block.shape[0]) - hg * block, terms)
         got = np.array(solve(f, slope, lower, hg, rate))
         # the estimate is about 1e-8 of its terms, so bound the roundoff by their size;
         # dropping the Jacobian's rows moves it by about 1e-12 of that
@@ -230,9 +234,8 @@ class TestIntegration:
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     def test_agrees_with_frozen_radau_on_criterion_06(self, tmp_path):
-        # the CSV that the Radau IIA solver wrote on criterion 06's grid when it formed
-        # each step's stage solves with np.linalg.inv, re-run from its configuration
-        # echo: the same steps, with stage solves and sums rounded differently
+        # the CSV that the Radau IIA solver, with the odd orders in closed form, wrote
+        # on criterion 06's grid, re-run from its configuration echo
         frozen = Path(__file__).parent / "data" / "boltzmann_criterion06_radau.csv"
         out = tmp_path / "b.csv"
         assert main(["--config", str(frozen), "--out", str(out)]) == 0
@@ -264,6 +267,47 @@ class TestIntegration:
         m2_exact = 0.5 + (m0.m[2] - 0.5) * np.exp(-mu * ts / 2.0)
         assert np.max(np.abs(series.component(1) - m1_exact)) < 1e-8
         assert np.max(np.abs(series.component(2) - m2_exact)) < 1e-8
+
+    @pytest.mark.parametrize("lam", RATES)
+    @pytest.mark.parametrize("mu", RATES)
+    def test_odd_orders_in_closed_form_at_every_rate(self, lam, mu):
+        # F_n vanishes at every odd n, so m_n(t) = m_n(0) exp(-(2 lam + mu) t) exactly
+        p = Params(n_particles=10, lam=lam, mu=mu, beta=2.0)
+        m0 = make_moments(2.0, mean=0.4, order=9)
+        ts = np.linspace(0.0, 4.0, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = integrate_moments(m0, p, ts)
+        want = m0.m[1::2] * np.exp(-(2 * lam + mu) * ts)[:, None]
+        assert np.all(np.abs(series.values[:, 1::2] - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("lam", RATES)
+    @pytest.mark.parametrize("mu", RATES)
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_0_and_1_take_no_step(self, lam, mu, order):
+        p = Params(n_particles=10, lam=lam, mu=mu, beta=2.0)
+        series = integrate_moments(make_moments(2.0, mean=0.4, order=order), p, [0.0, 1.0, 4.0])
+        assert (series.accepted, series.rejected) == (0, 0)
+        assert np.all(series.component(0) == 1.0)
+
+    @pytest.mark.parametrize("lam, mu, mean, order", [
+        (0.7, 1.3, 0.4, 8),
+        (0.7, 1.3, 0.0, 8),
+        (0.0, 1.3, 0.4, 8),
+        (0.7, 1e-3, 0.4, 8),
+        (0.7, 1.3, 0.4, 16),
+    ], ids=["criterion-06", "mean-0", "lam-0", "mu-1e-3", "kmax-16"])
+    def test_accurate_against_a_tighter_tolerance(self, monkeypatch, lam, mu, mean, order):
+        # every column within 1e-11 of the same solver at STEP_TOL = 1e-13, relative to
+        # max(1, |m|), on criterion 06's grid: a gate on the error, where the frozen
+        # CSVs gate only the agreement with an earlier run
+        p = Params(n_particles=10, lam=lam, mu=mu)
+        m0 = make_moments(2.0, mean=mean, order=order)
+        ts = np.linspace(0.0, 10.0 / 1.3, 41)
+        got = integrate_moments(m0, p, ts).values
+        monkeypatch.setattr(boltzmann, "STEP_TOL", 1e-13)
+        want = integrate_moments(m0, p, ts).values
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
 
     def test_rejects_rate_times_time_past_the_limit(self):
         p = Params(n_particles=10, lam=1e300, mu=1.0)

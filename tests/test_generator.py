@@ -302,6 +302,13 @@ class TestFirstGap:
     def test_pure_thermostat(self):
         assert first_gap(Params(n_particles=3, lam=0.0, mu=2.0)) == 1.0
 
+    @pytest.mark.parametrize("mu", [1e-10, 1e-11, 5e-324])
+    def test_gap_within_the_checks_resolution_is_refused(self, mu):
+        # the degree-4 sector cannot be told from the gap mu/2 there: an input out of
+        # range, refused by the rule that spectrum's margin check also calls
+        with pytest.raises(ValueError, match="not above the gap checks' resolution"):
+            first_gap(Params(n_particles=4, lam=1.0, mu=mu))
+
     @given(
         st.floats(0.0, 8.0, allow_nan=False),
         st.floats(0.05, 4.0, allow_nan=False),
