@@ -8,10 +8,14 @@ so no closure approximation is needed.
             +   mu  * ( sum_k C(n,k) A(k, n-k) m_k g_{n-k}  -  m_n )
 
 with A the full-period angular moment and g the Gaussian(0, 1/beta) moments.
-Linearizing about the Gaussian, the degree-n Hermite mode decays at rate
-2*lam*(1 - 2 s_n) + mu*(1 - s_n).  A vanishes unless both its orders are even,
-so an odd moment is driven by no other: m_n(t) = m_n(0) exp(-(2 lam + mu) t).
-The solver steps the even orders alone.
+A vanishes unless both its orders are even, so an odd moment is driven by no
+other: m_n(t) = m_n(0) exp(-(2 lam + mu) t).  The even weights are C(2l, 2i)
+A(2i, 2l-2i) = s_2l C(l, i), s_2l = C(2l, l) / 4^l, so in u_l = m_2l / l! and
+gamma_l = g_2l / l! the even rows are two Cauchy products, which the solver steps:
+
+    du_l/dt = 2*lam * ( s_2l (u*u)_l  -  u_l )  +  mu * ( s_2l (u*gamma)_l  -  u_l ).
+
+Linearizing about the Gaussian, mode n decays at rate 2*lam*(1 - 2 s_n) + mu*(1 - s_n).
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
-from .core import Params, angular_moment, check_times, gaussian_moments, hermite_eigenvalue_s
+from .core import Params, check_times, gaussian_moments, hermite_eigenvalue_s
 
 # the first step, in time scaled by the rates
 INITIAL_STEP = 1e-2
@@ -95,36 +99,45 @@ class MomentSeries:
 
 
 @lru_cache(maxsize=None)
-def _rhs_tables(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixing weights w[n,k] = C(n,k) A(k, n-k), the index table n-k, and the
-    thermostat rows w[n,k] g_{n-k}; zero (index 0) above the diagonal."""
-    w = np.zeros((order + 1, order + 1))
-    for n in range(order + 1):
-        for k in range(n + 1):
-            w[n, k] = math.comb(n, k) * angular_moment(k, n - k)
-    idx = np.arange(order + 1)
-    rev = np.maximum(idx[:, None] - idx[None, :], 0)
-    wg = w * gaussian_moments(order, 1.0 / beta)[rev]
-    for table in (w, rev, wg):
-        table.flags.writeable = False
-    return w, rev, wg
+def _even_terms(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """l!, c_l = l! s_2l and gamma_l = g_2l / l! for l <= order // 2, g the
+    Gaussian(0, 1/beta) moments, read-only: with u_l = m_2l / l!, dm_2l/dt =
+    2 lam (c_l (u*u)_l - m_2l) + mu (c_l (u*gamma)_l - m_2l).  A bath moment that
+    overflows is refused; past order 300 gaussian_moments always overflows, so
+    every l! here is finite."""
+    half = order // 2
+    g = gaussian_moments(2 * half, 1.0 / beta)[::2]
+    if not np.isfinite(g).all():
+        raise ValueError(f"the bath moments at beta = {beta!r} overflow at order "
+                         f"{2 * int(np.argmin(np.isfinite(g)))}")
+    fact = np.array([float(math.factorial(l)) for l in range(half + 1)])
+    terms = fact, fact * np.array([hermite_eigenvalue_s(2 * l) for l in range(half + 1)]), g / fact
+    for t in terms:
+        t.flags.writeable = False
+    return terms
 
 
 def moment_rhs(m: np.ndarray, params: Params) -> np.ndarray:
-    """Time derivative of the moment vector; lower-triangular in the order."""
+    """Time derivative of the moment vector; lower-triangular in the order.  The two
+    products stay apart: a merged sum would lose the bath term at lam >> mu in the
+    m_2 row, where the collision one cancels exactly."""
     m = np.asarray(m, dtype=float)
-    w, rev, wg = _rhs_tables(m.size - 1, params.beta)
-    coll = (w * m[rev]) @ m - m
-    ther = wg @ m - m
-    return 2.0 * params.lam * coll + params.mu * ther
+    fact, weight, gamma = _even_terms(m.size - 1, params.beta)
+    lam2, mu = 2.0 * params.lam, params.mu
+    even = m[::2]
+    u, n = even / fact, even.size
+    out = -(lam2 + mu) * m  # the odd rows
+    out[::2] = (lam2 * (weight * np.convolve(u, u)[:n] - even)
+                + mu * (weight * np.convolve(u, gamma)[:n] - even))
+    return out
 
 
 def linearized_eigenvalue(n: int, params: Params) -> float:
     """Decay rate of the degree-n Hermite mode of the linearized equation, which is
     also a_n in the hierarchy's dm_n/dt = -a_n m_n + F_n(m_0..m_{n-1}), F_n the
-    terms in m_k, k < n.  It is formed as the mixing weights give it, 2 lam (1 -
-    w[n, 0] - w[n, n]) + mu (1 - w[n, n]) with w[n, 0] = w[n, n] = s_n, so the
-    solver's diagonal is this value to the bit."""
+    terms in m_k, k < n.  The solver takes its diagonal from here.  It is formed as
+    the terms in u_l = m_n / l! of the products give it, 2 lam (1 - s_n - s_n) + mu
+    (1 - s_n), from 2 lam s_n (u_0 u_l + u_l u_0) and mu s_n u_l gamma_0."""
     if n < 1:
         raise ValueError("mode index must be >= 1")
     s = hermite_eigenvalue_s(n)
@@ -142,15 +155,6 @@ def _hankel_min_eig(m: np.ndarray) -> float:
     d = np.sqrt(np.maximum(np.diag(h), 1e-300))
     h = h / d[:, None] / d[None, :]
     return float(np.linalg.eigvalsh(h)[0])
-
-
-def _lower_rows(table: np.ndarray) -> list:
-    """Row i of `table` as the list of its first i entries.  Its rows hold the even
-    orders and its columns the even orders from the first one below the row's, so
-    these are the entries below the diagonal.  The odd angular moments vanish, so
-    w[n, k] is zero unless k and n - k are both even: F_n vanishes at odd n and
-    takes even moments alone."""
-    return [row[:i] for i, row in enumerate(table.tolist())]
 
 
 def _stage_solve(z: float, h: float) -> tuple[tuple, tuple]:
@@ -178,36 +182,35 @@ def _stage_solve(z: float, h: float) -> tuple[tuple, tuple]:
              g * (pp * a20 + pq * b20), g * (pp * a21 + pq * b21), g * (pp * a22 + pq * b22 + d)))
 
 
-def _stages(m_0: float, y: list, h: float, rate: list, coll: list, ther: list) -> tuple:
-    """The three Radau IIA stage vectors, each over the even orders 2, 4, .., of a
-    step of length h from y, solved order by order: (I + h a_n A) Y_n = y_n 1 +
-    h A F_n(Y_0..Y_{n-2}), with Y_0 = m_0 and a_n = rate[n/2 - 1].  F_n is the sum
-    over the even k < n of Y_k (ther[n/2][k/2] + coll[n/2][k/2] Y_{n-k}).
-    Everything is summed in Python floats, which is faster than numpy calls on such
-    short vectors."""
-    # per stage, Y_0, Y_2, .., Y_{n-2} and 0, Y_{n-2}, .., Y_2, Y_0: zipped, entry k/2
-    # pairs Y_k with Y_{n-k}, and with 0 at k = 0, whose term is part of a_n
-    up0, up1, up2 = [m_0], [m_0], [m_0]
-    down0, down1, down2 = [0.0, m_0], [0.0, m_0], [0.0, m_0]
-    for j, (a, yn) in enumerate(zip(rate, y), 1):
+def _stages(m_0: float, y: list, h: float, lam2: float, orders: list) -> tuple:
+    """The three Radau IIA stage vectors, each over the even orders 2l = 2, 4, .., of
+    a step of length h from y, solved order by order: (I + h a_l A) Y_l = y_l 1 +
+    h A F_l, orders[l - 1] = (a_l, c_l, l!, mu gamma_l).  With Y_0 = m_0 and U_i =
+    Y_i / i!, F_l = c_l sum_{i<l} U_i (mu gamma_{l-i} + lam2 U_{l-i}) less the
+    collision term at i = 0, part of a_l.  Summed in Python floats, which is faster
+    than numpy calls on such short vectors."""
+    # per stage, U_1, .., U_{l-1} and z_{l-1}, .., z_1, z_j = mu gamma_j + lam2 U_j
+    up0, up1, up2, down0, down1, down2, out0, out1, out2 = ([] for _ in range(9))
+    for (a, c, k, g), yn in zip(orders, y):
         (r0, r1, r2), (a00, a01, a02, a10, a11, a12, a20, a21, a22) = _stage_solve(h * a, h)
-        cn, tn = coll[j], ther[j]
-        if j == 1:  # F_2 = Y_0 ther[1][0] = m_0 mu wg[2, 0] at every stage
-            f0 = f1 = f2 = m_0 * tn[0]
-        else:
-            f0 = sum(map(mul, up0, map(add, tn, map(mul, cn, down0))))
-            f1 = sum(map(mul, up1, map(add, tn, map(mul, cn, down1))))
-            f2 = sum(map(mul, up2, map(add, tn, map(mul, cn, down2))))
+        b = m_0 * g  # the i = 0 term, the bath's alone
+        f0 = c * (b + sum(map(mul, up0, down0)))
+        f1 = c * (b + sum(map(mul, up1, down1)))
+        f2 = c * (b + sum(map(mul, up2, down2)))
         v0 = yn * r0 + (a00 * f0 + a01 * f1 + a02 * f2)
         v1 = yn * r1 + (a10 * f0 + a11 * f1 + a12 * f2)
         v2 = yn * r2 + (a20 * f0 + a21 * f1 + a22 * f2)
-        up0.append(v0)
-        up1.append(v1)
-        up2.append(v2)
-        down0.insert(1, v0)
-        down1.insert(1, v1)
-        down2.insert(1, v2)
-    return up0[1:], up1[1:], up2[1:]
+        out0.append(v0)
+        out1.append(v1)
+        out2.append(v2)
+        u0, u1, u2 = v0 / k, v1 / k, v2 / k
+        up0.append(u0)
+        up1.append(u1)
+        up2.append(u2)
+        down0.insert(0, g + lam2 * u0)
+        down1.insert(0, g + lam2 * u1)
+        down2.insert(0, g + lam2 * u2)
+    return out0, out1, out2
 
 
 def _rms(x: list, size: int) -> float:
@@ -216,15 +219,19 @@ def _rms(x: list, size: int) -> float:
     return math.hypot(*x) / math.sqrt(size)
 
 
-def _error_solve(f: list, slope: list, lower: list, hg: float, rate: list) -> list:
+def _error_solve(f: list, slope: list, d: list, hg: float, orders: list) -> list:
     """(I - hg J)^-1 (hg f + slope) by forward substitution over the even orders
-    2, 4, .., where J has the diagonal -rate and, below it, the rows lower[i] at
-    the orders before the i-th.  Written with hg / (1 + hg a_n) <= 1/a_n, which
+    2l = 2, 4, .., where J has the diagonal -a_l and, below it, J[l, i] = c_l
+    d_{l-i} / i!, the derivative of F_l in Y_i, with d = (d_1, d_2, ..) and (a_l,
+    c_l, l!) from orders[l - 1].  Written with hg / (1 + hg a_l) <= 1/a_l, which
     stays finite however large hg is."""
-    x = []
-    for fn, s, a, row in zip(f, slope, rate, lower):
-        d = 1.0 + hg * a
-        x.append(s / d + hg / d * (fn + sum(map(mul, row, x))))
+    x, scaled, down = [], [], []  # x_i / i! and d_{l-1}, .., d_1
+    for fn, s, (a, c, k, _), dn in zip(f, slope, orders, d):
+        q = 1.0 + hg * a
+        xn = s / q + hg / q * (fn + c * sum(map(mul, scaled, down)))
+        x.append(xn)
+        scaled.append(xn / k)
+        down.insert(0, dn)
     return x
 
 
@@ -237,12 +244,13 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     are stepped, each step's stages solved order by order in closed form, with no
     Newton iteration, in time scaled by the power of two 2**e just above max(lam,
     mu), so every rate a_n is below 3 and every product a_n t is finite.  A step
-    runs on Python floats; numpy forms only moment_rhs and the Jacobian rows, once
-    per accepted step.  Hairer's embedded estimate of the local error, relative to
-    max(1, |m|) and in the root-mean-square over the orders 0..order, where the
-    exact ones add none, is kept below STEP_TOL by the standard step-size
-    controller; a step that cannot meet it raises IntegrationError.  Steps end on
-    every sample time, where moment-matrix positivity is checked to HANKEL_TOL.
+    runs on Python floats, over the products' terms from _even_terms; numpy forms
+    only moment_rhs, once per accepted step.  Hairer's embedded estimate of the local
+    error, relative to max(1, |m|) and in the root-mean-square over the orders
+    0..order, where the exact ones add none, is kept below STEP_TOL by the standard
+    step-size controller; a step that cannot meet it raises IntegrationError.  Steps
+    end on every sample time, where moment-matrix positivity is checked to
+    HANKEL_TOL.  A bath moment that overflows raises ValueError.
     """
     times = check_times(sample_times, ())
     top = max(params.lam, params.mu)
@@ -252,14 +260,11 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
                          f"MAX_RATE_TIME = {MAX_RATE_TIME:.3g}")
     e = math.frexp(top)[1]
     scaled = replace(params, lam=math.ldexp(params.lam, -e), mu=math.ldexp(params.mu, -e))
-    w, rev, wg = _rhs_tables(m0.order, params.beta)
+    fact, weight, gamma = _even_terms(m0.order, params.beta)
     lam2, mu = 2.0 * scaled.lam, scaled.mu
     rate = [linearized_eigenvalue(n, scaled) for n in range(2, m0.order + 1, 2)]
     odd_rate = linearized_eigenvalue(1, scaled)
-    coll, ther = _lower_rows((lam2 * w)[::2, ::2]), _lower_rows((mu * wg)[::2, ::2])
-    # the Jacobian's even rows at the even columns k >= 2: 2 lam2 w[n, k] m_{n-k} + mu wg[n, k]
-    # (contiguous: numpy indexes and multiplies strided views several times slower)
-    jac_w, jac_rev, jac_wg = (t[2::2, 2::2].copy() for t in (w, rev, mu * wg))
+    orders = list(zip(rate, weight[1:].tolist(), fact[1:].tolist(), (mu * gamma[1:]).tolist()))
     e0, e1, e2 = _ERROR_WEIGHTS
     tol = STEP_TOL
     m = m0.m.copy()  # the full vector at tau, the odd orders in closed form
@@ -276,14 +281,15 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
             if f is None:
                 m[2::2], m[1::2] = y, odd * math.exp(-odd_rate * tau)
                 f = moment_rhs(m, scaled)[2::2].tolist()
-                lower = _lower_rows(2.0 * lam2 * (jac_w * m[jac_rev]) + jac_wg)
+                # the Jacobian's terms d_j = mu gamma_j + 4 lam y_j / j!
+                d = [g + 2.0 * lam2 * yn / k for (_, _, k, g), yn in zip(orders, y)]
             last = tau + 1.0001 * h >= target
             step = target - tau if last else h
-            stages = _stages(m_0, y, step, rate, coll, ther)
+            stages = _stages(m_0, y, step, lam2, orders)
             y_new = stages[2]
             slope = [e0 * (s0 - yn) + e1 * (s1 - yn) + e2 * (s2 - yn)
                      for yn, s0, s1, s2 in zip(y, *stages)]
-            x = _error_solve(f, slope, lower, step * _GAMMA0, rate)
+            x = _error_solve(f, slope, d, step * _GAMMA0, orders)
             # over all the orders: m_0 and the odd orders, exact, add no error
             err = _rms([xn / (tol * max(1.0, abs(yn), abs(zn)))
                         for xn, yn, zn in zip(x, y, y_new)], m.size)

@@ -96,10 +96,6 @@ def angular_moment_exact(p: int, q: int) -> Fraction:
     return Fraction(double_factorial(p - 1) * double_factorial(q - 1), double_factorial(p + q))
 
 
-def angular_moment(p: int, q: int) -> float:
-    return float(angular_moment_exact(p, q))
-
-
 def kac_gap_Lambda_exact(n_particles: int) -> Fraction:
     """Gap of the pair-collision operator off the radial subspace: (N+2)/(2(N-1))."""
     if n_particles < 2:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kaclab import boltzmann
 from kaclab.cli import main
-from kaclab.core import Params, angular_moment, gaussian_moments
+from kaclab.core import Params, angular_moment_exact, gaussian_moments, hermite_eigenvalue_s_exact
 from kaclab.boltzmann import (
     IntegrationError,
     MomentVector,
@@ -34,13 +34,17 @@ def make_moments(variance, mean=0.0, order=8):
     return MomentVector(m=gaussian_moments(order, variance, mean))
 
 
+def mixing_weight(n, k):
+    return math.comb(n, k) * float(angular_moment_exact(k, n - k))
+
+
 def moment_rhs_by_rows(m, params):
     # oracle: the triangular convolution one row at a time
     order = m.size - 1
     g = gaussian_moments(order, 1.0 / params.beta)
     out = np.zeros_like(m)
     for n in range(order + 1):
-        wk = np.array([math.comb(n, k) * angular_moment(k, n - k) for k in range(n + 1)])
+        wk = np.array([mixing_weight(n, k) for k in range(n + 1)])
         mk = m[: n + 1]
         coll = float(wk @ (mk * m[n::-1])) - m[n]
         ther = float(wk @ (mk * g[n::-1])) - m[n]
@@ -86,14 +90,39 @@ class TestMomentRhs:
         bumped[n] += 0.1
         assert np.array_equal(moment_rhs(base, p)[:n], moment_rhs(bumped, p)[:n])
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
-    def test_matches_row_oracle(self, beta):
-        p = Params(n_particles=10, lam=0.7, mu=1.3, beta=beta)
+    # (1e20, 1): the m_2 row's collision term cancels exactly and leaves the bath's;
+    # a sum merging the two products loses it
+    @pytest.mark.parametrize("beta, lam, mu", [(0.5, 0.7, 1.3), (1.0, 0.7, 1.3), (3.0, 0.7, 1.3),
+                                               (1.0, 1e20, 1.0)],
+                             ids=["0.5", "1.0", "3.0", "lam-1e20-mu-1"])
+    def test_matches_row_oracle(self, beta, lam, mu):
+        p = Params(n_particles=10, lam=lam, mu=mu, beta=beta)
         for order in range(1, 13):
             m = make_moments(1.7, mean=0.4, order=order).m
             want = moment_rhs_by_rows(m, p)
             got = moment_rhs(m, p)
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+    def test_even_weights_are_binomials(self):
+        # C(2l, 2i) A(2i, 2l - 2i) = s_2l C(l, i) exactly, which makes the even rows
+        # Cauchy products in u_l = m_2l / l!
+        for l in range(151):
+            s = hermite_eigenvalue_s_exact(2 * l)
+            for i in range(l + 1):
+                want = s * math.comb(l, i)
+                assert math.comb(2 * l, 2 * i) * angular_moment_exact(2 * i, 2 * l - 2 * i) == want
+
+    # gaussian_moments overflows past order 300 at any beta; a point mass has finite moments
+    @pytest.mark.parametrize("beta, m", [(1e-80, gaussian_moments(8, 2.0)), (1.0, np.eye(1, 303)[0])],
+                             ids=["beta-1e-80", "order-302"])
+    def test_bath_overflow_is_refused(self, beta, m):
+        # an input out of range, refused before any step
+        p = Params(n_particles=2, lam=1.0, mu=1.0, beta=beta)
+        m0 = MomentVector(m=m)
+        with pytest.raises(ValueError, match="bath moments"):
+            integrate_moments(m0, p, [0.0, 1.0])
+        with pytest.raises(ValueError, match="bath moments"):
+            moment_rhs(m0.m, p)
 
 
 class TestLinearizedSpectrum:
@@ -101,13 +130,12 @@ class TestLinearizedSpectrum:
                                          (1e-300, 1e300), (0.75, 1.0)])
     def test_equals_the_solver_diagonal(self, lam, mu):
         # the solver takes its diagonal from linearized_eigenvalue: it must equal, to the
-        # bit, the hierarchy's diagonal formed from the mixing weights, and the solver's
-        # one stage solve for every odd order needs all odd rates equal to 2 lam + mu
+        # bit, the hierarchy's diagonal formed from the mixing weights w[n, 0] and w[n, n],
+        # and the odd orders' closed form needs all odd rates equal to 2 lam + mu
         p = Params(n_particles=10, lam=lam, mu=mu)
-        with np.errstate(over="ignore", invalid="ignore"):  # only the Gaussian rows overflow
-            w = boltzmann._rhs_tables(300, p.beta)[0]
-        diag = np.diagonal(w)
-        want = 2.0 * lam * (1.0 - w[:, 0] - diag) + mu * (1.0 - diag)
+        first = np.array([mixing_weight(n, 0) for n in range(301)])
+        diag = np.array([mixing_weight(n, n) for n in range(301)])
+        want = 2.0 * lam * (1.0 - first - diag) + mu * (1.0 - diag)
         rates = np.array([linearized_eigenvalue(n, p) for n in range(1, 301)])
         assert np.array_equal(rates, want[1:])
         assert np.all(rates[0::2] == 2.0 * lam + mu)
@@ -201,9 +229,10 @@ class TestIntegration:
 
     def test_error_estimate_matches_dense_solve(self, monkeypatch):
         # the first step's embedded error estimate (I - h gamma0 J)^-1 (h gamma0 f + slope)
-        # over the stepped orders 2, 4, .., from the solver's Jacobian rows and forward
-        # substitution, against a dense solve with the even-row, even-column block of the
-        # Jacobian of moment_rhs by central differences, exact for a quadratic
+        # over the stepped orders 2l = 2, 4, .., by forward substitution with J's rows
+        # J[l, i] = c_l d_{l-i} / i! below the diagonal -a_l, against a dense solve with the
+        # even-row, even-column block of the Jacobian of moment_rhs by central differences,
+        # exact for a quadratic
         calls = []
         solve = boltzmann._error_solve
         monkeypatch.setattr(boltzmann, "_error_solve",
@@ -211,23 +240,25 @@ class TestIntegration:
         p = Params(n_particles=10, lam=0.7, mu=1.3)
         m0 = make_moments(2.0, mean=0.4, order=10)
         integrate_moments(m0, p, [0.0, 0.5])
-        f, slope, lower, hg, rate = calls[0]
+        f, slope, d, hg, orders = calls[0]
         e = math.frexp(max(p.lam, p.mu))[1]  # the solver's time scaling
         scaled = replace(p, lam=math.ldexp(p.lam, -e), mu=math.ldexp(p.mu, -e))
         size = m0.m.size
         jac = np.empty((size, size))
         for k, step in enumerate(1e-3 * np.maximum(1.0, np.abs(m0.m))):
-            d = np.zeros(size)
-            d[k] = step
-            jac[:, k] = (moment_rhs(m0.m + d, scaled) - moment_rhs(m0.m - d, scaled)) / (2 * step)
+            dm = np.zeros(size)
+            dm[k] = step
+            jac[:, k] = (moment_rhs(m0.m + dm, scaled) - moment_rhs(m0.m - dm, scaled)) / (2 * step)
         block = jac[2::2, 2::2]
-        assert len(f) == len(slope) == len(lower) == len(rate) == block.shape[0] == 5
+        assert len(f) == len(slope) == len(d) == len(orders) == block.shape[0] == 5
+        rate, weight, fact = (np.array(t) for t in list(zip(*orders))[:3])
         assert np.allclose(rate, -np.diagonal(block), rtol=1e-9, atol=0.0)
-        for i, row in enumerate(lower):
-            assert np.allclose(row, block[i, :i], rtol=1e-9, atol=0.0)
+        for l in range(2, 6):  # row l's entries at the columns i = 1..l-1
+            row = [weight[l - 1] * d[l - i - 1] / fact[i - 1] for i in range(1, l)]
+            assert np.allclose(row, block[l - 1, : l - 1], rtol=1e-9, atol=0.0)
         terms = hg * np.array(f) + np.array(slope)
         want = np.linalg.solve(np.eye(block.shape[0]) - hg * block, terms)
-        got = np.array(solve(f, slope, lower, hg, rate))
+        got = np.array(solve(f, slope, d, hg, orders))
         # the estimate is about 1e-8 of its terms, so bound the roundoff by their size;
         # dropping the Jacobian's rows moves it by about 1e-12 of that
         scale = np.max(np.abs(hg * np.array(f)) + np.abs(slope))
