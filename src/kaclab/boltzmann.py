@@ -103,8 +103,8 @@ def _even_terms(order: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.nda
     """l!, c_l = l! s_2l and gamma_l = g_2l / l! for l <= order // 2, g the
     Gaussian(0, 1/beta) moments, read-only: with u_l = m_2l / l!, dm_2l/dt =
     2 lam (c_l (u*u)_l - m_2l) + mu (c_l (u*gamma)_l - m_2l).  A bath moment that
-    overflows is refused; past order 300 gaussian_moments always overflows, so
-    every l! here is finite."""
+    overflows is refused, and gaussian_moments refuses an order past
+    MAX_GAUSSIAN_ORDER = 296, so l <= 148 and every l! here is finite."""
     half = order // 2
     g = gaussian_moments(2 * half, 1.0 / beta)[::2]
     if not np.isfinite(g).all():

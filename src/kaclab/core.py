@@ -196,17 +196,30 @@ def orbit_size(index, n_particles: int) -> int:
     return out
 
 
+# the largest order whose exact coefficients in gaussian_moments all fit in a float;
+# at order 297 the one at j = 280 passes 2**1024, and every moment would be inf
+MAX_GAUSSIAN_ORDER = 296
+
+
 def gaussian_moments(order: int, variance: float, mean: float = 0.0) -> np.ndarray:
-    """Raw moments m_0..m_order of a normal distribution; inf for each moment
-    whose float computation overflows."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    """Raw moments m_0..m_order of a normal distribution, for order in [0,
+    MAX_GAUSSIAN_ORDER]; inf for each moment whose float computation overflows.
+    A power of the variance below the normal range is taken as two factors, so a
+    term that is itself a normal float keeps its digits."""
+    if not 0 <= order <= MAX_GAUSSIAN_ORDER:  # before the O(order^2) loop
+        raise ValueError(f"the Gaussian moments need an order in [0, {MAX_GAUSSIAN_ORDER}], "
+                         f"where every exact coefficient fits in a float, got {order}")
     out = np.empty(order + 1)
     for k in range(order + 1):
         m, c = 0.0, 1  # c = C(k, j) (j - 1)!! = k! / ((k - j)! j!!), an exact integer
         try:
             for j in range(0, k + 1, 2):
-                m += c * variance ** (j // 2) * mean ** (k - j)
+                power = variance ** (j // 2)
+                if power < 2.0**-1022:  # the smallest normal float
+                    term = c * variance ** (j // 4) * variance ** (j // 2 - j // 4)
+                else:
+                    term = c * power
+                m += term * mean ** (k - j)
                 c = c * (k - j) * (k - j - 1) // (j + 2)
         except OverflowError:
             m = math.inf

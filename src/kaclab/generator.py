@@ -261,8 +261,6 @@ def _radial_columns(basis: SectorBasis):
 
 def build_LR(basis: SectorBasis) -> SectorMatrix:
     """Comparison operator Lambda_N (I - B), B the radial rank-one projection."""
-    if basis.n_particles < 2:
-        raise ValueError("pair collisions need N >= 2")
     return _assemble(
         basis,
         _radial_columns(basis),
@@ -333,24 +331,14 @@ def _check_tol(*entries: np.ndarray) -> float:
     return max(AGREEMENT_TOL * max(float(np.max(np.abs(e))) for e in entries), 2.0**-1068)
 
 
-def require_isolated_gap(sector_min: float, params: Params, tol: float) -> None:
-    """Refuse rates at which `sector_min`, the degree-4 sector's smallest eigenvalue,
-    lies within the gap checks' resolution `tol` above the gap mu/2.  It lies at
-    least mu/8 above it, so only a small mu/lambda, or a subnormal mu, brings it
-    there: an input out of range, not an assembly fault."""
-    margin = sector_min - params.mu / 2.0
-    if not margin > tol:
-        ratio = params.mu / params.lam if params.lam else math.inf
-        raise ValueError(f"mu/lambda = {ratio:.3g}: the degree-4 sector lies {margin:.3g} above "
-                         f"the gap mu/2, not above the gap checks' resolution {tol:.3g}")
-
-
 def first_gap(params: Params) -> float:
     """Smallest nonzero eigenvalue of the generator: mu/2, eigenfunction
     sum_i (v_i^2 - 1/beta).  Verified against a fresh eigensolve of the
     assembled operator on the symmetric degree-2 and degree-4 sectors, to
-    AGREEMENT_TOL times the largest |entry| of those sectors; rates at which the
-    degree-4 sector cannot be told from the gap raise ValueError."""
+    AGREEMENT_TOL times the largest |entry| of those sectors.  Rates at which the
+    degree-4 sector lies within that resolution above the gap raise ValueError: it
+    lies at least mu/8 above it, so only a small mu/lambda, or a subnormal mu,
+    brings it there, an input out of range and not an assembly fault."""
     n = params.n_particles
     if n < 2:
         raise ValueError("gap computation needs N >= 2")
@@ -366,7 +354,11 @@ def first_gap(params: Params) -> float:
             raise AssemblyError(
                 f"eigensolve gap {allev[0]!r} disagrees with closed form {closed!r}"
             )
-        require_isolated_gap(float(ev4.min()), params, tol)
+        margin = float(ev4.min()) - closed
+        if not margin > tol:
+            ratio = params.mu / params.lam if params.lam else math.inf
+            raise ValueError(f"mu/lambda = {ratio:.3g}: the degree-4 sector lies {margin:.3g} "
+                             f"above the gap mu/2, not above the gap checks' resolution {tol:.3g}")
     else:
         # thermostat off: the radial kernel is degenerate across sectors
         if not (abs(allev[0]) <= tol and abs(allev[1]) <= tol):
@@ -438,11 +430,9 @@ def second_gap(params: Params) -> SecondGap:
     closed-form 2x2 eigendecomposition, assembled symmetric degree-4 sector), required
     to agree to AGREEMENT_TOL times the largest |entry| of the sector.  Returns
     every route with that tolerance; the quadratic root is the reported gap."""
-    if params.n_particles < 2:
-        raise ValueError("second gap needs N >= 2")
+    mat = second_gap_matrix(params)
     if not params.mu > 0:
         raise ValueError("second gap needs mu > 0")
-    mat = second_gap_matrix(params)
     if np.isinf(mat).any():  # before any route's eigensolve
         raise ValueError(f"lambda = {params.lam:.3g}, mu = {params.mu:.3g}: the rates overflow the "
                          "degree-4 sector's entries, such as mu + 3 lambda / (2 (N - 1))")

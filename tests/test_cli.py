@@ -27,7 +27,7 @@ from kaclab.cli import (
     main,
     parse_config,
 )
-from kaclab.core import Params, gaussian_moments
+from kaclab.core import Params
 from kaclab.generator import AssemblyError
 from kaclab.simulator import Ensemble, ProductGaussian, TwoTemperature
 from test_simulator import scalar_advance_to
@@ -327,6 +327,15 @@ class TestHistogramOut:
     def test_histogram_reproducible(self, tmp_path):
         assert histogram_rows(self.ARGV, tmp_path) == histogram_rows(self.ARGV, tmp_path)
 
+    @pytest.mark.parametrize("shape", [(3000, 50), (2, 70000), (7, 3)])
+    def test_pooled_counts_equal_the_summed_replica_counts(self, shape):
+        # several blocks with a short last one, one replica per block, one block
+        v = np.random.default_rng(SEED).standard_normal(shape) * 4.0
+        v[0, 0], v[-1, -1] = np.nan, 8.0
+        edges = np.linspace(-8.0, 8.0, 257)
+        assert np.array_equal(cli._pooled_counts(v, edges),
+                              simulator.cell_counts(v, edges).sum(axis=0))
+
     @pytest.mark.parametrize("lam, mu", [("1", "1"), ("0", "2"), ("3", "0")])
     def test_histogram_matches_scalar_oracle(self, lam, mu, tmp_path, monkeypatch):
         argv = ["simulate", "--n", "9", "--lambda", lam, "--mu", mu, "--k0", "11.25",
@@ -523,27 +532,23 @@ class TestExitCodes:
             _, _, rows = read_csv(str(out))
             assert rows and not any(x == "nan" for row in rows for x in row)
 
-    def test_boltzmann_refuses_a_huge_kmax_before_the_moments(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # the O(kmax^2) moment loop would take hours at kmax = 10**6
-        def slow(*args):
-            raise AssertionError("gaussian_moments called")
-
-        monkeypatch.setattr(cli, "gaussian_moments", slow)
+    def test_boltzmann_refuses_a_huge_kmax_before_the_moments(self, tmp_path, capsys):
+        # gaussian_moments refuses the order before its O(kmax^2) loop, which would
+        # take hours at kmax = 10**6
         assert main(["boltzmann", "--kmax", "1000000", "--horizon", "1",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: the initial or bath moments overflow at order 1000000\n")
+            "error: the Gaussian moments need an order in [0, 296], where every exact "
+            "coefficient fits in a float, got 1000000\n")
 
-    def test_fast_kmax_rule_refuses_only_what_the_moments_refuse(self):
-        refused = [k for k in range(400) if cli._top_coefficient_overflows(k)]
-        assert refused == list(range(refused[0], 400))
-        # the top moment overflows at any variance and mean, the smallest included
-        for k in range(refused[0], refused[0] + 4):
-            for variance, mean in [(0.0, 0.0), (1e-300, 0.0), (1e-300, 1e-300), (1.0, 0.0)]:
-                assert gaussian_moments(k, variance, mean)[k] == math.inf
-        # below it the exact loop decides: at variance 1e-300 the top moment is finite
-        assert math.isfinite(gaussian_moments(refused[0] - 5, 1e-300)[-1])
+    @pytest.mark.parametrize("argv", [["--kmax", "212", "--t0", "1e-3"],
+                                      ["--kmax", "120", "--t0", "1e-6"]])
+    def test_boltzmann_from_a_narrow_gaussian(self, argv, tmp_path):
+        # the initial moments hold powers of t0 below the normal range; computed
+        # as one subnormal factor, they lost positivity at t = 0
+        out = tmp_path / "b.csv"
+        assert main(["boltzmann", *argv, "--out", str(out)]) == EXIT_OK
+        assert np.isfinite(np.array(read_csv(str(out))[2], dtype=float)).all()
 
     @pytest.mark.parametrize("argv", [["--lambda", "1e300"], ["--mu", "1e300"],
                                       ["--horizon", "1e300"], ["--lambda", "1e20"]])

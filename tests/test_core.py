@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kaclab.core import (
+    MAX_GAUSSIAN_ORDER,
     Params,
     angular_moment_exact,
     compositions,
@@ -234,6 +236,31 @@ class TestGaussianMoment:
         got = gaussian_moments(4, 1e200)
         assert got[:4].tolist() == [1.0, 0.0, 1e200, 0.0]
         assert got[4] == math.inf
+
+    def test_domain_ends_where_a_coefficient_leaves_the_float_range(self):
+        def coefficients(k):  # C(k, j) (j - 1)!!, exact
+            return [math.comb(k, j) * double_factorial(j - 1) for j in range(0, k + 1, 2)]
+
+        assert MAX_GAUSSIAN_ORDER == 296
+        assert all(math.isfinite(float(c)) for c in coefficients(296))
+        with pytest.raises(OverflowError):
+            [float(c) for c in coefficients(297)]
+        assert np.isfinite(gaussian_moments(296, 1.0)).all()
+        # refused before the O(order^2) loop, which would take hours at 10**6
+        for order in (-1, 297, 300, 301, 10**6):
+            for variance, mean in [(0.0, 0.0), (1e-300, 0.0), (1.0, 0.4)]:
+                with pytest.raises(ValueError, match=r"order in \[0, 296\]"):
+                    gaussian_moments(order, variance, mean)
+
+    @pytest.mark.parametrize("variance", [1e-3, 1e-6])
+    def test_subnormal_power_keeps_a_normal_moment(self, variance):
+        # m_k = (k - 1)!! variance^(k/2): the power leaves the normal range before
+        # the moment does (from k = 206 at 1e-3 and k = 104 at 1e-6)
+        got = gaussian_moments(MAX_GAUSSIAN_ORDER, variance)
+        for k in range(0, MAX_GAUSSIAN_ORDER + 1, 2):
+            exact = double_factorial(k - 1) * Fraction(variance) ** (k // 2)
+            if exact >= sys.float_info.min:
+                assert got[k] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_shifted_against_quadrature(self):
         mean, var = 0.7, 1.3
