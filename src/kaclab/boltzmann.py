@@ -252,7 +252,7 @@ def integrate_moments(m0: MomentVector, params: Params, sample_times) -> MomentS
     end on every sample time, where moment-matrix positivity is checked to
     HANKEL_TOL.  A bath moment that overflows raises ValueError.
     """
-    times = check_times(sample_times, ())
+    times = check_times(sample_times)
     top = max(params.lam, params.mu)
     rate_time = top * float(times[-1])
     if not rate_time <= MAX_RATE_TIME:

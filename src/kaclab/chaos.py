@@ -25,7 +25,8 @@ from numpy.polynomial import hermite_e
 
 from .core import Params, gaussian_moments
 from .boltzmann import MomentVector, integrate_moments
-from .simulator import ProductGaussian, Uniform, bootstrap_weights, cell_counts, run
+from .simulator import (ProductGaussian, Uniform, bootstrap_weights, cell_counts,
+                        observable_series, run)
 
 GRID_BINS_2D = 64
 GRID_HALF_WIDTH = 10.0  # in units of the equilibrium standard deviation
@@ -125,15 +126,8 @@ def chaos_ladder(
         params = replace(base_params, n_particles=n)
         edges = _grid_edges(params.beta, GRID_BINS_2D)
         seen = []
-        run(
-            params,
-            n_replicas=n_replicas,
-            sample_times=(),
-            seed=seed,
-            initial=initial,
-            observe_times=[time],
-            observe=lambda _, v: seen.append(cell_counts(v, edges)),
-        )
+        run(params, n_replicas, [time], lambda _, v: seen.append(cell_counts(v, edges)),
+            seed, initial)
         defects = _defects(seen[0], weights, edges)
         out.append(ChaosLadderPoint(n_particles=n, time=time, metric=float(defects[0]),
                                     stderr=float(np.std(defects[1:], ddof=1))))
@@ -171,13 +165,7 @@ def compare_to_boltzmann(
     out: dict[int, BoltzmannComparison] = {}
     for k, n in enumerate(n_values):
         p_n = replace(params, n_particles=n)
-        series = run(
-            p_n,
-            n_replicas=n_replicas,
-            sample_times=ode.times,
-            seed=seed + k,
-            initial=initial,
-        )
+        series = observable_series(p_n, n_replicas, ode.times, seed + k, initial)
         stderr = np.maximum(series.moment_stderr, 1e-300)
         out[n] = BoltzmannComparison(standardized=(series.moments - predicted) / stderr)
     return out

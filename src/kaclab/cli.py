@@ -29,10 +29,12 @@ from .generator import AssemblyError, first_gap, second_gap, second_gap_limit
 from .generator import build_generator, sector_basis  # noqa: F401
 from .simulator import (
     N_MOMENTS,
+    ObservableSeries,
     ProductGaussian,
     SimulationError,
     TwoTemperature,
     cell_counts,
+    observables,
     run,
     workspace_doubles,
 )
@@ -120,8 +122,7 @@ _SCHEMAS: dict[str, dict] = {
         **_COMMON,
         "n": (int, None, True, _AT_LEAST_1),
         "mu": (float, None, True, _AT_LEAST_0),
-        # the cluster bootstrap's error bars need two replicas to spread
-        "replicas": (int, 2000, False, _AT_LEAST_2),
+        "replicas": (int, 2000, False, _AT_LEAST_1),
         "horizon": (float, 6.0, False, _ABOVE_0),
         "samples": (int, 13, False, _AT_LEAST_1),
         # the initial relative entropy takes log(beta * T)
@@ -131,7 +132,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "chaos": {
         **_COMMON,
-        "replicas": (int, 2000, False, _AT_LEAST_2),  # as for entropy
+        "replicas": (int, 2000, False, _AT_LEAST_1),
         "time": (float, None, False, _ABOVE_0),
         "n_ladder": (str, "10,50,250,1250", False, _LADDER),
         "t0": (float, 2.0, False, _AT_LEAST_0),
@@ -367,7 +368,7 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     initial = _initial_from_options(config, params)
     temps = ([initial.t_hot, initial.t_cold] if isinstance(initial, TwoTemperature)
              else [initial.temperature])
-    order = 2 * N_MOMENTS  # run forms the variance of the highest moment
+    order = 2 * N_MOMENTS  # observables forms the variance of the highest moment
     _require(all(np.isfinite(gaussian_moments(order, t)).all()
                  for t in [*temps, 1.0 / params.beta]),
              f"the Gaussian moments up to order {order} at the initial or bath "
@@ -375,16 +376,16 @@ def _run_simulate(config: RunConfig, params: Params) -> list:
     times = _sample_times(config)
     width = HISTOGRAM_HALF_WIDTH * (1.0 / math.sqrt(params.beta))
     edges = np.linspace(-width, width, HISTOGRAM_BINS + 1)
-    masses = []
-    series = run(
-        params,
-        n_replicas=o["replicas"],
-        sample_times=times,
-        seed=o["seed"],
-        initial=initial,
-        observe_times=[times[-1]] if hist_out else (),
-        observe=lambda _, v: masses.append(_pooled_counts(v, edges) / v.size),
-    )
+    observed, masses = [], []
+
+    def observe(t, v):
+        observed.append(observables(v))
+        if hist_out and t == times[-1]:
+            masses.append(_pooled_counts(v, edges) / v.size)
+
+    run(params, n_replicas=o["replicas"], times=times, observe=observe, seed=o["seed"],
+        initial=initial)
+    series = ObservableSeries.from_rows(params, times, observed)
     rows = [
         (t, series.kinetic_energy[k], series.temperature[k], *series.moments[k])
         for k, t in enumerate(series.times)

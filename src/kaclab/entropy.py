@@ -487,7 +487,7 @@ def entropy_decay_experiment(
     s0 = initial_relative_entropy(initial, params)
     if not math.isfinite(s0):
         raise ValueError("the initial relative entropy, the bound at t = 0, overflows")
-    times = check_times(sample_times, ())
+    times = check_times(sample_times)
     n = params.n_particles
     weights = bootstrap_weights(n_replicas, BOOTSTRAP_RESAMPLES, seed + 0x5EED)
     estimates = []
@@ -495,15 +495,7 @@ def entropy_decay_experiment(
     def estimate(_, v):
         estimates.append(_pooled_estimate_with_cluster_bootstrap(v, params.beta, weights))
 
-    run(
-        params,
-        n_replicas=n_replicas,
-        sample_times=(),
-        seed=seed,
-        initial=initial,
-        observe_times=times,
-        observe=estimate,
-    )
+    run(params, n_replicas, times, estimate, seed, initial)
     est, err = n * np.array(estimates).T
     bound = s0 * np.exp(-params.mu * times / 2.0)
     return EntropyDecaySeries(

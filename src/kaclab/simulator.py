@@ -5,10 +5,11 @@ unordered pair is rotated by a uniform angle, which preserves its kinetic
 energy) and thermostat collisions (rate mu*N total; one particle is rotated
 against a fresh Gaussian partner that is never seen again).
 
-`run` evolves an ensemble of independent replicas through its stops: the
-sample times, where it records the kinetic energy and the first six pooled
-moments, and the observe times, where it hands the live state to a callback
-that reduces it in place of a copy.
+`run` evolves an ensemble of independent replicas through its stops, a
+strictly increasing list of times, and at each hands the live state to one
+callback that reduces it in place of a copy.  `observables` is such a
+reducer: the kinetic energy and the first six pooled moments, which
+`observable_series` collects into an `ObservableSeries`.
 
 The random stream is laid out in time windows, not in the intervals between
 stops, so a realization does not depend on where it is observed:
@@ -474,10 +475,12 @@ def bootstrap_weights(n_replicas: int, n_bootstrap: int, seed: int) -> np.ndarra
     once per experiment, scores all its rows in one pass and reuses it at
     every stop, so resample b follows the same replicas along their whole
     trajectories.  The draws are taken BOOTSTRAP_CHUNK rows at a time, the
-    same draws as one call, so no integer matrix of the full size is held."""
+    same draws as one call, so no integer matrix of the full size is held.
+    The resamples of one replica are all that replica, so they cannot spread:
+    the design needs two replicas."""
     m = n_replicas
-    if m < 1:
-        raise ValueError("need at least one replica")
+    if m < 2:
+        raise ValueError(f"a bootstrap over replicas needs at least two, got {m}")
     rng = np.random.default_rng(seed)
     p = np.full(m, 1.0 / m)
     weights = np.empty((n_bootstrap + 1, m))
@@ -498,6 +501,23 @@ def _mean_stderr(x: np.ndarray) -> float:
     return math.ldexp(np.ldexp(x, -e).std(ddof=1) / math.sqrt(x.size), e)
 
 
+def observables(v: np.ndarray):
+    """One stop's row of the (M, N) state `v`: the ensemble mean of the kinetic
+    energy (1/2) sum v_i^2 and its standard error, then arrays of the first
+    N_MOMENTS pooled one-particle raw moments and of their standard errors."""
+    e_rep = 0.5 * np.einsum("ij,ij->i", v, v)
+    mom = np.empty(N_MOMENTS)
+    mom_err = np.empty(N_MOMENTS)
+    pw = v
+    for q in range(N_MOMENTS):
+        rep_mean = pw.mean(axis=1)
+        mom[q] = rep_mean.mean()
+        mom_err[q] = _mean_stderr(rep_mean)
+        if q < N_MOMENTS - 1:
+            pw = pw * v
+    return e_rep.mean(), _mean_stderr(e_rep), mom, mom_err
+
+
 @dataclass
 class ObservableSeries:
     """Ensemble observables on a sampling grid."""
@@ -509,6 +529,11 @@ class ObservableSeries:
     moments: np.ndarray                 # (T, 6) pooled one-particle raw moments
     moment_stderr: np.ndarray
 
+    @classmethod
+    def from_rows(cls, params: Params, times, rows) -> "ObservableSeries":
+        """The series of the `observables` rows at `times`, one row per time."""
+        return cls(params, np.asarray(times, dtype=float), *map(np.array, zip(*rows)))
+
     @property
     def temperature(self) -> np.ndarray:
         return 2.0 * self.kinetic_energy / self.params.n_particles
@@ -517,59 +542,34 @@ class ObservableSeries:
 def run(
     params: Params,
     n_replicas: int,
-    sample_times: Sequence[float],
+    times: Sequence[float],
+    observe: Callable[[float, np.ndarray], None],
     seed: int = 0,
     initial: InitialCondition | None = None,
-    observe_times: Sequence[float] = (),
-    observe: Callable[[float, np.ndarray], None] | None = None,
-) -> ObservableSeries:
-    """Evolve an ensemble and record observables at `sample_times`; at each of
-    `observe_times`, in time order, call `observe(t, v)` with the live (M, N)
-    state as a read-only view, valid until the call returns.  With
-    `sample_times=()` the series is empty and the callback sees every stop."""
-    observe_set = {float(t) for t in observe_times}
-    if observe_set and observe is None:
-        raise ValueError("observe times need an observe callback")
-    times = check_times(sample_times, observe_set)
-    stops = sorted(observe_set.union(times.tolist()))
-
+) -> None:
+    """Evolve an ensemble through the strictly increasing `times` and, at each,
+    call `observe(t, v)` with the live (M, N) state as a read-only view, valid
+    until the call returns, so that the callback reduces it in place of a copy."""
+    stops = check_times(times).tolist()
     ens = Ensemble.create(params, n_replicas, seed, initial)
-    t_count = times.size
-    ke = np.empty(t_count)
-    ke_err = np.empty(t_count)
-    mom = np.empty((t_count, N_MOMENTS))
-    mom_err = np.empty((t_count, N_MOMENTS))
-
-    sample_pos = {float(t): k for k, t in enumerate(times)}
     for t in stops:
         ens.advance_to(t)
-        if t in observe_set:
-            live = ens.velocities.view()
-            live.flags.writeable = False
-            observe(t, live)
-        k = sample_pos.get(t)
-        if k is None:
-            continue
-        v = ens.velocities
-        e_rep = 0.5 * np.einsum("ij,ij->i", v, v)
-        ke[k] = e_rep.mean()
-        ke_err[k] = _mean_stderr(e_rep)
-        pw = v
-        for q in range(N_MOMENTS):
-            rep_mean = pw.mean(axis=1)
-            mom[k, q] = rep_mean.mean()
-            mom_err[k, q] = _mean_stderr(rep_mean)
-            if q < N_MOMENTS - 1:
-                pw = pw * v
+        live = ens.velocities.view()
+        live.flags.writeable = False
+        observe(t, live)
 
-    return ObservableSeries(
-        params=params,
-        times=times,
-        kinetic_energy=ke,
-        kinetic_energy_stderr=ke_err,
-        moments=mom,
-        moment_stderr=mom_err,
-    )
+
+def observable_series(
+    params: Params,
+    n_replicas: int,
+    times: Sequence[float],
+    seed: int = 0,
+    initial: InitialCondition | None = None,
+) -> ObservableSeries:
+    """`run` reduced by `observables` at each of `times`."""
+    rows = []
+    run(params, n_replicas, times, lambda _, v: rows.append(observables(v)), seed, initial)
+    return ObservableSeries.from_rows(params, times, rows)
 
 
 def fit_cooling_rate(series: ObservableSeries) -> float:

@@ -32,7 +32,8 @@ from kaclab.generator import (
     sector_basis,
     sector_gap_bound,
 )
-from kaclab.simulator import ProductGaussian, TwoTemperature, fit_cooling_rate, run
+from kaclab.simulator import (ProductGaussian, TwoTemperature, fit_cooling_rate,
+                              observable_series)
 
 PARAM_GRID = [
     (n, lam, mu)
@@ -126,8 +127,8 @@ def test_05_newton_cooling():
     worst_dev, worst_rate_err = 0.0, 0.0
     for lam in (0.0, 1.0, 10.0):
         params = Params(n_particles=n, lam=lam, mu=mu)
-        series = run(params, n_replicas=10_000, sample_times=times,
-                     seed=seed, initial=ProductGaussian(temperature=2.0))
+        series = observable_series(params, 10_000, times, seed=seed,
+                                   initial=ProductGaussian(temperature=2.0))
         curve = k_inf + k_inf * np.exp(-mu * times / 2.0)
         dev = np.max(np.abs(series.kinetic_energy - curve) / series.kinetic_energy_stderr)
         rate = fit_cooling_rate(series)

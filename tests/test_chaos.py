@@ -112,8 +112,8 @@ def marginals(snapshot, beta=1.0):
 def per_draw_ladder_point(params, n_replicas, t, seed, half, n_bootstrap, bins=64):
     # reference chaos_ladder rung: its own pair counts and one multinomial draw
     # per bootstrap resample
-    _, states = run_keeping(params, [t], n_replicas=n_replicas, sample_times=[0.0, t],
-                            seed=seed, initial=Uniform(half))
+    _, states = run_keeping(params, [0.0, t], n_replicas=n_replicas, seed=seed,
+                            initial=Uniform(half))
     n = params.n_particles
     scale = 1.0 / math.sqrt(params.beta)
     edges = np.linspace(-10.0 * scale, 10.0 * scale, bins + 1)
@@ -273,7 +273,7 @@ class TestChaosMetric:
         edges = _grid_edges(0.8, GRID_BINS_2D)
         for p in pts:
             _, states = run_keeping(Params(n_particles=p.n_particles, lam=1.0, mu=1.3, beta=0.8),
-                                    [0.4], n_replicas=200, sample_times=[0.0, 0.4], seed=SEED,
+                                    [0.0, 0.4], n_replicas=200, seed=SEED,
                                     initial=Uniform(half))
             counts = cell_counts(states[0.4], edges)
             assert _defects(counts, np.ones((1, 200)), edges)[0] == p.metric
@@ -317,6 +317,11 @@ class TestLadder:
         # cells give a metric and stderr of 0
         with pytest.raises(ValueError, match="overflows"):
             chaos_ladder(Params(2), (4,), time=0.5, n_replicas=10, initial_temperature=1e308)
+
+    def test_refuses_one_replica(self):
+        # one replica gave a stderr of exactly 0
+        with pytest.raises(ValueError, match="two"):
+            chaos_ladder(Params(2), (4, 8), time=0.5, n_replicas=1, seed=SEED)
 
     def test_matches_per_draw_ladder(self, monkeypatch):
         monkeypatch.setattr("kaclab.chaos.BOOTSTRAP_RESAMPLES", 5)

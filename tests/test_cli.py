@@ -29,7 +29,7 @@ from kaclab.cli import (
 )
 from kaclab.core import Params
 from kaclab.generator import AssemblyError
-from kaclab.simulator import Ensemble, ProductGaussian, TwoTemperature
+from kaclab.simulator import Ensemble, ProductGaussian, TwoTemperature, observable_series
 from test_simulator import scalar_advance_to
 
 SEED = 20260808
@@ -245,6 +245,26 @@ class TestVerbs:
         _, header, rows = read_csv(str(out))
         assert header == ["time"] + [f"m{q}" for q in range(1, 8)]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("start, initial", [
+        (["--k0", "12"], ProductGaussian(temperature=4.0)),
+        (["--t-hot", "3", "--n-hot", "2"], TwoTemperature(t_hot=3.0, t_cold=1.0, n_hot=2)),
+    ])
+    @pytest.mark.parametrize("hist", [False, True])
+    def test_simulate_rows_equal_the_library_series(self, start, initial, hist, tmp_path):
+        # the verb and `observable_series` reach `observables` through their own
+        # callbacks; the CSV's 17 digits give back every float bit for bit
+        out = tmp_path / "s.csv"
+        extra = ["--histogram-out", str(tmp_path / "h.csv")] if hist else []
+        assert main(["simulate", "--n", "6", "--lambda", "1", "--mu", "1", *start,
+                     "--replicas", "40", "--horizon", "2", "--samples", "5", "--seed", "7",
+                     "--out", str(out), *extra]) == EXIT_OK
+        got = np.array(read_csv(str(out))[2], dtype=float)
+        series = observable_series(Params(n_particles=6, lam=1.0, mu=1.0), 40,
+                                   np.linspace(0.0, 2.0, 5), seed=7, initial=initial)
+        want = np.column_stack([series.times, series.kinetic_energy, series.temperature,
+                                series.moments])
+        assert np.array_equal(got, want)
 
     def test_entropy_verb(self, tmp_path):
         out = tmp_path / "e.csv"

@@ -666,6 +666,12 @@ class TestSampleEstimator:
 
 
 class TestDecayExperiment:
+    def test_refuses_one_replica(self):
+        # one replica gave error bars of exactly 0 under an estimate of 11.09
+        with pytest.raises(ValueError, match="two"):
+            entropy_decay_experiment(Params(10, 1, 1), TwoTemperature(4, 0.5, 1), [0, 1],
+                                     n_replicas=1, seed=3)
+
     def test_equilibrium_start_stays_small(self):
         p = Params(n_particles=20, lam=1.0, mu=1.0)
         series = entropy_decay_experiment(

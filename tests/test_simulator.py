@@ -12,6 +12,7 @@ from kaclab.core import Params
 from kaclab.simulator import (
     Ensemble,
     IllConditionedFitError,
+    ObservableSeries,
     ProductGaussian,
     TwoTemperature,
     Uniform,
@@ -19,6 +20,8 @@ from kaclab.simulator import (
     cell_counts,
     fit_cooling_rate,
     initial_relative_entropy,
+    observable_series,
+    observables,
     run,
     sample_initial,
 )
@@ -124,12 +127,16 @@ def scalar_advance_to(ens, t):
     ens.time = t
 
 
-def run_keeping(params, observe_times, **kwargs):
-    """`run` with a copy of the state at each of `observe_times`, by time."""
-    states = {}
-    series = run(params, observe_times=observe_times,
-                 observe=lambda t, v: states.__setitem__(t, v.copy()), **kwargs)
-    return series, states
+def run_keeping(params, times, **kwargs):
+    """`observable_series` at `times`, with a copy of the state at each, by time."""
+    rows, states = [], {}
+
+    def observe(t, v):
+        rows.append(observables(v))
+        states[t] = v.copy()
+
+    run(params, times=times, observe=observe, **kwargs)
+    return ObservableSeries.from_rows(params, times, rows), states
 
 
 class TestInitialConditions:
@@ -221,9 +228,9 @@ class TestEnsemble:
     def test_reproducible_and_seed_sensitive(self):
         p = Params(n_particles=8, lam=1.0, mu=1.0)
         ts = np.linspace(0.0, 1.0, 33)
-        a = run(p, n_replicas=32, sample_times=ts, seed=SEED, initial=ProductGaussian(2.0))
-        b = run(p, n_replicas=32, sample_times=ts, seed=SEED, initial=ProductGaussian(2.0))
-        c = run(p, n_replicas=32, sample_times=ts, seed=SEED + 1, initial=ProductGaussian(2.0))
+        a = observable_series(p, 32, ts, seed=SEED, initial=ProductGaussian(2.0))
+        b = observable_series(p, 32, ts, seed=SEED, initial=ProductGaussian(2.0))
+        c = observable_series(p, 32, ts, seed=SEED + 1, initial=ProductGaussian(2.0))
         assert np.array_equal(a.kinetic_energy, b.kinetic_energy)
         assert np.array_equal(a.moments, b.moments)
         assert not np.array_equal(a.kinetic_energy, c.kinetic_energy)
@@ -349,14 +356,14 @@ class TestRotationKernel:
     def test_run_series_and_observed_states_match_scalar_oracle(self, lam, mu, monkeypatch):
         monkeypatch.setattr(simulator, "EVENTS_PER_WINDOW", 200)
         p = Params(n_particles=9, lam=lam, mu=mu)
-        kwargs = dict(n_replicas=48, sample_times=np.linspace(0, 2, 6),
-                      seed=SEED, initial=ProductGaussian(2.5), observe_times=(0.3, 1.2))
-        new, new_states = run_keeping(p, **kwargs)
+        times = np.union1d(np.linspace(0, 2, 6), [0.3, 1.2])
+        kwargs = dict(n_replicas=48, seed=SEED, initial=ProductGaussian(2.5))
+        new, new_states = run_keeping(p, times, **kwargs)
         monkeypatch.setattr(Ensemble, "advance_to", scalar_advance_to)
-        ref, ref_states = run_keeping(p, **kwargs)
+        ref, ref_states = run_keeping(p, times, **kwargs)
         for name in ("kinetic_energy", "kinetic_energy_stderr", "moments", "moment_stderr"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
-        assert new_states.keys() == ref_states.keys() == {0.3, 1.2}
+        assert new_states.keys() == ref_states.keys() == set(times.tolist())
         for t in ref_states:
             assert np.array_equal(new_states[t], ref_states[t])
 
@@ -375,8 +382,8 @@ class TestGridIndependence:
 
     def test_roadmap_reproducer(self):
         p = Params(n_particles=10, lam=1.0, mu=1.0)
-        a, a_states = run_keeping(p, [2.0], n_replicas=50, sample_times=[0.0, 2.0], seed=3)
-        b, b_states = run_keeping(p, [2.0], n_replicas=50, sample_times=[0.0, 1.0, 2.0], seed=3)
+        a, a_states = run_keeping(p, [0.0, 2.0], n_replicas=50, seed=3)
+        b, b_states = run_keeping(p, [0.0, 1.0, 2.0], n_replicas=50, seed=3)
         assert np.array_equal(a_states[2.0], b_states[2.0])
         assert a.kinetic_energy[1] == b.kinetic_energy[2]
         assert np.array_equal(a.moments[1], b.moments[2])
@@ -393,12 +400,11 @@ class TestGridIndependence:
                                                       per_window):
         p = Params(n_particles=5, lam=lam, mu=1.0)
         base = sorted(base)
-        more = sorted(set(base) | set(extra))
+        more = sorted(set(base) | set(extra) | set(snaps))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "EVENTS_PER_WINDOW", per_window)
-            a, a_states = run_keeping(p, base, n_replicas=12, sample_times=base, seed=SEED)
-            b, b_states = run_keeping(p, [*base, *snaps], n_replicas=12, sample_times=more,
-                                      seed=SEED)
+            a, a_states = run_keeping(p, base, n_replicas=12, seed=SEED)
+            b, b_states = run_keeping(p, more, n_replicas=12, seed=SEED)
         for k, t in enumerate(base):
             assert np.array_equal(a_states[t], b_states[t])
             assert a.kinetic_energy[k] == b.kinetic_energy[more.index(t)]
@@ -450,15 +456,15 @@ class TestGridIndependence:
 class TestRunObservables:
     def test_equilibrium_energy_stationary(self):
         p = Params(n_particles=20, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=600, sample_times=np.linspace(0, 2, 5), seed=SEED)
+        series = observable_series(p, 600, np.linspace(0, 2, 5), seed=SEED)
         want = p.n_particles / (2 * p.beta)
         for k, t in enumerate(series.times):
             assert abs(series.kinetic_energy[k] - want) < 3.5 * series.kinetic_energy_stderr[k]
 
     def test_cooling_curve_and_fit(self):
         p = Params(n_particles=50, lam=1.0, mu=1.0)
-        series = run(p, n_replicas=2000, sample_times=np.linspace(0, 4.5, 19), seed=SEED,
-                     initial=ProductGaussian(temperature=2.0 / p.beta))
+        series = observable_series(p, 2000, np.linspace(0, 4.5, 19), seed=SEED,
+                                   initial=ProductGaussian(temperature=2.0 / p.beta))
         k_inf = p.n_particles / (2 * p.beta)
         curve = k_inf + k_inf * np.exp(-p.mu * series.times / 2)
         assert np.all(np.abs(series.kinetic_energy - curve)
@@ -469,9 +475,9 @@ class TestRunObservables:
     def test_observed_in_time_order(self):
         p = Params(n_particles=6, lam=1.0, mu=1.0)
         seen = []
-        run(p, n_replicas=10, sample_times=[0.0, 1.0], observe_times=[1.0, 0.5, 0.25, 0.5],
+        run(p, n_replicas=10, times=[0.0, 0.25, 0.5, 1.0],
             observe=lambda t, v: seen.append((t, v.shape)), seed=SEED)
-        assert seen == [(0.25, (10, 6)), (0.5, (10, 6)), (1.0, (10, 6))]
+        assert seen == [(0.0, (10, 6)), (0.25, (10, 6)), (0.5, (10, 6)), (1.0, (10, 6))]
 
     def test_callback_gets_the_live_state(self, monkeypatch):
         # the callback is handed a read-only view of the ensemble's own state,
@@ -493,57 +499,54 @@ class TestRunObservables:
             assert not v.flags.writeable
             seen.append(t)
 
-        run(Params(n_particles=5, lam=1.0, mu=1.0), n_replicas=8, sample_times=(),
-            observe_times=[0.5, 1.0], observe=observe, seed=SEED)
+        run(Params(n_particles=5, lam=1.0, mu=1.0), n_replicas=8, times=[0.5, 1.0],
+            observe=observe, seed=SEED)
         assert seen == [0.5, 1.0]
 
-    def test_observe_only(self):
-        # with no sample times the stops are the observe times alone; t = 0
-        # draws nothing, so the states equal a run that also samples there
+    def test_stop_at_zero_changes_no_other_row(self):
+        # a stop at t = 0 draws nothing, so the states and rows at the other
+        # stops equal those of a run that does not stop there
         p = Params(n_particles=6, lam=1.0, mu=1.0)
-        kwargs = dict(n_replicas=10, seed=SEED, observe_times=[0.5, 1.0])
-        only, only_states = run_keeping(p, sample_times=(), **kwargs)
-        full, full_states = run_keeping(p, sample_times=[0.0, 0.5, 1.0], **kwargs)
-        assert only.times.size == 0
-        assert only.kinetic_energy.shape == (0,)
-        assert only.moments.shape == (0, 6)
-        assert only_states.keys() == full_states.keys() == {0.5, 1.0}
-        for t in full_states:
+        kwargs = dict(n_replicas=10, seed=SEED)
+        only, only_states = run_keeping(p, [0.5, 1.0], **kwargs)
+        full, full_states = run_keeping(p, [0.0, 0.5, 1.0], **kwargs)
+        assert only.kinetic_energy.shape == (2,)
+        assert only.moments.shape == (2, 6)
+        assert np.array_equal(only.kinetic_energy, full.kinetic_energy[1:])
+        assert np.array_equal(only.moments, full.moments[1:])
+        assert only_states.keys() == {0.5, 1.0}
+        for t in only_states:
             assert np.array_equal(only_states[t], full_states[t])
 
-    def test_observe_times_need_a_callback(self):
-        p = Params(n_particles=4, lam=1.0, mu=1.0)
-        with pytest.raises(ValueError, match="callback"):
-            run(p, n_replicas=3, sample_times=[0.0], observe_times=[1.0], seed=SEED)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(sample_times=[0.0, math.nan]),
-        dict(sample_times=[0.0, math.inf]),
-        dict(sample_times=[0.0, 1.0], observe_times=[-1.0], observe=print),
-        dict(sample_times=[0.0, 1.0], observe_times=[math.nan], observe=print),
-        dict(sample_times=(), observe_times=()),
-        dict(sample_times=[0.0, 0.0]),
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan],
+        [0.0, math.inf],
+        [-1.0, 0.0, 1.0],
+        [0.0, 1.0, math.nan],
+        [],
+        [0.0, 0.0],
+        [1.0, 0.5, 0.25],
     ])
-    def test_rejects_non_finite_times(self, kwargs):
+    def test_rejects_non_finite_times(self, times):
         p = Params(n_particles=4, lam=1.0, mu=1.0)
         with pytest.raises(ValueError, match="finite"):
-            run(p, n_replicas=3, seed=SEED, **kwargs)
+            run(p, n_replicas=3, times=times, observe=print, seed=SEED)
 
     def test_temperature_definition(self):
         p = Params(n_particles=10, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=20, sample_times=[0.0], seed=SEED)
+        series = observable_series(p, 20, [0.0], seed=SEED)
         assert np.allclose(series.temperature, 2 * series.kinetic_energy / p.n_particles)
 
     def test_fit_errors_at_equilibrium(self):
         p = Params(n_particles=20, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=200, sample_times=np.linspace(0, 4.5, 33), seed=SEED)
+        series = observable_series(p, 200, np.linspace(0, 4.5, 33), seed=SEED)
         with pytest.raises(IllConditionedFitError):
             fit_cooling_rate(series)
 
     def test_fit_errors_on_short_series(self):
         p = Params(n_particles=20, lam=0.0, mu=1.0)
-        series = run(p, n_replicas=200, sample_times=np.linspace(0, 0.5, 33), seed=SEED,
-                     initial=ProductGaussian(3.0))
+        series = observable_series(p, 200, np.linspace(0, 0.5, 33), seed=SEED,
+                                   initial=ProductGaussian(3.0))
         with pytest.raises(IllConditionedFitError):
             fit_cooling_rate(series)
 
@@ -621,3 +624,8 @@ class TestBootstrapWeights:
     def test_rejects_no_replicas(self):
         with pytest.raises(ValueError, match="replica"):
             bootstrap_weights(0, 4, SEED)
+
+    def test_rejects_one_replica(self):
+        # every resample of one replica is that replica, so the error bars read 0
+        with pytest.raises(ValueError, match="two"):
+            bootstrap_weights(1, 4, SEED)
